@@ -72,7 +72,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value`` at the current time."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exc is not None:
             raise SimulationError("event triggered twice")
         self._value = value
         sim = self.sim
@@ -82,7 +82,7 @@ class Event:
 
     def trigger_at(self, value: Any, delay: float) -> "Event":
         """Trigger with ``value`` after ``delay`` seconds (message arrival)."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exc is not None:
             raise SimulationError("event triggered twice")
         if delay < 0:
             raise SimulationError(f"negative trigger delay {delay!r}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.util.validation import check_non_negative, check_positive
@@ -52,8 +52,7 @@ class DataRegion:
         check_non_negative("DataRegion.nbytes", self.nbytes)
 
 
-@dataclass(frozen=True)
-class TouchResult:
+class TouchResult(NamedTuple):
     """Outcome of streaming through a region once.
 
     Attributes
@@ -199,16 +198,23 @@ class MemoryHierarchy:
         total = region.nbytes if nbytes is None else int(nbytes)
         if total < 0:
             raise ConfigurationError(f"touch of negative size {total}")
-        total = min(total, region.nbytes)
+        if region.nbytes < total:
+            total = region.nbytes
+        name = region.name
         served: list[int] = []
         covered = 0  # bytes already served by an inner level
         time = 0.0
         for level in self.levels:
-            res = min(level.resident_bytes(region.name), total)
-            here = max(0, res - covered)
+            res = level.resident.get(name, 0)
+            if total < res:
+                res = total
+            here = res - covered
+            if here > 0:
+                covered = res
+            else:
+                here = 0
             served.append(here)
             time += here * level.byte_time
-            covered = max(covered, res)
         from_memory = total - covered
         mem_time = from_memory * self.memory_byte_time
         if write:
@@ -216,16 +222,11 @@ class MemoryHierarchy:
         time += mem_time
         # The touched bytes become the hottest data at every level.
         for level in self.levels:
-            level.install(region.name, total)
+            level.install(name, total)
         self.touches += 1
         self.bytes_hit += covered
         self.bytes_from_memory += from_memory
-        return TouchResult(
-            time=time,
-            served_by_level=tuple(served),
-            from_memory=from_memory,
-            total=total,
-        )
+        return TouchResult(time, tuple(served), from_memory, total)
 
     def flush(self) -> None:
         """Invalidate everything (cold caches)."""

@@ -18,12 +18,19 @@ Three cost components:
   each other's message backlog, which running each kernel alone (with the
   harness draining between iterations) does not — the destructive coupling
   mechanism for communication-dominated configurations.
+
+The backlog is run-length encoded: one ``(start, messages)`` entry per
+burst plus a running message total. Every message of a burst shares its
+injection time, so expiring whole bursts from the front while ``start <
+now - drain_window`` counts exactly what one entry per message would, at
+a cost per burst rather than per message (an LU wavefront burst carries
+one message per grid line).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CommunicationError
 from repro.simmachine.machine import NetworkConfig
@@ -31,8 +38,7 @@ from repro.simmachine.machine import NetworkConfig
 __all__ = ["MessageTiming", "NetworkModel"]
 
 
-@dataclass(frozen=True)
-class MessageTiming:
+class MessageTiming(NamedTuple):
     """Times computed for one message."""
 
     start: float        # when injection began (adapter became available)
@@ -50,23 +56,14 @@ class NetworkModel:
         self.config = config
         self.nprocs = nprocs
         self._nic_free = [0.0] * nprocs
-        self._inflight: deque[float] = deque()
+        # Contention backlog: (start, messages) per burst, oldest first,
+        # and the total of their ``messages``.
+        self._bursts: deque[tuple[float, int]] = deque()
+        self._inflight = 0
         # Aggregate statistics (read by the profiler).
         self.messages_sent = 0
         self.bytes_sent = 0
         self.max_inflight = 0
-
-    # -- internal ----------------------------------------------------------
-
-    def _current_inflight(self, now: float) -> int:
-        window = self.config.drain_window
-        if window <= 0.0:
-            return 0
-        horizon = now - window
-        inflight = self._inflight
-        while inflight and inflight[0] < horizon:
-            inflight.popleft()
-        return len(inflight)
 
     # -- API used by simmpi --------------------------------------------------
 
@@ -91,29 +88,35 @@ class NetworkModel:
         if messages < 1:
             raise CommunicationError(f"message burst count must be >= 1, got {messages}")
         cfg = self.config
-        start = max(now, self._nic_free[src])
+        nic_free = self._nic_free
+        start = nic_free[src]
+        if now > start:
+            start = now
         inject = messages * cfg.per_message_overhead + nbytes * cfg.injection_byte_time
         sender_done = start + inject
-        self._nic_free[src] = sender_done
-        inflight = self._current_inflight(start)
+        nic_free[src] = sender_done
+        window = cfg.drain_window
+        if window > 0.0:
+            horizon = start - window
+            bursts = self._bursts
+            inflight = self._inflight
+            while bursts and bursts[0][0] < horizon:
+                inflight -= bursts.popleft()[1]
+            bursts.append((start, messages))
+            self._inflight = total = inflight + messages
+            if total > self.max_inflight:
+                self.max_inflight = total
+        else:
+            inflight = 0
         contention = 1.0 + cfg.contention_coeff * inflight
         if src == dst:
             # Self-message: no wire, just a copy through the adapter.
             arrival = sender_done
         else:
             arrival = sender_done + cfg.latency * contention + nbytes * cfg.byte_time
-        if cfg.drain_window > 0.0:
-            self._inflight.extend([start] * messages)
-            if len(self._inflight) > self.max_inflight:
-                self.max_inflight = len(self._inflight)
         self.messages_sent += messages
         self.bytes_sent += nbytes
-        return MessageTiming(
-            start=start,
-            sender_done=sender_done,
-            arrival=arrival,
-            contention=contention,
-        )
+        return MessageTiming(start, sender_done, arrival, contention)
 
     def drain(self) -> None:
         """Forget the contention backlog (measurement-harness flush).
@@ -122,4 +125,5 @@ class NetworkModel:
         sees another kernel's messages — mirroring that on the real machine
         the instrumentation barrier lets the switch quiesce.
         """
-        self._inflight.clear()
+        self._bursts.clear()
+        self._inflight = 0

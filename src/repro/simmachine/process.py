@@ -73,12 +73,15 @@ class RankContext:
         self.label = "_"
         self.comm = None  # attached by repro.simmpi.attach_world
         self.counters: dict[str, KernelCounters] = {}
+        # counters[label], once the label has been charged; set_label clears it.
+        self._current: Optional[KernelCounters] = None
 
     # -- bookkeeping -------------------------------------------------------
 
     def set_label(self, label: str) -> None:
         """Name the kernel that subsequent activity is charged to."""
         self.label = label
+        self._current = None
         if self.machine.trace is not None:
             self.machine.trace.add(self.sim.now, self.rank, label, "phase")
 
@@ -86,6 +89,7 @@ class RankContext:
         c = self.counters.get(self.label)
         if c is None:
             c = self.counters[self.label] = KernelCounters()
+        self._current = c
         return c
 
     # -- work --------------------------------------------------------------
@@ -104,7 +108,7 @@ class RankContext:
         if jitter:
             seconds *= self._noise.factor()
             seconds += self._noise.floor_jitter(self.machine.config.noise_floor)
-        c = self._counters()
+        c = self._current or self._counters()
         c.compute_time += seconds
         c.flops += flops
         return seconds
@@ -120,12 +124,13 @@ class RankContext:
         as soon as the kernel runs.
         """
         mem_time = 0.0
-        c = self._counters()
+        c = self._current or self._counters()
+        memory = self.memory
         for region, nbytes, write in regions:
-            result = self.memory.touch(region, nbytes, write=write)
-            mem_time += result.time
-            c.bytes_touched += result.total
-            c.bytes_from_memory += result.from_memory
+            time, _, from_memory, total = memory.touch(region, nbytes, write)
+            mem_time += time
+            c.bytes_touched += total
+            c.bytes_from_memory += from_memory
         c.memory_time += mem_time
         return mem_time
 
@@ -157,13 +162,13 @@ class RankContext:
     # -- accounting hooks used by simmpi ------------------------------------
 
     def account_send(self, nbytes: int) -> None:
-        c = self._counters()
+        c = self._current or self._counters()
         c.messages_sent += 1
         c.bytes_sent += nbytes
 
     def account_wait(self, seconds: float) -> None:
         if seconds > 0:
-            self._counters().wait_time += seconds
+            (self._current or self._counters()).wait_time += seconds
 
 
 class Machine:

@@ -70,6 +70,7 @@ class Comm:
         self.size = world.size
         self.ctx: RankContext = world.machine.contexts[rank]
         self.sim = world.machine.sim
+        self.network = world.machine.network
         self._coll_seq = 0
 
     # -- validation ---------------------------------------------------------
@@ -112,47 +113,65 @@ class Comm:
         ``nbytes`` as one matched unit (see
         :meth:`repro.simmachine.network.NetworkModel.send_timing`).
         """
-        self._check_peer(dest)
-        self._check_tag(tag, _collective)
-        timing = self.world.machine.network.send_timing(
-            self.rank, dest, nbytes, self.sim.now, messages
+        # Inline fast paths; the checkers only run to raise their errors.
+        if type(dest) is not int or not 0 <= dest < self.size:
+            self._check_peer(dest)
+        if tag < 0 or (tag >= COLL_TAG_BASE and not _collective):
+            self._check_tag(tag, _collective)
+        world = self.world
+        sim = self.sim
+        now = sim.now
+        _, sender_done, arrival, _ = self.network.send_timing(
+            self.rank, dest, nbytes, now, messages
         )
         self.ctx.account_send(nbytes)
-        if self.world.fault_injector is not None and self.world.fault_injector(
+        if world.fault_injector is not None and world.fault_injector(
             self.rank, dest, tag
         ):
             # Message lost in the network: sender proceeds normally.
-            self.world.dropped_messages += 1
-            send_ev = self.sim.timeout(max(0.0, timing.sender_done - self.sim.now))
+            world.dropped_messages += 1
+            send_ev = sim.timeout(max(0.0, sender_done - now))
             return Request(send_ev, "send", dest, tag, nbytes)
         key = (self.rank, tag)
-        recv_box = self.world.pending_recvs[dest].get(key)
+        recv_boxes = world.pending_recvs[dest]
+        recv_box = recv_boxes.get(key)
         if recv_box:
             ev = recv_box.popleft()
-            ev.trigger_at(payload, max(0.0, timing.arrival - self.sim.now))
+            if not recv_box:
+                del recv_boxes[key]
+            ev.trigger_at(payload, max(0.0, arrival - now))
         else:
-            self.world.pending_msgs[dest].setdefault(key, deque()).append(
-                (timing.arrival, nbytes, payload)
-            )
-        send_ev = self.sim.timeout(max(0.0, timing.sender_done - self.sim.now))
+            boxes = world.pending_msgs[dest]
+            queue = boxes.get(key)
+            if queue is None:
+                queue = boxes[key] = deque()
+            queue.append((arrival, nbytes, payload))
+        send_ev = sim.timeout(max(0.0, sender_done - now))
         return Request(send_ev, "send", dest, tag, nbytes)
 
     def irecv(self, source: int, tag: int = 0, _collective: bool = False) -> Request:
         """Nonblocking receive from a specific source and tag."""
-        self._check_peer(source)
-        self._check_tag(tag, _collective)
+        if type(source) is not int or not 0 <= source < self.size:
+            self._check_peer(source)
+        if tag < 0 or (tag >= COLL_TAG_BASE and not _collective):
+            self._check_tag(tag, _collective)
         key = (source, tag)
+        sim = self.sim
         boxes = self.world.pending_msgs[self.rank]
         queue = boxes.get(key)
-        ev: Event = self.sim.event()
+        ev: Event = sim.event()
         nbytes = -1
         if queue:
             arrival, nbytes, payload = queue.popleft()
             if not queue:
                 del boxes[key]
-            ev.trigger_at(payload, max(0.0, arrival - self.sim.now))
+            ev.trigger_at(payload, max(0.0, arrival - sim.now))
         else:
-            self.world.pending_recvs[self.rank].setdefault(key, deque()).append(ev)
+            recv_boxes = self.world.pending_recvs[self.rank]
+            waiting = recv_boxes.get(key)
+            if waiting is None:
+                waiting = recv_boxes[key] = deque()
+            waiting.append(ev)
         return Request(ev, "recv", source, tag, nbytes)
 
     def wait(self, request: Request) -> Generator[Event, Any, Any]:

@@ -269,6 +269,9 @@ def test_client_retry_honours_retry_after_and_recovers(saturable):
     def sleep_and_release(delay):
         sleeps.append(delay)
         gate.release.set()
+        # Stand in for the back-off: the retry must not race the gated
+        # request for the single admission slot.
+        worker.join(timeout=30.0)
 
     retrying = LineClient(
         *address,

@@ -2,8 +2,12 @@
 
 import pytest
 
+from dataclasses import asdict
+
 from repro.errors import ConfigurationError, SimulationError
 from repro.simmachine import Machine, DataRegion, ibm_sp_argonne
+from repro.simmachine.process import KernelCounters, RankContext
+from tests.conftest import make_machine
 
 
 @pytest.fixture
@@ -114,6 +118,61 @@ class TestCounters:
     def test_counters_for_unknown_label_is_zero(self, quiet):
         m = Machine(quiet, 1)
         assert m.counters_for("nothing").flops == 0
+
+
+def _switching_program(ctx):
+    """Work, messages and waits under labels that change mid-program."""
+    region = DataRegion(f"r{ctx.rank}", 4096)
+    comm = ctx.comm
+    peer = (ctx.rank + 1) % comm.size
+    for label in ("alpha", "beta", "idle", "alpha", "gamma"):
+        ctx.set_label(label)
+        if label == "idle":
+            continue  # set but never charged
+        yield ctx.work(flops=1000 * len(label), regions=[(region, None, False)])
+        yield from comm.sendrecv(peer, 256 * len(label), source=(ctx.rank - 1) % comm.size)
+        yield ctx.idle(1e-6 * ctx.rank)
+
+
+def _label_totals(config):
+    machine = make_machine(config, 3, seed=5)
+    machine.run(_switching_program)
+    return {
+        label: asdict(machine.counters_for(label)) for label in machine.all_labels()
+    }
+
+
+class TestLabelCache:
+    def test_work_after_switch_goes_to_new_label(self, quiet):
+        m = Machine(quiet, 1)
+
+        def program(ctx):
+            ctx.set_label("first")
+            yield ctx.work(flops=10)
+            ctx.set_label("second")
+            yield ctx.work(flops=30)
+            ctx.set_label("first")
+            yield ctx.work(flops=5)
+
+        m.run(program)
+        assert m.counters_for("first").flops == 15
+        assert m.counters_for("second").flops == 30
+
+    def test_totals_match_an_uncached_run(self, monkeypatch):
+        config = ibm_sp_argonne()  # noise on: jitter draws stay in step
+        cached = _label_totals(config)
+
+        def uncached(self):
+            c = self.counters.get(self.label)
+            if c is None:
+                c = self.counters[self.label] = KernelCounters()
+            return c
+
+        monkeypatch.setattr(RankContext, "_counters", uncached)
+        assert _label_totals(config) == cached
+        assert sorted(cached) == ["alpha", "beta", "gamma"]
+        assert cached["alpha"]["messages_sent"] == 6
+        assert all(totals["wait_time"] > 0 for totals in cached.values())
 
 
 class TestStateManagement:
