@@ -654,6 +654,7 @@ def _cmd_campaign(args) -> int:
     if pipeline.memo is not None:
         # Worker counter deltas merge into the global registry, so these
         # totals cover parallel cells too (unlike the parent-only stats()).
+        # A warm re-run reads one cell record per cell: its hits are those.
         registry = obs.get_registry()
         hits = registry.counter("parallel_memo_hits").value
         stores = registry.counter("parallel_memo_stores").value

@@ -22,9 +22,9 @@ from repro.instrument.runner import (
 )
 from repro.npb import make_benchmark
 from repro.parallel.executor import execute_cells
+from repro.parallel.keys import cell_key
 from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import (
-    CellResult,
     CellSpec,
     measure_chain,
     prime_runner_overhead,
@@ -102,10 +102,11 @@ class ExperimentPipeline:
     across its tables.
 
     ``memo`` (a directory path or a :class:`SimulationMemoStore`) plugs in
-    the content-addressed simulation cache: every chain/application
-    simulation is looked up before it runs and stored after. ``jobs > 1``
-    fans independent sweep cells across worker processes. Both are safe
-    because the simulation tier is deterministic (REP001): serial,
+    the content-addressed simulation cache: :meth:`sweep` reads whole
+    cells as cell records, and every chain/application simulation is
+    looked up before it runs and stored after. ``jobs > 1`` fans the
+    sweep cells that still need measuring across worker processes. Both
+    are safe because the simulation tier is deterministic (REP001): serial,
     parallel, and cache-warm runs produce bit-identical numbers.
 
     ``tier_policy`` (a :class:`~repro.analytic.tiers.TierPolicy` or name)
@@ -151,10 +152,16 @@ class ExperimentPipeline:
 
     def _base_result(
         self, benchmark: str, problem_class: str, nprocs: int
-    ) -> tuple[ConfigResult, ChainRunner]:
+    ) -> tuple[ConfigResult, Optional[ChainRunner]]:
+        """The cell's isolated/one-shot/application numbers.
+
+        The runner comes back only when it was just built for measuring;
+        a cached result returns None and leaves the runner to be built on
+        demand, the first time a chain window is actually missing.
+        """
         key = (benchmark, problem_class, nprocs)
         if key in self._results:
-            return self._results[key], self._runner_for(key)
+            return self._results[key], None
         runner = self._runner_for(key)
         bench = runner.benchmark
         flow = ControlFlow(bench.loop_kernel_names)
@@ -289,6 +296,10 @@ class ExperimentPipeline:
                     )
                 for window in result.flow.windows(length):
                     if window not in chains:
+                        if runner is None:
+                            runner = self._runner_for(
+                                (benchmark, problem_class, nprocs)
+                            )
                         chains[window] = measure_chain(
                             runner, window, self.memo
                         ).mean
@@ -305,19 +316,25 @@ class ExperimentPipeline:
             result._coupling_cache.clear()
         return result
 
-    def _adopt(self, cell: CellResult) -> ConfigResult:
-        """Fold a worker's :class:`CellResult` into the pipeline's caches."""
-        inputs = PredictionInputs.from_dict(cell.inputs)
+    def _adopt(
+        self,
+        benchmark: str,
+        problem_class: str,
+        nprocs: int,
+        inputs: dict,
+        actual: float,
+    ) -> ConfigResult:
+        """Fold a worker's result or a memo cell record into the caches."""
+        prediction_inputs = PredictionInputs.from_dict(inputs)
         result = ConfigResult(
-            benchmark=cell.benchmark,
-            problem_class=cell.problem_class,
-            nprocs=cell.nprocs,
-            flow=inputs.flow,
-            actual=cell.actual,
-            inputs=inputs,
+            benchmark=benchmark,
+            problem_class=problem_class,
+            nprocs=nprocs,
+            flow=prediction_inputs.flow,
+            actual=actual,
+            inputs=prediction_inputs,
         )
-        key = (cell.benchmark, cell.problem_class, cell.nprocs)
-        self._results[key] = result
+        self._results[(benchmark, problem_class, nprocs)] = result
         obs.get_registry().counter("pipeline_configs_measured").inc()
         return result
 
@@ -331,10 +348,14 @@ class ExperimentPipeline:
     ) -> list[ConfigResult]:
         """Config results across processor counts (one table column each).
 
-        With ``jobs > 1`` the not-yet-measured cells run across a process
-        pool (each worker re-installs the active fault plan and shares the
-        memo store by path); results come back in ``proc_counts`` order
-        either way.
+        With a memo store, each not-yet-measured cell is first looked up as
+        one verified cell record (:func:`~repro.parallel.keys.cell_key`,
+        the record the serving engine shares); only the cells that miss are
+        measured, and each of those is written back as a cell record. With
+        ``jobs > 1`` and more than one miss, the misses run across a
+        process pool (each worker re-installs the active fault plan and
+        shares the memo store by path), so a fully warm sweep starts no
+        pool. Results come back in ``proc_counts`` order either way.
         """
         jobs = self.jobs if jobs is None else jobs
         missing = [
@@ -353,6 +374,30 @@ class ExperimentPipeline:
                 )
                 is None
             ]
+        record_keys: dict[int, dict] = {}
+        if self.memo is not None:
+            probed, missing = missing, []
+            for p in probed:
+                record_keys[p] = cell_key(
+                    self.settings.machine,
+                    self.settings.measurement,
+                    benchmark,
+                    problem_class,
+                    p,
+                    chain_lengths,
+                    self.settings.application_seed,
+                )
+                record = self.memo.get(record_keys[p])
+                # A serving-engine record that reused rows of its sqlite
+                # tier may hold another seed's numbers (that tier is keyed
+                # without the seed), so only simulated records are adopted.
+                if record is None or record.get("reused", 0):
+                    missing.append(p)
+                else:
+                    self._adopt(
+                        benchmark, problem_class, p,
+                        record["inputs"], record["actual"],
+                    )
         if jobs > 1 and len(missing) > 1:
             injector = faults.get_injector()
             cache_dir = (
@@ -374,8 +419,24 @@ class ExperimentPipeline:
                 for p in missing
             ]
             for cell in execute_cells(specs, jobs=jobs):
-                self._adopt(cell)
-        return [
+                self._adopt(
+                    cell.benchmark, cell.problem_class, cell.nprocs,
+                    cell.inputs, cell.actual,
+                )
+        results = [
             self.config_result(benchmark, problem_class, p, chain_lengths)
             for p in proc_counts
         ]
+        if self.memo is not None:
+            # Every measured cell now holds exactly the requested windows,
+            # as run_cell produces them; the next sweep reads one record.
+            for p in missing:
+                result = self._results[(benchmark, problem_class, p)]
+                self.memo.put(
+                    record_keys[p],
+                    {
+                        "inputs": result.inputs.to_dict(),
+                        "actual": result.actual,
+                    },
+                )
+        return results

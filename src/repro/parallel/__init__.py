@@ -5,7 +5,8 @@ Reproducing a full table suite means simulating many independent
 
 * :mod:`repro.parallel.memo` — a process-safe, content-addressed on-disk
   store (:class:`SimulationMemoStore`) keyed by digests from
-  :mod:`repro.parallel.keys`; any already-simulated measurement or
+  :mod:`repro.parallel.keys`; an already-measured sweep cell is read
+  back as one cell record, and any already-simulated measurement or
   application run is replayed from disk instead of re-simulated.
 * :mod:`repro.parallel.executor` / :mod:`repro.parallel.worker` — sweep
   cells fanned out across a ``ProcessPoolExecutor`` with a deterministic

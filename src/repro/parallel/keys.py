@@ -14,8 +14,10 @@ Three key kinds exist:
 * ``measurement`` — one :meth:`ChainRunner.measure` result (samples +
   overhead) for a specific kernel window;
 * ``application`` — one :meth:`ApplicationRunner.run` total time;
-* ``cell`` — a whole sweep cell (prediction inputs + actual), the unit the
-  parallel executor and the serving engine skip work on.
+* ``cell`` — a whole sweep cell (prediction inputs + actual). The
+  experiment pipeline and the serving engine both read and write it with
+  the same ``{"inputs", "actual"}`` payload, so either one's warm cache
+  directory answers the other's cells without simulating.
 
 Bumping :data:`SCHEMA_VERSION` invalidates every existing entry at once —
 do that whenever the simulator's numeric behaviour changes.
@@ -24,6 +26,7 @@ do that whenever the simulator's numeric behaviour changes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import Any, Mapping, Sequence
@@ -39,6 +42,7 @@ __all__ = [
     "application_key",
     "cell_key",
     "digest",
+    "digest_canonical",
 ]
 
 #: Bump to invalidate every memoized simulation at once (numeric changes).
@@ -52,9 +56,19 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=64)
+def _fingerprint_json(config: Any) -> str:
+    return canonical_json(dataclasses.asdict(config))
+
+
 def config_fingerprint(config: Any) -> dict:
-    """A frozen dataclass (MachineConfig/MeasurementConfig) as plain JSON."""
-    return dataclasses.asdict(config)
+    """A frozen dataclass (MachineConfig/MeasurementConfig) as plain JSON.
+
+    The configs are frozen and hashable, so the expensive ``asdict`` walk
+    runs once per distinct config; every caller still gets its own fresh
+    dict (tuples already turned into lists, as after a JSON round-trip).
+    """
+    return json.loads(_fingerprint_json(config))
 
 
 def measurement_key(
@@ -134,4 +148,9 @@ def cell_key(
 
 def digest(key: Mapping[str, Any]) -> str:
     """The content address: SHA-256 over the canonical key JSON."""
-    return hashlib.sha256(canonical_json(dict(key)).encode("utf-8")).hexdigest()
+    return digest_canonical(canonical_json(dict(key)))
+
+
+def digest_canonical(canonical: str) -> str:
+    """:func:`digest` of a key already rendered by :func:`canonical_json`."""
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

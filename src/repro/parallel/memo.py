@@ -27,7 +27,11 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro import obs
-from repro.parallel.keys import SCHEMA_VERSION, canonical_json, digest
+from repro.parallel.keys import (
+    SCHEMA_VERSION,
+    canonical_json,
+    digest_canonical,
+)
 
 __all__ = ["SimulationMemoStore"]
 
@@ -55,7 +59,10 @@ class SimulationMemoStore:
     # -- paths ------------------------------------------------------------
 
     def path_for(self, key: Mapping[str, Any]) -> Path:
-        d = digest(key)
+        return self._path(canonical_json(dict(key)))
+
+    def _path(self, canonical_key: str) -> Path:
+        d = digest_canonical(canonical_key)
         return self.root / d[:2] / f"{d}.json"
 
     # -- read -------------------------------------------------------------
@@ -65,9 +72,12 @@ class SimulationMemoStore:
 
         Every failure mode — missing file, unparsable JSON, schema or key
         mismatch, checksum failure — is a miss; corrupt files are removed
-        so the store self-heals on the next :meth:`put`.
+        so the store self-heals on the next :meth:`put`. The query key is
+        serialised once: its canonical JSON names the file and is what the
+        stored key must match.
         """
-        path = self.path_for(key)
+        canonical_key = canonical_json(dict(key))
+        path = self._path(canonical_key)
         try:
             raw = path.read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -83,7 +93,7 @@ class SimulationMemoStore:
             # JSON round-trip (tuples became lists), the queried one didn't.
             ok = (
                 wrapper["schema"] == SCHEMA_VERSION
-                and canonical_json(wrapper["key"]) == canonical_json(dict(key))
+                and canonical_json(wrapper["key"]) == canonical_key
                 and wrapper["checksum"] == _payload_checksum(payload)
             )
         except (json.JSONDecodeError, KeyError, TypeError):

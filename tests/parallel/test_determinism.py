@@ -22,6 +22,21 @@ def sweep(**pipeline_kwargs):
     return pipeline, pipeline.sweep("BT", "S", PROCS, chain_lengths=CHAINS)
 
 
+def sim_runs():
+    from repro import obs
+
+    return obs.counter_snapshot().get(("sim_runs", ()), 0)
+
+
+def entries_of(cache, kind):
+    """The memo files holding records of one key kind, in a stable order."""
+    return sorted(
+        path
+        for path in cache.glob("*/*.json")
+        if json.loads(path.read_text(encoding="utf-8"))["key"]["kind"] == kind
+    )
+
+
 def assert_identical(results_a, results_b):
     assert len(results_a) == len(results_b)
     for a, b in zip(results_a, results_b):
@@ -77,21 +92,32 @@ class TestColdVsWarmMemo:
         assert_identical(cold, warm)
         assert warm_pipeline.memo.stats()["misses"] == 0
 
+    @pytest.mark.parametrize("kind", ["cell", "measurement"])
     def test_corrupted_entry_self_heals_without_changing_numbers(
-        self, tmp_path
+        self, tmp_path, kind
     ):
         cache = tmp_path / "memo"
         _, cold = sweep(memo=cache)
-        entries = sorted(cache.glob("*/*.json"))
+        if kind == "measurement":
+            # Without cell records the sweep reads per-measurement records.
+            for path in entries_of(cache, "cell"):
+                path.unlink()
+        entries = entries_of(cache, kind)
         assert entries
         victim = entries[0]
         wrapper = json.loads(victim.read_text(encoding="utf-8"))
         wrapper["payload"] = {"samples": [1e9], "overhead": 0.0}
         victim.write_text(json.dumps(wrapper), encoding="utf-8")
+        runs = sim_runs()
         healed_pipeline, healed = sweep(memo=cache)
         assert_identical(cold, healed)
         assert healed_pipeline.memo.stats()["corruptions"] == 1
-        # The purged entry was re-simulated and re-stored intact.
+        if kind == "cell":
+            # The measurement records answer the cell without simulating.
+            assert sim_runs() == runs
+        # The purged entry was re-stored intact, and so was every cell
+        # record the sweep had to rebuild.
+        assert len(entries_of(cache, "cell")) == len(PROCS)
         rerun_pipeline, rerun = sweep(memo=cache)
         assert_identical(cold, rerun)
         assert rerun_pipeline.memo.stats()["corruptions"] == 0

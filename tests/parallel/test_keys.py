@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 from repro.instrument import MeasurementConfig
 from repro.parallel import (
     SCHEMA_VERSION,
     application_key,
     canonical_json,
     cell_key,
+    config_fingerprint,
     digest,
     measurement_key,
 )
@@ -85,7 +89,46 @@ class TestCanonicalJson:
         assert canonical_json((1, 2)) == canonical_json([1, 2])
 
     def test_floats_round_trip_exactly(self):
-        import json
-
         value = 0.1 + 0.2
         assert json.loads(canonical_json({"v": value}))["v"] == value
+
+
+class TestPinnedAddresses:
+    """Existing memo directories stay valid: key bytes must never drift.
+
+    The literals are the digests these keys had when the cell-record
+    sweep landed; a key-building change that moves them silently orphans
+    every user's cache, so it must fail here first.
+    """
+
+    def test_measurement_key_digest(self):
+        assert digest(_mkey()) == (
+            "2c8a38771396a9ad5b5a3fe505f00fbd928559d095ba3b469b704ab1eb4a1e49"
+        )
+
+    def test_application_key_digest(self):
+        key = application_key(ibm_sp_argonne(), "BT", "S", 4, seed=7)
+        assert digest(key) == (
+            "fe64af7418b4432cbf566eb834f6b21e5bb22b03498420f1a1dfd9a1e6c7a938"
+        )
+
+    def test_cell_key_digest(self):
+        key = cell_key(
+            ibm_sp_argonne(), MeasurementConfig(), "LU", "W", 8, (3, 2),
+            application_seed=7,
+        )
+        assert digest(key) == (
+            "b6994608419893e4806de13bb2ac20f3a7d33886c5a19d6cb081b3e2e22626c2"
+        )
+
+
+class TestFingerprint:
+    def test_callers_get_independent_dicts(self):
+        machine = ibm_sp_argonne()
+        first = config_fingerprint(machine)
+        first["processor"]["cache_levels"].clear()
+        first["name"] = "corrupted"
+        assert config_fingerprint(machine) == json.loads(
+            canonical_json(dataclasses.asdict(machine))
+        )
+        assert digest(_mkey(machine=machine)) == digest(_mkey())
