@@ -5,7 +5,8 @@ cycled from one client connection — through
 
 * the single-process :func:`~repro.service.serve_socket` server, and
 * ``--shards 2`` (a real :class:`~repro.service.ProcessShardManager`
-  process group behind the asyncio frontend),
+  process group behind a :class:`~repro.service.ShardRouter` served by
+  the same ``serve_socket``),
 
 and records sustained req/s plus p99 latency for both into
 ``BENCH_serve.json`` (perf-ledger entry schema) and the ``serve`` series
@@ -13,7 +14,7 @@ of ``PERF_LEDGER.json``, so ``repro bench check`` gates the sharded
 tier's overhead trajectory.
 
 On a single-core CI runner the sharded tier *loses* the head-to-head —
-an extra network hop plus frontend scheduling on the same core — so the
+an extra network hop plus router work on the same core — so the
 assertions bound sanity (everything answers, latency stays sub-second),
 not a speedup. The ledger is what watches the trend.
 """
@@ -31,7 +32,7 @@ from repro.service import (
     LineClient,
     PredictionService,
     ProcessShardManager,
-    ShardedServer,
+    ShardRouter,
     make_shard_configs,
     serve_socket,
 )
@@ -71,20 +72,21 @@ def _drive(host, port) -> dict[str, float]:
     }
 
 
-def _measure_single() -> dict[str, float]:
-    service = PredictionService(measurement=MEASUREMENT, max_workers=2)
+def _serve_and_drive(served, handler=None) -> dict[str, float]:
+    """Serve ``served`` on an ephemeral port, drive it, shut it down."""
     ready = threading.Event()
     bound: list = []
     control: list = []
     thread = threading.Thread(
         target=serve_socket,
-        args=(service,),
+        args=(served,),
         kwargs={
             "host": "127.0.0.1",
             "port": 0,
             "ready": ready,
             "bound": bound,
             "control": control,
+            "handler": handler,
         },
         daemon=True,
     )
@@ -94,20 +96,20 @@ def _measure_single() -> dict[str, float]:
         return _drive(*bound[0])
     finally:
         control[0].shutdown()
-        control[0].server_close()
         thread.join(10.0)
-        service.close()
+
+
+def _measure_single() -> dict[str, float]:
+    with PredictionService(measurement=MEASUREMENT, max_workers=2) as service:
+        return _serve_and_drive(service)
 
 
 def _measure_sharded() -> dict[str, float]:
     configs = make_shard_configs(2, measurement=MEASUREMENT, max_workers=2)
-    with ProcessShardManager(configs) as manager:
-        server = ShardedServer(manager)
-        host, port = server.start()
-        try:
-            return _drive(host, port)
-        finally:
-            server.stop()
+    with ProcessShardManager(configs) as manager, ShardRouter(
+        manager
+    ) as router:
+        return _serve_and_drive(router, router.handle_line)
 
 
 def test_sharded_serving_throughput_ledger():

@@ -17,9 +17,10 @@ failure modes the thread-era rules (REP002/REP003) never had to model:
   returned can be garbage-collected mid-flight, and its exceptions
   vanish; keep a reference and await or explicitly cancel it.
 
-All three scope to ``service/`` — the only package running an event
-loop — and only inspect ``async def`` bodies, so the sync socketserver
-stack (``api.py``) stays untouched by construction.
+All three scope to ``service/`` and only inspect ``async def`` bodies,
+so the sync socketserver stack stays untouched by construction. No
+async code remains in ``src/`` (the shard router is synchronous); the
+rules stay so any future async serving code starts under them.
 """
 
 from __future__ import annotations

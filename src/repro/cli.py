@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to coalesce a burst before dispatching",
     )
     serve.add_argument(
-        "--executor", choices=["thread", "process", "inline"], default="thread"
+        "--executor", choices=["thread", "inline"], default="thread"
     )
     serve.add_argument(
         "--port", type=int, default=None,
@@ -283,25 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=0, metavar="N",
-        help="spawn N shared-nothing shard processes behind an async "
-        "frontend; 0 (default) keeps the single-process server",
-    )
-    serve.add_argument(
-        "--replication", type=int, default=2,
-        help="ring replicas eligible to serve a hot cell (sharded mode)",
-    )
-    serve.add_argument(
-        "--hot-k", type=int, default=8,
-        help="cells tracked as hot for replicated serving (sharded mode)",
+        help="spawn N shared-nothing shard processes behind a router; "
+        "0 (default) keeps the single-process server",
     )
     serve.add_argument(
         "--admission-limit", type=int, default=32,
-        help="in-flight requests per shard before the frontend sheds "
+        help="in-flight requests per shard before the router sheds "
         "with retry-after (sharded mode)",
-    )
-    serve.add_argument(
-        "--conns-per-shard", type=int, default=2,
-        help="frontend connections pooled per shard (sharded mode)",
     )
 
     lint = sub.add_parser(
@@ -829,11 +817,19 @@ def _cmd_profile_report(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import contextlib
     import json
 
     from repro import faults, obs
     from repro.instrument import MeasurementConfig
-    from repro.service import PredictionService, serve_jsonl, serve_socket
+    from repro.service import (
+        PredictionService,
+        ProcessShardManager,
+        ShardRouter,
+        make_shard_configs,
+        serve_jsonl,
+        serve_socket,
+    )
 
     obs.configure_logging(stream=sys.stderr)
     plan = None
@@ -846,63 +842,7 @@ def _cmd_serve(args) -> int:
             sites=[spec.site for spec in plan.specs],
             seed=plan.seed,
         )
-    if args.shards > 0:
-        return _cmd_serve_sharded(args, plan)
-    if plan is not None:
-        faults.install(plan)
-    service = PredictionService(
-        measurement=MeasurementConfig(
-            repetitions=args.repetitions, warmup=2, seed=args.seed
-        ),
-        db_path=args.db,
-        cache_capacity=args.cache_size,
-        cache_ttl=args.ttl,
-        batch_window=args.batch_window,
-        max_workers=args.workers,
-        queue_depth=args.queue_depth,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-        tier_policy=args.tier_policy,
-    )
-    obs.log(
-        "serve.configured",
-        db=args.db,
-        workers=args.workers,
-        executor=args.executor,
-        queue_depth=args.queue_depth,
-        cache_dir=args.cache_dir,
-        tier_policy=args.tier_policy,
-    )
-    try:
-        if args.port is not None:
-            stats = serve_socket(service, args.host, args.port)
-        else:
-            stats = serve_jsonl(service, sys.stdin, sys.stdout)
-    finally:
-        service.close()
-        faults.clear()
-    obs.log("serve.closed", requests=stats.get("requests"))
-    print(json.dumps(stats, indent=2), file=sys.stderr)
-    return 0
-
-
-def _cmd_serve_sharded(args, plan) -> int:
-    """``repro serve --shards N``: shard process group + async frontend."""
-    import json
-    import time
-
-    from repro import obs
-    from repro.instrument import MeasurementConfig
-    from repro.service import (
-        ProcessShardManager,
-        ShardedServer,
-        make_shard_configs,
-    )
-
-    configs = make_shard_configs(
-        args.shards,
-        db_path=args.db,
-        cache_dir=args.cache_dir,
+    service_kwargs = dict(
         measurement=MeasurementConfig(
             repetitions=args.repetitions, warmup=2, seed=args.seed
         ),
@@ -913,56 +853,51 @@ def _cmd_serve_sharded(args, plan) -> int:
         queue_depth=args.queue_depth,
         executor=args.executor,
         tier_policy=args.tier_policy,
-        fault_plan=plan,
     )
-    with ProcessShardManager(configs) as manager:
-        server = ShardedServer(
-            manager,
-            host=args.host,
-            port=args.port or 0,
-            replication=args.replication,
-            hot_k=args.hot_k,
-            admission_limit=args.admission_limit,
-            conns_per_shard=args.conns_per_shard,
-        )
-        host, port = server.start()
-        obs.log(
-            "serve.sharded",
-            host=host,
-            port=port,
-            shards=args.shards,
-            replication=args.replication,
-            admission_limit=args.admission_limit,
-        )
-        try:
-            if args.port is not None:
-                print(
-                    json.dumps({"listening": [host, port]}),
-                    file=sys.stderr,
-                    flush=True,
+    with contextlib.ExitStack() as stack:
+        if args.shards > 0:
+            # Shards install the fault plan in their own processes.
+            manager = stack.enter_context(
+                ProcessShardManager(
+                    make_shard_configs(
+                        args.shards,
+                        db_path=args.db,
+                        cache_dir=args.cache_dir,
+                        fault_plan=plan,
+                        **service_kwargs,
+                    )
                 )
-                while True:  # interrupted by Ctrl-C / SIGTERM
-                    time.sleep(0.5)
-            else:
-                for line in sys.stdin:
-                    response = server.handle(line)
-                    if response is not None:
-                        print(response, flush=True)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            stats_line = None
-            try:
-                stats_line = server.handle('{"cmd": "stats"}', timeout=30.0)
-            except Exception:  # noqa: BLE001 — stats are best-effort on exit
-                pass
-            server.stop()
-    stats = json.loads(stats_line)["stats"] if stats_line else {}
-    obs.log(
-        "serve.closed",
-        requests=stats.get("frontend", {}).get("requests"),
-        shards=args.shards,
-    )
+            )
+            served = stack.enter_context(
+                ShardRouter(manager, admission_limit=args.admission_limit)
+            )
+            handler = served.handle_line
+        else:
+            stack.callback(faults.clear)
+            if plan is not None:
+                faults.install(plan)
+            served = stack.enter_context(
+                PredictionService(
+                    db_path=args.db, cache_dir=args.cache_dir, **service_kwargs
+                )
+            )
+            handler = None
+        obs.log(
+            "serve.configured",
+            db=args.db,
+            workers=args.workers,
+            executor=args.executor,
+            queue_depth=args.queue_depth,
+            cache_dir=args.cache_dir,
+            tier_policy=args.tier_policy,
+            shards=args.shards,
+        )
+        if args.port is not None:
+            stats = serve_socket(served, args.host, args.port, handler=handler)
+        else:
+            stats = serve_jsonl(served, sys.stdin, sys.stdout, handler=handler)
+    # Sharded stats nest the router's own ledger under "frontend".
+    obs.log("serve.closed", requests=stats.get("frontend", stats)["requests"])
     print(json.dumps(stats, indent=2), file=sys.stderr)
     return 0
 

@@ -171,12 +171,14 @@ class PerformanceDatabase:
         ``INSERT OR IGNORE`` then re-read: whichever concurrent writer got
         there first wins, and every caller sees that winner — the pattern
         the serving layer's workers rely on. A corrupted winner (checksum
-        mismatch, see :meth:`get`) is purged and the insert retried once,
-        so a single bout of write corruption self-heals.
+        mismatch, see :meth:`get`) is purged and the insert retried, so one
+        bout of write corruption plus one corrupted read-back self-heal.
+        The loop holds the database lock: a concurrent writer of the same
+        key must not purge the row this call is verifying.
         """
-        for _attempt in range(2):
-            conn = self._connection()
-            with self._lock:
+        with self._lock:
+            for _attempt in range(3):
+                conn = self._connection()
                 conn.execute(
                     "INSERT OR IGNORE INTO measurements "
                     "(benchmark, problem_class, nprocs, kernels, samples, "
@@ -184,14 +186,14 @@ class PerformanceDatabase:
                     self._row(measurement),
                 )
                 conn.commit()
-            stored = self.get(
-                measurement.benchmark,
-                measurement.problem_class,
-                measurement.nprocs,
-                measurement.kernels,
-            )
-            if stored is not None:
-                return stored
+                stored = self.get(
+                    measurement.benchmark,
+                    measurement.problem_class,
+                    measurement.nprocs,
+                    measurement.kernels,
+                )
+                if stored is not None:
+                    return stored
         raise MeasurementError(
             f"measurement {measurement.key} failed integrity verification "
             "after retry (persistent corruption)"

@@ -12,17 +12,18 @@ time. This subsystem turns that into a long-lived service:
 * :mod:`~repro.service.batching` — single-flight deduplication of
   identical in-flight requests plus coalescing of distinct ones into
   per-configuration measurement plans;
-* :mod:`~repro.service.workers` — a bounded ``concurrent.futures`` pool
-  (threads or processes) running the simulations, with
+* :mod:`~repro.service.workers` — a bounded ``concurrent.futures`` thread
+  pool (or inline executor) running the simulations, with
   reject-with-retry-after backpressure;
 * :mod:`~repro.service.metrics` — counters and latency histograms behind
   :meth:`~repro.service.engine.PredictionService.stats`;
 * :mod:`~repro.service.api` — the :class:`~repro.service.api.ServiceClient`
-  facade and the JSON-lines / TCP front-ends behind ``repro serve``;
-* :mod:`~repro.service.shard` — the consistent-hash ring and the
-  shared-nothing shard process group behind ``repro serve --shards N``;
-* :mod:`~repro.service.frontend` — the asyncio frontend that routes,
-  admits, and fails over across the shard group.
+  facade, the :class:`~repro.service.api.LineClient` socket client, and
+  the JSON-lines / TCP front-ends behind ``repro serve``;
+* :mod:`~repro.service.shard` — the consistent-hash ring, the
+  shared-nothing shard process group behind ``repro serve --shards N``,
+  and the :class:`~repro.service.shard.ShardRouter` that the same TCP /
+  JSON-lines front-ends serve to route, admit, and fail over across it.
 
 Quickstart::
 
@@ -34,6 +35,7 @@ Quickstart::
 """
 
 from repro.service.api import (
+    LineClient,
     RetryPolicy,
     ServiceClient,
     counters_payload,
@@ -46,13 +48,12 @@ from repro.service.api import (
 from repro.service.batching import RequestBatcher
 from repro.service.cache import LRUCache, TieredPredictionCache
 from repro.service.engine import PredictRequest, PredictionService
-from repro.service.frontend import LineClient, ShardFrontend, ShardedServer
 from repro.service.metrics import ServiceMetrics, render_stats
 from repro.service.shard import (
     HashRing,
-    HotCellTracker,
     InProcessShardManager,
     ProcessShardManager,
+    ShardRouter,
     ShardServiceConfig,
     make_shard_configs,
     route_key,
@@ -62,7 +63,6 @@ from repro.service.workers import CellTask, WorkerPool, execute_cell
 __all__ = [
     "CellTask",
     "HashRing",
-    "HotCellTracker",
     "InProcessShardManager",
     "LRUCache",
     "LineClient",
@@ -73,9 +73,8 @@ __all__ = [
     "RetryPolicy",
     "ServiceClient",
     "ServiceMetrics",
-    "ShardFrontend",
+    "ShardRouter",
     "ShardServiceConfig",
-    "ShardedServer",
     "TieredPredictionCache",
     "WorkerPool",
     "counters_payload",

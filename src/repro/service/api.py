@@ -1,4 +1,4 @@
-"""Client facade and wire front-ends for the prediction service.
+"""Clients and wire front-ends for the prediction service.
 
 Three ways in:
 
@@ -10,6 +10,11 @@ Three ways in:
 * :func:`serve_socket` — the same line protocol over TCP
   (``repro serve --port N``), one thread per connection.
 
+Both loops serve a :class:`~repro.service.engine.PredictionService` by
+default, or any per-line ``handler`` — ``repro serve --shards N`` passes
+its :class:`~repro.service.shard.ShardRouter`. :class:`LineClient` is the
+socket twin of :class:`ServiceClient`.
+
 The line protocol: each input line is either a request object
 (``{"benchmark": "BT", "problem_class": "W", "nprocs": 4, ...}``), an array
 of request objects (answered as one batched response), or a command object
@@ -17,7 +22,7 @@ of request objects (answered as one batched response), or a command object
 analogue, answering a Prometheus text exposition plus a JSON snapshot of
 every registry — ``{"cmd": "slo"}``, answering a rolling SLO judgement
 with per-tier p50/p95/p99 and error-budget burn — or ``{"cmd":
-"counters"}``, the raw cumulative counters the sharded frontend polls for
+"counters"}``, the raw cumulative counters the shard router polls for
 its cross-process delta merge). Every line gets exactly one JSON
 response line with an ``"ok"`` field; saturation rejections carry
 ``"retry_after"``.
@@ -30,13 +35,23 @@ ties a wire request to its dispatch, worker cell, and simulator runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+import socket
 import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, TextIO
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Mapping,
+    Optional,
+    TextIO,
+)
 
 from repro import faults, obs
 from repro.core.predictor import PredictionReport
@@ -45,14 +60,19 @@ from repro.errors import (
     ConfigurationError,
     ReproError,
     ServiceDegradedError,
+    ServiceError,
     ServiceSaturatedError,
     WorkerCrashError,
 )
 from repro.service.engine import PredictRequest, PredictionService
 
+if TYPE_CHECKING:
+    from repro.service.shard import ShardRouter
+
 __all__ = [
     "RetryPolicy",
     "ServiceClient",
+    "LineClient",
     "report_to_dict",
     "error_dict",
     "metrics_payload",
@@ -92,7 +112,7 @@ def report_to_dict(
 def error_dict(exc: Exception) -> dict[str, Any]:
     """Wire form of one failed exchange (the error taxonomy on the wire).
 
-    Shared by every front-end — including the sharded frontend, which
+    Shared by every front-end — including the shard router, which
     synthesizes these for requests it sheds or loses to a dead shard — so
     clients see one error shape regardless of topology.
     """
@@ -254,6 +274,130 @@ class ServiceClient:
         self.close()
 
 
+#: Wire error types a :class:`LineClient` treats as transient.
+_RETRYABLE_WIRE = ("ServiceSaturatedError", "WorkerCrashError")
+
+
+class LineClient:
+    """Synchronous JSONL/TCP client with the service's retry semantics.
+
+    The socket twin of :class:`ServiceClient`: ``predict`` retries
+    transient wire errors (saturation sheds, shard deaths) under a
+    :class:`RetryPolicy`, honouring ``retry_after`` hints, and
+    transparently reconnects if the server dropped the connection in
+    between. ``sleep`` is injectable so tests can assert on the honoured
+    backoff schedule without waiting.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float = 600.0,
+        retry: Optional[RetryPolicy] = None,
+        sleep: Callable[[float], None] = time.sleep,
+    ):
+        self.address = (host, port)
+        self.timeout = timeout
+        self.retry = retry if retry is not None else RetryPolicy()
+        self._sleep = sleep
+        self._sock: Optional[socket.socket] = None
+        self._file = None
+
+    def _connect(self) -> None:
+        self._sock = socket.create_connection(
+            self.address, timeout=self.timeout
+        )
+        self._file = self._sock.makefile("rwb")
+
+    def request_line(self, line: str) -> dict[str, Any]:
+        """One raw exchange; reconnects once on a dropped connection."""
+        for attempt in (0, 1):
+            if self._sock is None:
+                self._connect()
+            try:
+                assert self._file is not None
+                self._file.write(line.encode("utf-8") + b"\n")
+                self._file.flush()
+                raw = self._file.readline()
+            except (ConnectionError, OSError, TimeoutError):
+                self.close()
+                if attempt:
+                    raise
+                continue
+            if raw:
+                return json.loads(raw.decode("utf-8"))
+            # EOF: the server closed on us; reconnect once.
+            self.close()
+            if attempt:
+                raise ServiceError(
+                    "server closed the connection without responding"
+                )
+        raise ServiceError(  # pragma: no cover — loop always returns/raises
+            "unreachable"
+        )
+
+    def request(self, payload: Any) -> dict[str, Any]:
+        """One exchange with a JSON payload (object, array, or command)."""
+        return self.request_line(json.dumps(payload))
+
+    def predict(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Request with retry: returns the final wire response dict."""
+        delays = self.retry.delays()
+        while True:
+            try:
+                response = self.request(payload)
+            except (ConnectionError, OSError, ServiceError):
+                # The server itself vanished mid-exchange: retry on the
+                # same schedule as a shard loss.
+                response = None
+            if (
+                response is not None
+                and (
+                    response.get("ok")
+                    or response.get("error_type") not in _RETRYABLE_WIRE
+                )
+            ):
+                return response
+            try:
+                delay = next(delays)
+            except StopIteration:
+                if response is not None:
+                    return response
+                raise ServiceError(
+                    "connection to the server kept failing"
+                ) from None
+            if response is not None:
+                hint = response.get("retry_after")
+                if hint is not None:
+                    delay = max(delay, float(hint))
+            obs.get_registry().counter("retry_attempts").inc()
+            self._sleep(delay)
+
+    def stats(self) -> dict[str, Any]:
+        return self.request({"cmd": "stats"})
+
+    def close(self) -> None:
+        if self._file is not None:
+            try:
+                self._file.close()
+            except (OSError, ValueError):  # pragma: no cover — best effort
+                pass
+            self._file = None
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:  # pragma: no cover — best effort
+                pass
+            self._sock = None
+
+    def __enter__(self) -> "LineClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def metrics_payload(service: PredictionService) -> dict[str, Any]:
     """The ``metrics`` command's body: JSON snapshot + Prometheus text."""
     registries = service.metrics_registries()
@@ -272,10 +416,10 @@ def slo_payload(service: PredictionService) -> dict[str, Any]:
 def counters_payload(service: PredictionService) -> dict[str, Any]:
     """The ``counters`` command's body: raw cumulative counter values.
 
-    The sharded frontend polls this from each shard process and folds the
+    The shard router polls this from each shard process and folds the
     movement into its own registry via the counter-delta pattern
     (:mod:`repro.obs.delta`) — the same mechanism campaign pool workers
-    use, except shards are long-lived so the frontend diffs successive
+    use, except shards are long-lived so the router diffs successive
     snapshots instead of shipping one delta home. Labels travel as item
     lists (JSON has no tuples).
     """
@@ -378,7 +522,9 @@ def _handle_batch(
         if isinstance(outcome, Exception):
             responses[i] = _error_dict(outcome)
         else:
-            responses[i] = report_to_dict(request, outcome)
+            responses[i] = report_to_dict(
+                request, outcome, degraded=service.degraded
+            )
     for i, (has_id, request_id) in enumerate(ids):
         if has_id and responses[i] is not None:
             responses[i]["id"] = request_id
@@ -386,16 +532,22 @@ def _handle_batch(
 
 
 def serve_jsonl(
-    service: PredictionService,
+    service: PredictionService | ShardRouter,
     lines: Iterable[str],
     out: TextIO,
+    handler: Optional[Callable[[str], Optional[str]]] = None,
 ) -> dict:
-    """Serve a JSON-lines stream until EOF; returns the final stats."""
+    """Serve a JSON-lines stream until EOF; returns ``service.stats()``.
+
+    ``handler`` (when given) replaces :func:`handle_line` per line, as in
+    :func:`serve_socket`.
+    """
+    handle = handler or functools.partial(handle_line, service)
     obs.log("serve.jsonl.start")
     served = 0
     for line in lines:
         try:
-            response = handle_line(service, line)
+            response = handle(line)
         except ClientDisconnectError:
             # A stream "client" cannot really vanish, but the injected
             # disconnect still drops the response on the floor: count it
@@ -436,25 +588,14 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(
-        self,
-        address,
-        service: PredictionService,
-        handler: Optional[Callable[[str], Optional[str]]] = None,
-    ):
+    def __init__(self, address, handle: Callable[[str], Optional[str]]):
         super().__init__(address, _LineHandler)
-        self.service = service
-        self._handle_line = handler
-
-    def handle(self, line: str) -> Optional[str]:
-        """One exchange via the pluggable handler (default protocol)."""
-        if self._handle_line is not None:
-            return self._handle_line(line)
-        return handle_line(self.service, line)
+        #: One exchange: a request line in, a response line (or None) out.
+        self.handle = handle
 
 
 def serve_socket(
-    service: PredictionService,
+    service: PredictionService | ShardRouter,
     host: str = "127.0.0.1",
     port: int = 0,
     ready: Optional[threading.Event] = None,
@@ -463,17 +604,26 @@ def serve_socket(
     announce: Optional[Callable[[tuple], None]] = None,
     handler: Optional[Callable[[str], Optional[str]]] = None,
 ) -> dict:
-    """Serve the line protocol over TCP until interrupted; returns stats.
+    """Serve the line protocol over TCP until interrupted; returns
+    ``service.stats()``.
 
     ``port=0`` binds an ephemeral port; the bound ``(host, port)`` is
-    appended to ``bound`` (when given), passed to ``announce`` (when
-    given), and ``ready`` is set once accepting. ``control`` (when given)
-    receives the server object so a supervisor — or a test — can call its
-    ``shutdown()`` from another thread. ``handler`` (when given) replaces
-    :func:`handle_line` per line — serving shards wrap the default with
-    their death checkpoint (``shard.process.exit``).
+    logged as ``serve.listening host= port=``, then appended to ``bound``
+    (when given) and passed to ``announce`` (when given), and ``ready`` is
+    set once accepting. ``control`` (when given) receives the server
+    object so a supervisor — or a test — can call its ``shutdown()`` from
+    another thread. ``handler`` (when given) replaces :func:`handle_line`
+    per line — shards wrap the default with their death checkpoint
+    (``shard.process.exit``), and the sharded front serves its
+    :class:`~repro.service.shard.ShardRouter`.
     """
-    with _ServiceServer((host, port), service, handler) as server:
+    handle = handler or functools.partial(handle_line, service)
+    with _ServiceServer((host, port), handle) as server:
+        obs.log(
+            "serve.listening",
+            host=server.server_address[0],
+            port=server.server_address[1],
+        )
         if bound is not None:
             bound.append(server.server_address)
         if control is not None:
@@ -482,11 +632,6 @@ def serve_socket(
             announce(server.server_address)
         if ready is not None:
             ready.set()
-        obs.log(
-            "serve.listening",
-            host=server.server_address[0],
-            port=server.server_address[1],
-        )
         try:
             server.serve_forever(poll_interval=0.1)
         except KeyboardInterrupt:  # pragma: no cover — interactive shutdown

@@ -157,10 +157,7 @@ class PredictionService:
     every cell (``machine`` / ``measurement`` / ``application_seed``).
 
     ``execute`` swaps the cell executor (tests inject counting/blocking
-    stubs); with ``executor="process"`` the default
-    :func:`~repro.service.workers.execute_cell` must be used and
-    ``db_path`` must point at a database *file* the worker processes can
-    share.
+    stubs); ``executor`` is ``"thread"`` or ``"inline"``.
 
     Robustness knobs: ``default_timeout`` is the per-request deadline when
     a :meth:`predict` call passes none (misses that exceed it raise
@@ -237,16 +234,6 @@ class PredictionService:
             db_path=db_path,
             clock=clock,
         )
-        if executor == "process":
-            if execute is not None:
-                raise ServiceError(
-                    "custom execute hooks require a thread/inline executor"
-                )
-            if self._cache.db_path == ":memory:":
-                raise ServiceError(
-                    "process workers need a file-backed db_path to share "
-                    "the persistent tier"
-                )
         if default_timeout is not None and default_timeout <= 0:
             raise ServiceError(
                 f"default_timeout must be positive, got {default_timeout}"
@@ -255,7 +242,6 @@ class PredictionService:
             raise ServiceError(
                 f"degraded_probe_every must be >= 1, got {degraded_probe_every}"
             )
-        self._executor_kind = executor
         self._execute = execute or execute_cell
         self.default_timeout = default_timeout
         self._pool = WorkerPool(
@@ -555,24 +541,14 @@ class PredictionService:
             machine=self.machine,
             measurement=measurement,
             application_seed=self.application_seed,
-            db_path=(
-                self._cache.db_path
-                if self._executor_kind == "process"
-                else None
-            ),
         )
         try:
-            if self._executor_kind == "process":
-                # Process workers need a picklable module-level callable;
-                # their spans come from the simulator flush instead.
-                pool_future = self._pool.submit(self._execute, task)
-            else:
-                pool_future = self._pool.submit(
-                    self._traced_cell,
-                    obs.current_context(),
-                    task,
-                    self._cache.database,
-                )
+            pool_future = self._pool.submit(
+                self._traced_cell,
+                obs.current_context(),
+                task,
+                self._cache.database,
+            )
         except ServiceError as exc:
             self._fail(flights, exc)
             return

@@ -8,26 +8,20 @@ parallel on a bounded ``concurrent.futures`` pool, rejecting new work with
 a retry-after hint once the queue is full (backpressure instead of
 unbounded buffering).
 
-``execute_cell`` is a module-level function over picklable dataclasses so
-the pool can be process-based (``kind="process"``); with processes the
-persistent tier must be a database *file* (``db_path``) — each worker opens
-its own connection, and ``INSERT OR IGNORE`` semantics in
-:class:`~repro.instrument.database.PerformanceDatabase` make concurrent
-writers safe.
+Workers share the service's persistent tier; ``INSERT OR IGNORE``
+semantics in :class:`~repro.instrument.database.PerformanceDatabase` make
+concurrent writers safe. Process parallelism for serving comes from
+``repro serve --shards N`` (:mod:`repro.service.shard`), not from this
+pool.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from repro import faults, obs
 from repro.core.predictor import PredictionInputs
@@ -54,7 +48,6 @@ class CellTask:
     machine: MachineConfig
     measurement: MeasurementConfig
     application_seed: int = 7
-    db_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if len(self.plan.configurations()) != 1:
@@ -77,75 +70,59 @@ class CellOutcome:
     reused: int
 
 
-def execute_cell(
-    task: CellTask, database: Optional[PerformanceDatabase] = None
-) -> CellOutcome:
-    """Measure one cell through the persistent tier.
+def execute_cell(task: CellTask, database: PerformanceDatabase) -> CellOutcome:
+    """Measure one cell through the service's shared persistent tier.
 
-    Thread pools pass the service's shared ``database``; process pools leave
-    it ``None`` and the worker opens ``task.db_path`` itself. A fully
-    archived cell runs zero simulations — the campaign memoization *is* the
-    L2 cache replay.
+    A fully archived cell runs zero simulations — the campaign memoization
+    *is* the L2 cache replay.
     """
     stall = faults.check("worker.cell.stall")
     if stall is not None:
         time.sleep(stall.param)
     if faults.check("worker.cell.crash") is not None:
         raise WorkerCrashError("injected worker crash (worker.cell.crash)")
-    # NB: PerformanceDatabase defines __len__, so an empty one is falsy —
-    # the `is None` test (not truthiness) picks the shared instance.
-    owns_database = database is None
-    db = (
-        PerformanceDatabase(task.db_path or ":memory:")
-        if database is None
-        else database
+    campaign = Campaign(
+        plan=task.plan,
+        machine=task.machine,
+        measurement=task.measurement,
+        database=database,
     )
-    try:
-        campaign = Campaign(
-            plan=task.plan,
-            machine=task.machine,
-            measurement=task.measurement,
-            database=db,
-        )
-        (problem_class, nprocs) = task.plan.configurations()[0]
-        inputs = campaign.run_configuration(problem_class, nprocs)
-        simulations = campaign.measurements_run
-        reused = campaign.measurements_reused
-        benchmark = task.plan.benchmark
-        cached_actual = db.get(benchmark, problem_class, nprocs, ACTUAL_KEY)
-        if cached_actual is not None:
-            actual = cached_actual.mean
-            reused += 1
-        else:
-            bench_run = ApplicationRunner(
-                campaign_benchmark(benchmark, problem_class, nprocs),
-                task.machine,
-                seed=task.application_seed,
-            ).run()
-            actual = bench_run.total_time
-            db.store_if_absent(
-                Measurement(
-                    benchmark=benchmark,
-                    problem_class=problem_class,
-                    nprocs=nprocs,
-                    kernels=ACTUAL_KEY,
-                    samples=(actual,),
-                    overhead=0.0,
-                )
+    (problem_class, nprocs) = task.plan.configurations()[0]
+    inputs = campaign.run_configuration(problem_class, nprocs)
+    simulations = campaign.measurements_run
+    reused = campaign.measurements_reused
+    benchmark = task.plan.benchmark
+    cached_actual = database.get(benchmark, problem_class, nprocs, ACTUAL_KEY)
+    if cached_actual is not None:
+        actual = cached_actual.mean
+        reused += 1
+    else:
+        bench_run = ApplicationRunner(
+            campaign_benchmark(benchmark, problem_class, nprocs),
+            task.machine,
+            seed=task.application_seed,
+        ).run()
+        actual = bench_run.total_time
+        database.store_if_absent(
+            Measurement(
+                benchmark=benchmark,
+                problem_class=problem_class,
+                nprocs=nprocs,
+                kernels=ACTUAL_KEY,
+                samples=(actual,),
+                overhead=0.0,
             )
-            simulations += 1
-        return CellOutcome(
-            benchmark=benchmark,
-            problem_class=problem_class,
-            nprocs=nprocs,
-            inputs=inputs,
-            actual=actual,
-            simulations=simulations,
-            reused=reused,
         )
-    finally:
-        if owns_database:
-            db.close()
+        simulations += 1
+    return CellOutcome(
+        benchmark=benchmark,
+        problem_class=problem_class,
+        nprocs=nprocs,
+        inputs=inputs,
+        actual=actual,
+        simulations=simulations,
+        reused=reused,
+    )
 
 
 def campaign_benchmark(benchmark: str, problem_class: str, nprocs: int):
@@ -162,15 +139,14 @@ class WorkerPool:
     beyond that raises
     :class:`~repro.errors.ServiceSaturatedError` carrying a retry-after
     estimate instead of queueing unboundedly. ``kind`` selects
-    ``"thread"`` (default — shares the in-process database),
-    ``"process"`` (true parallel simulation; needs a file database), or
+    ``"thread"`` (default — shares the in-process database) or
     ``"inline"`` (synchronous, for debugging and deterministic tests).
 
     **Worker death.** A task failing with
-    :class:`~repro.errors.WorkerCrashError` (or an executor breaking
-    outright, e.g. a killed worker process) counts as a worker death: the
-    pool records a respawn (recreating a broken executor in place), and
-    after ``crash_threshold`` *consecutive* deaths declares itself
+    :class:`~repro.errors.WorkerCrashError` counts as a worker death: the
+    pool records a respawn (thread workers survive the exception, so only
+    the accounting applies), and after ``crash_threshold`` *consecutive*
+    deaths declares itself
     unhealthy (:attr:`healthy` — the engine's degraded-mode signal). Any
     successfully completed task restores health.
     """
@@ -187,9 +163,9 @@ class WorkerPool:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
         if queue_depth < 1:
             raise ServiceError(f"queue_depth must be >= 1, got {queue_depth}")
-        if kind not in ("thread", "process", "inline"):
+        if kind not in ("thread", "inline"):
             raise ServiceError(
-                f"worker kind must be thread/process/inline, got {kind!r}"
+                f"worker kind must be thread/inline, got {kind!r}"
             )
         if crash_threshold < 1:
             raise ServiceError(
@@ -206,17 +182,13 @@ class WorkerPool:
         self._consecutive_crashes = 0
         self._crashes = 0
         self._respawns = 0
-        self._executor = self._make_executor()
-
-    def _make_executor(self):
-        if self.kind == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-service",
+        self._executor = (
+            ThreadPoolExecutor(
+                max_workers=max_workers, thread_name_prefix="repro-service"
             )
-        if self.kind == "process":
-            return ProcessPoolExecutor(max_workers=self.max_workers)
-        return None
+            if kind == "thread"
+            else None
+        )
 
     @property
     def outstanding(self) -> int:
@@ -251,7 +223,7 @@ class WorkerPool:
         if future.cancelled():
             return
         exc = future.exception()
-        if isinstance(exc, (WorkerCrashError, BrokenExecutor)):
+        if isinstance(exc, WorkerCrashError):
             self._record_crash()
         elif exc is None:
             with self._lock:
@@ -263,19 +235,6 @@ class WorkerPool:
             self._crashes += 1
             self._consecutive_crashes += 1
             self._respawns += 1
-            if (
-                not self._closed
-                and self._executor is not None
-                and getattr(self._executor, "_broken", False)
-            ):
-                # A broken executor (killed worker process) cannot run
-                # further tasks — replace it wholesale. Thread workers
-                # survive exceptions, so only the accounting applies.
-                try:
-                    self._executor.shutdown(wait=False)
-                except Exception:  # pragma: no cover — best effort
-                    pass
-                self._executor = self._make_executor()
             unhealthy = self._consecutive_crashes >= self.crash_threshold
         obs.get_registry().counter("worker_respawns").inc()
         obs.log(

@@ -23,6 +23,7 @@ The harness's contract (asserted by ``tests/chaos/test_chaos.py``):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -35,7 +36,12 @@ from repro.core.predictor import PredictionInputs
 from repro.errors import ClientDisconnectError, WorkerCrashError
 from repro.instrument.runner import Measurement
 from repro.npb import make_benchmark
-from repro.service import PredictionService, handle_line
+from repro.service import (
+    PredictionService,
+    ShardRouter,
+    handle_line,
+    serve_socket,
+)
 from repro.service.workers import CellOutcome
 
 #: Sentinel planted by the ``db.*.corrupt`` tamper; if it ever shows up in
@@ -276,3 +282,37 @@ def run_chaos(
         },
     }
     return result
+
+
+@contextlib.contextmanager
+def serve_router(manager, **router_kwargs):
+    """Serve a :class:`ShardRouter` over a started shard manager on an
+    ephemeral TCP port, as ``repro serve --shards N --port 0`` does.
+
+    Yields ``(router, (host, port))``; on exit the server shuts down and
+    the router closes. The manager stays the caller's to stop.
+    """
+    with ShardRouter(manager, **router_kwargs) as router:
+        ready = threading.Event()
+        bound: list = []
+        control: list = []
+        thread = threading.Thread(
+            target=serve_socket,
+            args=(router,),
+            kwargs={
+                "port": 0,
+                "ready": ready,
+                "bound": bound,
+                "control": control,
+                "handler": router.handle_line,
+            },
+            daemon=True,
+            name="repro-shard-router",
+        )
+        thread.start()
+        assert ready.wait(30.0), "router server never bound"
+        try:
+            yield router, tuple(bound[0])
+        finally:
+            control[0].shutdown()
+            thread.join(30.0)

@@ -1,10 +1,10 @@
 """Chaos battery for the sharded serving tier: murder a shard mid-soak.
 
 Extends the single-process chaos harness across the process boundary:
-real shard *processes* (forkserver/spawn), the real asyncio frontend,
-and real TCP clients — then a SIGKILL (and, separately, the
-``shard.process.exit`` fault site) takes a shard down while requests
-are in flight. The contract:
+real shard *processes* (forkserver/spawn), the real shard router behind
+``serve_socket``, and real TCP clients — then a SIGKILL (and,
+separately, the ``shard.process.exit`` fault site) takes a shard down
+while requests are in flight. The contract:
 
 * every request is answered exactly once — ``ok`` after retries, never
   silently dropped, never duplicated;
@@ -30,12 +30,11 @@ from repro.service import (
     LineClient,
     ProcessShardManager,
     RetryPolicy,
-    ShardedServer,
     make_shard_configs,
 )
 from repro.service.shard import FAULT_EXIT_CODE, HashRing, route_key
 
-from .harness import TAMPER_MARKER, request_stream
+from .harness import TAMPER_MARKER, request_stream, serve_router
 
 SHARDS = 3
 SYNTH = "tests.chaos.harness:synthetic_execute"
@@ -149,9 +148,9 @@ def test_sigkill_mid_soak_reroutes_and_respawns():
             seed=1,
         ),
     )
-    with ProcessShardManager(configs) as manager:
-        server = ShardedServer(manager, admission_limit=64)
-        host, port = server.start()
+    with ProcessShardManager(configs) as manager, serve_router(
+        manager, admission_limit=64
+    ) as (_, (host, port)):
         monitor = LineClient(host, port)
         try:
             stalled_result = {}
@@ -219,7 +218,6 @@ def test_sigkill_mid_soak_reroutes_and_respawns():
                 )
         finally:
             monitor.close()
-            server.stop()
 
 
 def test_shard_exit_fault_site_fires_and_fleet_survives():
@@ -232,9 +230,9 @@ def test_shard_exit_fault_site_fires_and_fleet_survives():
     )
     assert "shard.process.exit" in faults.SITES
     configs = _configs(fault_plan=plan)
-    with ProcessShardManager(configs) as manager:
-        server = ShardedServer(manager, admission_limit=64)
-        host, port = server.start()
+    with ProcessShardManager(configs) as manager, serve_router(
+        manager, admission_limit=64
+    ) as (_, (host, port)):
         monitor = LineClient(host, port)
         try:
             pids_before = {s: manager.pid(s) for s in manager.shard_ids}
@@ -256,7 +254,6 @@ def test_shard_exit_fault_site_fires_and_fleet_survives():
             assert FAULT_EXIT_CODE == 17
         finally:
             monitor.close()
-            server.stop()
 
 
 def test_sigkill_composes_with_data_layer_faults(tmp_path):
@@ -273,9 +270,9 @@ def test_sigkill_composes_with_data_layer_faults(tmp_path):
     configs = _configs(
         fault_plan=plan, db_path=str(tmp_path / "chaos.sqlite")
     )
-    with ProcessShardManager(configs) as manager:
-        server = ShardedServer(manager, admission_limit=64)
-        host, port = server.start()
+    with ProcessShardManager(configs) as manager, serve_router(
+        manager, admission_limit=64
+    ) as (_, (host, port)):
         monitor = LineClient(host, port)
         try:
             lines = request_stream(seed=31, n_requests=40)
@@ -294,4 +291,3 @@ def test_sigkill_composes_with_data_layer_faults(tmp_path):
             assert front["shard_deaths"] >= 1
         finally:
             monitor.close()
-            server.stop()

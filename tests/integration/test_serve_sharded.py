@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -22,9 +25,9 @@ from repro.service import (
     LineClient,
     ProcessShardManager,
     RetryPolicy,
-    ShardedServer,
     make_shard_configs,
 )
+from tests.chaos.harness import serve_router
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -98,11 +101,9 @@ def test_admission_pressure_recovers_via_client_retry():
         max_workers=1,
         queue_depth=4,
     )
-    with ProcessShardManager(configs) as manager:
-        server = ShardedServer(
-            manager, admission_limit=1, conns_per_shard=1, replication=1
-        )
-        host, port = server.start()
+    with ProcessShardManager(configs) as manager, serve_router(
+        manager, admission_limit=1
+    ) as (router, (host, port)):
         responses = {}
         lock = threading.Lock()
 
@@ -135,10 +136,9 @@ def test_admission_pressure_recovers_via_client_retry():
         assert not any(t.is_alive() for t in threads), "client deadlock"
         assert sorted(responses) == [0, 1, 2, 3]
         assert all(r["ok"] for r in responses.values())
-        front = server.handle('{"cmd": "stats"}', timeout=30.0)
+        front = router.handle_line('{"cmd": "stats"}')
         stats = json.loads(front)["stats"]["frontend"]
         assert stats["shed"] >= 1, "admission control never engaged"
-        server.stop()
 
 
 def test_sharded_persistence_is_shared_nothing(tmp_path):
@@ -155,9 +155,9 @@ def test_sharded_persistence_is_shared_nothing(tmp_path):
     paths = [(c.db_path, c.cache_dir) for c in configs]
     assert len({p for p, _ in paths}) == 3
     assert len({c for _, c in paths}) == 3
-    with ProcessShardManager(configs) as manager:
-        server = ShardedServer(manager)
-        host, port = server.start()
+    with ProcessShardManager(configs) as manager, serve_router(
+        manager
+    ) as (_, (host, port)):
         with LineClient(host, port) as client:
             for nprocs in (1, 4, 9):
                 assert client.predict(
@@ -168,7 +168,6 @@ def test_sharded_persistence_is_shared_nothing(tmp_path):
                         "chain_length": 2,
                     }
                 )["ok"]
-        server.stop()
     # every shard that served a cell persisted into its own slice
     populated = [path for path, _ in paths if os.path.exists(path)]
     assert populated, "no shard persisted anything"
@@ -191,3 +190,48 @@ def test_sharded_stdin_mode_reports_typed_errors(bad):
     payload = json.loads(proc.stdout.splitlines()[0])
     assert payload["ok"] is False
     assert payload["error_type"]
+
+
+def test_sharded_tcp_mode_announces_like_single_process(tmp_path):
+    """Both serving modes log ``serve.listening host= port=`` on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    log_path = tmp_path / "serve.log"
+    with open(log_path, "w", encoding="utf-8") as log:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--shards", "2", "--port", "0", "--repetitions", "2",
+            ],
+            stdin=subprocess.DEVNULL,
+            stdout=log,
+            stderr=log,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+    try:
+        deadline = time.monotonic() + 60.0
+        match = None
+        while match is None and proc.poll() is None:
+            assert time.monotonic() < deadline, log_path.read_text()
+            time.sleep(0.05)
+            match = re.search(
+                r"serve\.listening\b.*\bport=(\d+)", log_path.read_text()
+            )
+        assert match is not None, log_path.read_text()
+        with LineClient("127.0.0.1", int(match.group(1))) as client:
+            response = client.predict(
+                {
+                    "benchmark": "BT",
+                    "problem_class": "S",
+                    "nprocs": 4,
+                    "chain_length": 2,
+                    "id": "announced",
+                }
+            )
+            assert response["ok"] and response["id"] == "announced"
+            assert client.stats()["stats"]["frontend"]["live_shards"] == 2
+    finally:
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=60) == 0, log_path.read_text()[-2000:]
+    assert '"listening"' not in log_path.read_text()

@@ -142,10 +142,6 @@ class TestServing:
         with pytest.raises(ServiceClosedError):
             service.predict(PredictRequest("BT", "S", 4))
 
-    def test_process_executor_requires_file_database(self):
-        with pytest.raises(ServiceError, match="file-backed"):
-            make_service(executor="process")
-
 
 class TestSingleFlight:
     def test_concurrent_identical_requests_simulate_once(self):

@@ -7,6 +7,7 @@ client retry with backoff, sqlite-tier corruption detection, L1 drops,
 and the wire-level disconnect/error typing.
 """
 
+import sys
 import threading
 
 import pytest
@@ -29,6 +30,7 @@ from repro.service import (
     PredictionService,
     RetryPolicy,
     ServiceClient,
+    handle_line,
     serve_jsonl,
 )
 from repro.service.workers import execute_cell
@@ -218,6 +220,26 @@ class TestDegradedMode:
             assert stats["worker_crashes"] == 3
             assert stats["worker_respawns"] == 3
             assert obs.get_registry().counter("worker_respawns").value == 3
+
+    def test_degraded_flag_reaches_single_and_array_lines(self):
+        import json
+
+        with self.crash_service() as service:
+            wire = {"benchmark": "BT", "problem_class": "S", "nprocs": 4}
+            service.predict(PredictRequest.from_dict(wire))  # fills L1
+            with faults.active(
+                plan(FaultSpec(site="worker.cell.crash", every_nth=1))
+            ):
+                for nprocs in (1, 9):
+                    with pytest.raises(WorkerCrashError):
+                        service.predict(PredictRequest("BT", "S", nprocs))
+                assert service.degraded
+                single = json.loads(handle_line(service, json.dumps(wire)))
+                array = json.loads(handle_line(service, json.dumps([wire])))
+            assert single["ok"] and single["degraded"] is True
+            (item,) = array["results"]
+            assert item["ok"] and item["degraded"] is True
+            assert item["actual"] == single["actual"]
 
     def test_success_resets_consecutive_crash_count(self):
         with self.crash_service() as service:
@@ -410,6 +432,41 @@ class TestDatabaseIntegrity:
             ):
                 with pytest.raises(MeasurementError, match="integrity"):
                     db.store_if_absent(sample_measurement())
+
+    def test_concurrent_writers_heal_a_write_and_a_read_corruption(self):
+        # Writers of one key race through write and read-back corruption;
+        # every call must still return the verified row.
+        failures = []
+
+        def store(measurement):
+            try:
+                db.store_if_absent(measurement)
+            except MeasurementError as exc:
+                failures.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with faults.active(
+                plan(
+                    FaultSpec(site="db.write.corrupt", every_nth=5),
+                    FaultSpec(site="db.read.corrupt", every_nth=7),
+                )
+            ), PerformanceDatabase() as db:
+                for nprocs in range(1, 61):
+                    measurement = sample_measurement(nprocs=nprocs)
+                    writers = [
+                        threading.Thread(target=store, args=(measurement,))
+                        for _ in range(4)
+                    ]
+                    for writer in writers:
+                        writer.start()
+                    for writer in writers:
+                        writer.join(timeout=30)
+                    assert not any(w.is_alive() for w in writers)
+        finally:
+            sys.setswitchinterval(switch)
+        assert failures == []
 
     def test_legacy_rows_without_checksum_are_accepted(self):
         with PerformanceDatabase() as db:

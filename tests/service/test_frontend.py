@@ -1,15 +1,16 @@
 """Frontend battery: routing, admission, aggregation, failover.
 
-Runs the real wire path — async frontend, TCP, JSONL shard servers —
-with :class:`InProcessShardManager` shards so tests can inject execute
-hooks and reach into shard services, while exercising exactly the
-routing/admission/merge logic that fronts the process fleet.
+Runs the real wire path — the shard router behind ``serve_socket``, TCP,
+JSONL shard servers — with :class:`InProcessShardManager` shards so tests
+can inject execute hooks and reach into shard services, while exercising
+exactly the routing/admission/merge logic that fronts the process fleet.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 
 import pytest
@@ -21,9 +22,8 @@ from repro.service import (
     LineClient,
     PredictionService,
     RetryPolicy,
-    ShardedServer,
 )
-from tests.chaos.harness import synthetic_execute
+from tests.chaos.harness import serve_router, synthetic_execute
 
 
 def _factory(shard_id, execute=synthetic_execute, **kwargs):
@@ -56,14 +56,11 @@ def fleet():
         [lambda i=i: _factory(i) for i in range(3)]
     )
     manager.start()
-    server = ShardedServer(manager)
-    host, port = server.start()
-    client = LineClient(host, port)
     try:
-        yield manager, server, client
+        with serve_router(manager) as (router, (host, port)):
+            with LineClient(host, port) as client:
+                yield manager, router, client
     finally:
-        client.close()
-        server.stop()
         manager.stop()
 
 
@@ -179,6 +176,45 @@ def test_invalid_lines_get_typed_errors(fleet):
     assert not scalar["ok"] and "object or array" in scalar["error"]
 
 
+def test_router_ledger_survives_concurrent_connections(fleet):
+    """Many client threads at once: no lost update in the shared ledger."""
+    manager, router, client = fleet
+    threads, per_thread = 8, 12
+    errors: list = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def hammer(t):
+            with LineClient(*client.address) as own:
+                for i in range(per_thread):
+                    response = own.request(
+                        _request(nprocs=(1, 4, 9, 16)[(t + i) % 4])
+                    )
+                    if not response["ok"]:
+                        errors.append(response)
+
+        workers = [
+            threading.Thread(target=hammer, args=(t,)) for t in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors
+    front = router.frontend_stats()
+    assert front["requests"] == threads * per_thread
+    assert set(front["pending"].values()) == {0}
+    served = sum(
+        manager.service(shard_id).stats()["requests"]
+        for shard_id in manager.shard_ids
+    )
+    assert served == threads * per_thread
+
+
 def test_pipelined_responses_come_back_in_order(fleet):
     """Interleaved hits and misses on one connection stay ordered."""
     _, _, client = fleet
@@ -216,20 +252,18 @@ def saturable():
     gate = _Gate()
     manager = InProcessShardManager([lambda: _factory(0, execute=gate)])
     manager.start()
-    server = ShardedServer(
-        manager, admission_limit=1, conns_per_shard=1, replication=1
-    )
-    host, port = server.start()
     try:
-        yield gate, server, (host, port)
+        with serve_router(manager, admission_limit=1) as (router, address):
+            try:
+                yield gate, router, address
+            finally:
+                gate.release.set()
     finally:
-        gate.release.set()
-        server.stop()
         manager.stop()
 
 
 def test_admission_control_sheds_with_honest_retry_after(saturable):
-    gate, server, address = saturable
+    gate, router, address = saturable
     blocked = LineClient(*address)
     shedded = LineClient(*address)
     try:
@@ -254,7 +288,7 @@ def test_admission_control_sheds_with_honest_retry_after(saturable):
         worker.join(timeout=30.0)
         assert not worker.is_alive()
         assert results["blocked"]["ok"]
-        front = server.frontend.frontend_stats()
+        front = router.frontend_stats()
         assert front["shed"] >= 2
     finally:
         blocked.close()
@@ -262,7 +296,7 @@ def test_admission_control_sheds_with_honest_retry_after(saturable):
 
 
 def test_client_retry_honours_retry_after_and_recovers(saturable):
-    gate, server, address = saturable
+    gate, router, address = saturable
     blocked = LineClient(*address)
     sleeps = []
 
@@ -303,7 +337,7 @@ def test_client_retry_honours_retry_after_and_recovers(saturable):
 
 
 def test_shard_death_yields_typed_errors_and_respawn(fleet):
-    manager, server, client = fleet
+    manager, router, client = fleet
     # find the shard that owns this cell, then take it down
     request = _request(nprocs=4)
     assert client.predict(request)["ok"]
@@ -333,26 +367,3 @@ def test_shard_death_yields_typed_errors_and_respawn(fleet):
     registry = obs.get_registry()
     assert registry.counter("shard_deaths", shard=str(victim)).value >= 1
     assert registry.counter("shard_respawns", shard=str(victim)).value >= 1
-
-
-def test_hot_cells_may_be_served_by_replicas(fleet):
-    manager, server, client = fleet
-    request = _request(nprocs=4)
-    for _ in range(80):  # past the tracker's recompute cadence
-        assert client.predict(request)["ok"]
-    frontend = server.frontend
-    key = "BT|S|4|None"
-    assert key in frontend.hot.top()
-    assert frontend.hot.is_hot(key)
-    # the hot cell is eligible on >1 shard; replicas answer identically
-    served = [
-        shard_id
-        for shard_id in manager.shard_ids
-        if manager.service(shard_id).stats()["requests"] > 0
-    ]
-    actuals = {
-        response["actual"]
-        for response in (client.predict(request) for _ in range(5))
-    }
-    assert len(actuals) == 1
-    assert len(served) >= 1

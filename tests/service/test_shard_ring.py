@@ -1,6 +1,6 @@
 """Property battery for the consistent-hash shard ring.
 
-The ring is the sharded frontend's load-bearing wall: if placement is
+The ring is the shard router's load-bearing wall: if placement is
 unbalanced the fleet hot-spots, and if membership changes remap more
 than the departed shard's arcs, every kill/respawn invalidates warm
 caches fleet-wide. Both properties are checked here with Hypothesis
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServiceError
-from repro.service.shard import HashRing, HotCellTracker, route_key
+from repro.service.shard import HashRing, route_key
 
 #: A fixed fleet-sized key population; hashing is deterministic, so the
 #: property checks are exact for this set, not statistical estimates.
@@ -100,21 +100,6 @@ def test_placement_is_independent_of_insertion_order(n):
     assert _placement(forward) == _placement(backward)
 
 
-@settings(max_examples=16, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=16),
-    want=st.integers(min_value=1, max_value=4),
-)
-def test_preference_lists_are_distinct_and_anchored(n, want):
-    """Replica candidates are distinct shards led by the primary."""
-    ring = HashRing(range(n), vnodes=64)
-    for key in KEYS[:50]:
-        preference = ring.preference(key, want)
-        assert len(preference) == min(want, n)
-        assert len(set(preference)) == len(preference)
-        assert preference[0] == ring.shard_for(key)
-
-
 def test_ring_membership_bookkeeping():
     ring = HashRing()
     assert len(ring) == 0
@@ -133,8 +118,6 @@ def test_empty_ring_raises_typed_error():
     ring = HashRing()
     with pytest.raises(ServiceError):
         ring.shard_for("BT|S|4|0")
-    with pytest.raises(ServiceError):
-        ring.preference("BT|S|4|0", 2)
 
 
 def test_route_key_ignores_chain_length():
@@ -145,24 +128,3 @@ def test_route_key_ignores_chain_length():
     assert len(keys) == 1
     # malformed requests still route somewhere (the shard rejects them)
     assert isinstance(route_key({}), str)
-
-
-def test_hot_cell_tracker_promotes_frequent_keys():
-    tracker = HotCellTracker(k=2, recompute_every=10)
-    for i in range(100):
-        tracker.observe("hot-a")
-        tracker.observe("hot-b")
-        tracker.observe(f"cold-{i}")
-    assert tracker.is_hot("hot-a")
-    assert tracker.is_hot("hot-b")
-    assert not tracker.is_hot("cold-5")
-    assert set(tracker.top()) == {"hot-a", "hot-b"}
-
-
-def test_hot_cell_tracker_bounds_memory():
-    tracker = HotCellTracker(k=2, recompute_every=8, max_keys=64)
-    for i in range(10_000):
-        tracker.observe(f"key-{i}")
-        tracker.observe("always")
-    assert len(tracker._counts) <= 64
-    assert tracker.is_hot("always")

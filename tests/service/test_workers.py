@@ -126,9 +126,12 @@ class TestWorkerPool:
         with pytest.raises(ServiceError):
             WorkerPool(queue_depth=0)
         with pytest.raises(ServiceError):
-            WorkerPool(kind="fiber")
-        with pytest.raises(ServiceError):
             WorkerPool(crash_threshold=0)
+
+    @pytest.mark.parametrize("kind", ["fiber", "process"])
+    def test_invalid_kind_is_rejected(self, kind):
+        with pytest.raises(ServiceError, match="thread/inline"):
+            WorkerPool(kind=kind)
 
     def test_shutdown_waits_for_in_flight_work(self):
         entered = threading.Event()
