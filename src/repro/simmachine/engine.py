@@ -6,7 +6,7 @@ large experiments push millions of events through this queue:
 
 * :class:`Event` — one-shot triggerable occurrence with callbacks;
 * :class:`Timeout` — event scheduled a fixed delay in the future;
-* :class:`AllOf` — barrier over a set of events (used for ``waitall``);
+* :class:`AllOf` — barrier over a set of events;
 * :class:`Process` — a Python generator that ``yield``\\ s events and is
   resumed when they fire; a process is itself an event that triggers on
   completion with the generator's return value;

@@ -16,6 +16,12 @@ operations and collectives are *generators* and must be invoked with
 Collectives are implemented as real tree/ring algorithms over point-to-point
 messages, so their cost scales with ``log P`` (or ``P``) like on a real
 machine rather than being an analytic formula.
+
+Blocking operations add no join event: ``send`` and ``recv`` cost one
+engine event each, ``sendrecv`` two, and ``waitall`` none beyond its
+requests' own. Every completion time is the one a join would give; the
+events a join would add between a message's posting and its completion
+only order work that falls at one simulated time.
 """
 
 from repro.simmpi.comm import Comm, World, attach_world

@@ -15,6 +15,12 @@ See the package docstring for usage. Implementation notes:
   trees for ``bcast``/``reduce``/``barrier``, a ring for ``allgather``,
   pairwise exchanges for ``alltoall`` — their simulated cost therefore
   scales with ``P`` the way real MPI implementations do.
+* Every send, blocking or not, goes through :meth:`Comm.isend`, and every
+  receive through :meth:`Comm.irecv`. Blocking calls yield the request's
+  event directly, and ``waitall``/``sendrecv`` wait on their events in
+  turn, with no join event. Each operation still completes when a join
+  would; fewer events change only the order of work that falls at one
+  simulated time, and the golden tables pin every simulated number.
 """
 
 from __future__ import annotations
@@ -198,11 +204,24 @@ class Comm:
     def waitall(
         self, requests: Iterable[Request]
     ) -> Generator[Event, Any, list[Any]]:
-        """Block until every request completes; returns payloads in order."""
+        """Block until every request completes; returns payloads in order.
+
+        Waits on the requests one at a time, with no join event: a request
+        that already completed is read, a pending one is yielded. This
+        finishes at the latest completion, as a join would. No event in
+        ``simmpi`` ever fails, so there is no order of failure to keep.
+        """
         reqs = list(requests)
-        t0 = self.sim.now
-        values = yield self.sim.all_of([r.event for r in reqs])
-        self.ctx.account_wait(self.sim.now - t0)
+        sim = self.sim
+        t0 = sim.now
+        values: list[Any] = []
+        for req in reqs:
+            ev = req.event
+            if ev.processed:
+                values.append(ev.value)
+            else:
+                values.append((yield ev))
+        self.ctx.account_wait(sim.now - t0)
         return values
 
     def send(
@@ -216,14 +235,21 @@ class Comm:
     ) -> Generator[Event, Any, None]:
         """Blocking (buffered) send: returns once the message is injected."""
         req = self.isend(dest, nbytes, tag, payload, messages, _collective)
-        yield from self.wait(req)
+        sim = self.sim
+        t0 = sim.now
+        yield req.event
+        self.ctx.account_wait(sim.now - t0)
 
     def recv(
         self, source: int, tag: int = 0, _collective: bool = False
     ) -> Generator[Event, Any, Any]:
         """Blocking receive; returns the payload."""
         req = self.irecv(source, tag, _collective)
-        return (yield from self.wait(req))
+        sim = self.sim
+        t0 = sim.now
+        value = yield req.event
+        self.ctx.account_wait(sim.now - t0)
+        return value
 
     def sendrecv(
         self,
@@ -236,13 +262,23 @@ class Comm:
         messages: int = 1,
         _collective: bool = False,
     ) -> Generator[Event, Any, Any]:
-        """Simultaneous exchange: returns the received payload."""
+        """Simultaneous exchange: returns the received payload.
+
+        Waits on the receive, then on the send if it is still pending,
+        with no join event.
+        """
         source = dest if source is None else source
         recv_tag = send_tag if recv_tag is None else recv_tag
+        # Posted before the send, so a message to self can match it.
         rreq = self.irecv(source, recv_tag, _collective)
         sreq = self.isend(dest, nbytes, send_tag, payload, messages, _collective)
-        values = yield from self.waitall([rreq, sreq])
-        return values[0]
+        sim = self.sim
+        t0 = sim.now
+        value = yield rreq.event
+        if not sreq.event.processed:
+            yield sreq.event
+        self.ctx.account_wait(sim.now - t0)
+        return value
 
     # -- collectives ----------------------------------------------------------
 

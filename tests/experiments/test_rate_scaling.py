@@ -1,0 +1,77 @@
+"""Rate-scaling oracle: a machine twice as slow in every rate doubles every time.
+
+With noise off, halving the clock and doubling every memory, cache and
+network time leaves the simulation the same sequence of decisions on a
+time axis stretched by two. Multiplying by a power of two is exact in
+IEEE arithmetic, so every measured time doubles bit for bit: the
+application run, each isolated kernel, each chain window and both
+predictions. The coupling values are ratios of those times and so stay
+bit-equal. Any time constant the simulator does not take from the
+machine config, or any arithmetic that is not homogeneous in time,
+breaks the ratio.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.experiments.pipeline import ExperimentPipeline, ExperimentSettings
+from repro.instrument import MeasurementConfig
+from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
+
+SCALE = 2.0
+CHAIN_LENGTH = 2
+MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1, seed=0)
+
+
+def slowed(config: MachineConfig, factor: float) -> MachineConfig:
+    """``config`` with every time-like parameter multiplied by ``factor``."""
+    proc = config.processor
+    net = config.network
+    return config.with_(
+        processor=replace(
+            proc,
+            clock_hz=proc.clock_hz / factor,
+            cache_levels=tuple(
+                replace(level, byte_time=level.byte_time * factor)
+                for level in proc.cache_levels
+            ),
+            memory_byte_time=proc.memory_byte_time * factor,
+        ),
+        network=replace(
+            net,
+            latency=net.latency * factor,
+            byte_time=net.byte_time * factor,
+            injection_byte_time=net.injection_byte_time * factor,
+            per_message_overhead=net.per_message_overhead * factor,
+            drain_window=net.drain_window * factor,
+        ),
+    )
+
+
+def measure(machine: MachineConfig, cell):
+    settings = ExperimentSettings(machine=machine, measurement=MEASUREMENT)
+    return ExperimentPipeline(settings).config_result(*cell, [CHAIN_LENGTH])
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [("BT", "S", 4), ("LU", "W", 4), ("SP", "W", 9)],
+    ids=["BT.S.4", "LU.W.4", "SP.W.9"],
+)
+def test_doubling_every_rate_doubles_every_time(cell):
+    quiet = ibm_sp_argonne().with_(noise_cv=0.0, noise_floor=0.0)
+    base = measure(quiet, cell)
+    slow = measure(slowed(quiet, SCALE), cell)
+
+    assert slow.actual == SCALE * base.actual
+    assert slow.summation == SCALE * base.summation
+    assert slow.coupling_prediction(CHAIN_LENGTH) == SCALE * base.coupling_prediction(
+        CHAIN_LENGTH
+    )
+    for name, seconds in base.inputs.loop_times.items():
+        assert slow.inputs.loop_times[name] == SCALE * seconds, name
+    assert base.inputs.chain_times
+    for window, seconds in base.inputs.chain_times.items():
+        assert slow.inputs.chain_times[window] == SCALE * seconds, window
+    assert slow.coupling_values(CHAIN_LENGTH) == base.coupling_values(CHAIN_LENGTH)

@@ -1,8 +1,11 @@
 """Point-to-point messaging: matching, ordering, blocking semantics."""
 
+import sys
+
 import pytest
 
 from repro.errors import CommunicationError, DeadlockError
+from repro.simmachine.machine import linear_test_machine
 from repro.simmpi.comm import COLL_TAG_BASE
 from tests.conftest import make_machine
 
@@ -261,3 +264,140 @@ class TestWaitany:
 
         run(machine4, program)
         assert results == [(1, "fast")]
+
+
+def spy_send_timing(machine):
+    """Record ``(src, dst, timing)`` for every message the network times."""
+    log = []
+    original = machine.network.send_timing
+
+    def spy(src, dst, nbytes, now, messages=1):
+        timing = original(src, dst, nbytes, now, messages)
+        log.append((src, dst, timing))
+        return timing
+
+    machine.network.send_timing = spy
+    return log
+
+
+class TestSendrecvCompletion:
+    """``sendrecv`` ends at the later of its arrival and its own injection."""
+
+    @pytest.mark.parametrize("queued", [True, False], ids=["queued", "not-queued"])
+    @pytest.mark.parametrize(
+        "inbound, outbound",
+        [(10, 4_000_000), (4_000_000, 10)],
+        ids=["send-bound", "recv-bound"],
+    )
+    def test_completes_at_max_of_arrival_and_injection(
+        self, queued, inbound, outbound
+    ):
+        machine = make_machine(linear_test_machine(2), 2)
+        log = spy_send_timing(machine)
+        done = {}
+
+        def program(ctx):
+            comm = ctx.comm
+            ctx.set_label("k")
+            if comm.rank == 0:
+                if queued:
+                    # Let rank 1 inject first: its message is queued when
+                    # sendrecv posts the receive.
+                    yield ctx.sim.timeout(0.0)
+                    assert comm.world.pending_msgs[0]
+                else:
+                    assert not comm.world.pending_msgs[0]
+                got = yield from comm.sendrecv(1, outbound, send_tag=3, payload="a")
+                done["payload"] = got
+                done["time"] = ctx.sim.now
+            else:
+                if not queued:
+                    yield ctx.sim.timeout(0.0)
+                yield from comm.send(0, inbound, tag=3, payload="b")
+                assert (yield from comm.recv(0, tag=3)) == "a"
+
+        machine.run(program)
+        timing = {(src, dst): t for src, dst, t in log}
+        arrival = timing[(1, 0)][2]
+        sender_done = timing[(0, 1)][1]
+        assert done["payload"] == "b"
+        assert done["time"] == max(arrival, sender_done)
+        assert machine.contexts[0].counters["k"].wait_time == done["time"]
+
+
+class TestWaitallOrder:
+    def test_payloads_in_request_order_under_reverse_completion(self):
+        machine = make_machine(linear_test_machine(4), 4)
+        got = {}
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                reqs = [comm.irecv(peer, tag=1) for peer in (1, 2, 3)]
+                # Ranks 3 and 2 have delivered by now; rank 1 has not.
+                yield ctx.sim.timeout(2.5e-3)
+                assert [r.complete for r in reqs] == [False, True, True]
+                got["values"] = yield from comm.waitall(reqs)
+                got["time"] = ctx.sim.now
+            else:
+                yield ctx.sim.timeout((4 - comm.rank) * 1e-3)
+                yield from comm.send(0, 10, tag=1, payload=comm.rank * 10)
+
+        machine.run(program)
+        assert got["values"] == [10, 20, 30]
+        assert got["time"] > 3e-3  # waited for the last arrival (rank 1)
+
+    def test_all_pending_in_reverse_order(self, machine4):
+        got = []
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                reqs = [comm.irecv(peer, tag=2) for peer in (1, 2, 3)]
+                got.extend((yield from comm.waitall(reqs)))
+            else:
+                yield ctx.sim.timeout((4 - comm.rank) * 1e-3)
+                yield from comm.send(0, 10, tag=2, payload=comm.rank)
+
+        run(machine4, program)
+        assert got == [1, 2, 3]
+
+    def test_many_already_fired_requests_do_not_recurse(self):
+        nprocs = 80
+        machine = make_machine(linear_test_machine(nprocs), nprocs)
+        # More completed requests than the interpreter's frame limit.
+        count = sys.getrecursionlimit() + 100
+        dests = [1 + i % (nprocs - 1) for i in range(count)]
+        got = {}
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                reqs = [comm.isend(d, 8, tag=5, payload=i) for i, d in enumerate(dests)]
+                yield ctx.sim.timeout(1.0)
+                assert all(r.complete for r in reqs)
+                got["values"] = yield from comm.waitall(reqs)
+            else:
+                for _ in range(dests.count(comm.rank)):
+                    yield from comm.recv(0, tag=5)
+
+        machine.run(program)
+        assert got["values"] == [None] * count
+
+
+class TestDroppedSendrecv:
+    def test_dropped_message_deadlocks_the_receiver(self, machine4):
+        world = machine4.contexts[0].comm.world
+        world.fault_injector = lambda src, dst, tag: (src, dst) == (1, 0)
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank in (0, 1):
+                yield from comm.sendrecv(comm.rank ^ 1, 10, send_tag=4)
+            else:
+                yield ctx.sim.timeout(0.0)
+
+        with pytest.raises(DeadlockError) as exc:
+            run(machine4, program)
+        assert exc.value.blocked == ["rank0"]
+        assert world.dropped_messages == 1
