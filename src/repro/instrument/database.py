@@ -7,9 +7,10 @@ class, nprocs, kernel chain) and store the sample vector, so coupling sets
 and predictors can be reconstructed offline.
 
 The database is safe for concurrent use from multiple threads (the serving
-layer in :mod:`repro.service` hits it from a worker pool): file-backed
-stores open one connection per thread, in-memory stores share a single
-connection behind a lock, and :meth:`store_if_absent` /
+layer in :mod:`repro.service` reads it from every request thread and
+writes it from a worker pool): all threads share one connection behind a
+lock, so a server with one thread per client connection still holds a
+single sqlite handle, and :meth:`store_if_absent` /
 :meth:`get_or_measure` are free of check-then-insert races (``INSERT OR
 IGNORE`` followed by a re-read decides the winner).
 """
@@ -70,15 +71,11 @@ class PerformanceDatabase:
     def __init__(self, path: str = ":memory:"):
         self.path = path
         self._lock = threading.RLock()
-        self._local = threading.local()
-        self._connections: list[sqlite3.Connection] = []
         self._closed = False
-        # An in-memory sqlite database exists per connection, so it must be
-        # shared across threads; file-backed stores get per-thread
-        # connections instead (sqlite serializes writers itself).
-        self._shared: Optional[sqlite3.Connection] = None
-        if path == ":memory:":
-            self._shared = sqlite3.connect(path, check_same_thread=False)
+        # One connection for every thread: each statement already runs
+        # under the lock, so per-thread connections would buy no
+        # concurrency, only one open handle per thread that ever read.
+        self._conn = sqlite3.connect(path, check_same_thread=False)
         conn = self._connection()
         with self._lock:
             conn.execute(_SCHEMA)
@@ -97,28 +94,13 @@ class PerformanceDatabase:
     def _connection(self) -> sqlite3.Connection:
         if self._closed:
             raise MeasurementError("performance database is closed")
-        if self._shared is not None:
-            return self._shared
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(self.path)
-            self._local.conn = conn
-            with self._lock:
-                self._connections.append(conn)
-        return conn
+        return self._conn
 
     def close(self) -> None:
-        """Close every connection this database opened."""
+        """Close the database's connection."""
         with self._lock:
             self._closed = True
-            if self._shared is not None:
-                self._shared.close()
-            for conn in self._connections:
-                try:
-                    conn.close()
-                except sqlite3.ProgrammingError:  # pragma: no cover
-                    pass  # already closed by its owning thread
-            self._connections.clear()
+            self._conn.close()
 
     def __enter__(self) -> "PerformanceDatabase":
         return self

@@ -15,17 +15,24 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.core.kernel import ControlFlow
 from repro.core.predictor import PredictionInputs
-from repro.errors import MeasurementError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.instrument.database import PerformanceDatabase
 from repro.instrument.runner import ChainRunner, MeasurementConfig
 from repro.npb import make_benchmark
 from repro.parallel.memo import SimulationMemoStore
-from repro.parallel.worker import measure_chain, prime_runner_overhead
+from repro.parallel.worker import (
+    cell_inputs,
+    measure_chain,
+    prime_runner_overhead,
+)
 from repro.simmachine.machine import MachineConfig
 
 __all__ = ["CampaignPlan", "Campaign"]
+
+
+class _Unarchived(Exception):
+    """A replay met a row the database does not hold."""
 
 
 @dataclass(frozen=True)
@@ -97,14 +104,19 @@ class Campaign:
         self.measurements_run = 0
         self.measurements_reused = 0
 
-    def _measure(self, runner: ChainRunner, kernels: Sequence[str]):
-        bench = runner.benchmark
+    def _archived(self, bench, kernels: Sequence[str]):
+        """The stored measurement of ``kernels``, counted as reused; or None."""
         cached = self.database.get(
             bench.name, bench.size.problem_class, bench.nprocs, tuple(kernels)
         )
         if cached is not None:
             self.measurements_reused += 1
             obs.get_registry().counter("campaign_measurements_reused").inc()
+        return cached
+
+    def _measure(self, runner: ChainRunner, kernels: Sequence[str]):
+        cached = self._archived(runner.benchmark, kernels)
+        if cached is not None:
             return cached
         measured = measure_chain(runner, kernels, self.memo)
         stored = self.database.store_if_absent(measured)
@@ -128,35 +140,41 @@ class Campaign:
         self, problem_class: str, nprocs: int
     ) -> PredictionInputs:
         bench = make_benchmark(self.plan.benchmark, problem_class, nprocs)
-        flow = ControlFlow(bench.loop_kernel_names)
         runner = ChainRunner(bench, self.machine, self.measurement)
         prime_runner_overhead(runner, self.memo)
-        loop_times = {
-            k: self._measure(runner, (k,)).mean for k in flow.names
-        }
-        pre: dict[str, float] = {}
-        post: dict[str, float] = {}
-        if self.plan.include_one_shots:
-            pre = {
-                k: self._measure(runner, (k,)).mean
-                for k in bench.pre_kernel_names
-            }
-            post = {
-                k: self._measure(runner, (k,)).mean
-                for k in bench.post_kernel_names
-            }
-        chain_times = {}
-        for length in self.plan.chain_lengths:
-            for window in flow.windows(length):
-                chain_times[window] = self._measure(runner, window).mean
-        return PredictionInputs(
-            flow=flow,
-            iterations=bench.iterations,
-            loop_times=loop_times,
-            pre_times=pre,
-            post_times=post,
-            chain_times=chain_times,
+        return cell_inputs(
+            bench,
+            self.plan.chain_lengths,
+            lambda kernels: self._measure(runner, kernels).mean,
+            self.plan.include_one_shots,
         )
+
+    def replay_configuration(
+        self, problem_class: str, nprocs: int
+    ) -> Optional[PredictionInputs]:
+        """One cell's inputs from archived rows alone, or None.
+
+        Reads exactly the rows :meth:`run_configuration` would measure and
+        never simulates: the first missing row (or an invalid cell or chain
+        length) returns None, leaving the cell to a measuring run.
+        """
+
+        def archived_mean(kernels: tuple[str, ...]) -> float:
+            cached = self._archived(bench, kernels)
+            if cached is None:
+                raise _Unarchived
+            return cached.mean
+
+        try:
+            bench = make_benchmark(self.plan.benchmark, problem_class, nprocs)
+            return cell_inputs(
+                bench,
+                self.plan.chain_lengths,
+                archived_mean,
+                self.plan.include_one_shots,
+            )
+        except (_Unarchived, ConfigurationError):
+            return None
 
     def run(self) -> dict[tuple[str, int], PredictionInputs]:
         """Measure every cell of the plan; returns inputs per cell."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import faults, obs
 from repro.core.kernel import ControlFlow
@@ -41,6 +41,7 @@ __all__ = [
     "CellSpec",
     "CellResult",
     "run_cell",
+    "cell_inputs",
     "measure_chain",
     "run_application",
     "prime_runner_overhead",
@@ -95,6 +96,42 @@ class CellResult:
 
 
 # -- memo-aware measurement helpers (shared with the serial pipeline) -----
+
+
+def cell_inputs(
+    bench,
+    chain_lengths: Sequence[int],
+    mean_of: Callable[[tuple[str, ...]], float],
+    include_one_shots: bool = True,
+) -> PredictionInputs:
+    """A cell's prediction inputs, one ``mean_of(kernels)`` per measurement.
+
+    The single enumeration of what a cell measures, in protocol order:
+    isolated loop kernels, one-shot pre/post kernels, then every window of
+    every chain length. Measuring campaigns, pool workers and the serving
+    engine's read-only replay differ only in ``mean_of``; a replay that
+    finds a row missing raises out of it.
+    """
+    flow = ControlFlow(bench.loop_kernel_names)
+    loop_times = {k: mean_of((k,)) for k in flow.names}
+    pre: dict[str, float] = {}
+    post: dict[str, float] = {}
+    if include_one_shots:
+        pre = {k: mean_of((k,)) for k in bench.pre_kernel_names}
+        post = {k: mean_of((k,)) for k in bench.post_kernel_names}
+    chain_times: dict[tuple[str, ...], float] = {}
+    for length in chain_lengths:
+        for window in flow.windows(length):
+            if window not in chain_times:
+                chain_times[window] = mean_of(window)
+    return PredictionInputs(
+        flow=flow,
+        iterations=bench.iterations,
+        loop_times=loop_times,
+        pre_times=pre,
+        post_times=post,
+        chain_times=chain_times,
+    )
 
 
 def prime_runner_overhead(
@@ -228,24 +265,11 @@ def run_cell(spec: CellSpec) -> CellResult:
             cls=spec.problem_class,
             nprocs=spec.nprocs,
         ):
-            isolated = {
-                k: measure_chain(runner, (k,), store).mean for k in flow.names
-            }
-            pre = {
-                k: measure_chain(runner, (k,), store).mean
-                for k in bench.pre_kernel_names
-            }
-            post = {
-                k: measure_chain(runner, (k,), store).mean
-                for k in bench.post_kernel_names
-            }
-            chains: dict[tuple[str, ...], float] = {}
-            for length in spec.chain_lengths:
-                for window in flow.windows(length):
-                    if window not in chains:
-                        chains[window] = measure_chain(
-                            runner, window, store
-                        ).mean
+            inputs = cell_inputs(
+                bench,
+                spec.chain_lengths,
+                lambda kernels: measure_chain(runner, kernels, store).mean,
+            )
             actual = run_application(
                 ApplicationRunner(
                     bench, spec.machine, seed=spec.application_seed
@@ -256,14 +280,6 @@ def run_cell(spec: CellSpec) -> CellResult:
         # Always uninstall, even on a raising cell — a pool worker is
         # reused for the next cell and must come back profiler-free.
         profile_data = profiler.stop() if profiler is not None else None
-    inputs = PredictionInputs(
-        flow=flow,
-        iterations=bench.iterations,
-        loop_times=isolated,
-        pre_times=pre,
-        post_times=post,
-        chain_times=chains,
-    )
     return CellResult(
         benchmark=spec.benchmark,
         problem_class=spec.problem_class,

@@ -1,5 +1,9 @@
 """Request coalescing: single-flight deduplication + config batching.
 
+Only requests the engine could not answer on the request thread get here:
+L1 hits and fully archived cells never do, so the collection window (and
+the ``batches``/``batch_size`` metrics) covers requests that simulate.
+
 Two distinct ideas live here:
 
 * **Single-flight** — while a request key is being computed, every further

@@ -7,7 +7,8 @@ existing Prophesy-style
 :class:`~repro.instrument.database.PerformanceDatabase`: it persists the
 underlying *measurements*, so even when a report ages out of the LRU (or a
 fresh process starts against a warm database file) the service rebuilds the
-report from stored samples without re-running a single simulation.
+report from stored samples, on the request thread, without re-running a
+single simulation.
 
 The persistent tier is keyed by the measurement tuple
 (benchmark, class, nprocs, kernel chain) — like
@@ -120,9 +121,12 @@ class LRUCache:
 class TieredPredictionCache:
     """L1 report LRU over the L2 persistent measurement store.
 
-    The service consults :meth:`get_report` first; on a miss the batching
-    layer runs a measurement plan *through* :attr:`database`, which silently
-    turns fully archived cells into zero-simulation replays.
+    The service consults :meth:`get_report` first; on a miss it replays
+    the cell read-only from :attr:`database` on the request thread
+    (:func:`~repro.service.workers.replay_cell`), so a fully archived cell
+    is answered without the batcher or a worker. Only a cell with a
+    missing row goes on to a measurement plan run *through*
+    :attr:`database`, which measures just the missing rows.
     """
 
     def __init__(

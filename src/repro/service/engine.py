@@ -5,12 +5,15 @@
 layer:
 
 1. an L1 LRU answers repeated requests in microseconds;
-2. misses are single-flight deduplicated and coalesced into per-config
-   measurement plans (:mod:`repro.service.batching`);
-3. plans run on a bounded worker pool (:mod:`repro.service.workers`)
-   through the persistent measurement tier
-   (:class:`~repro.instrument.database.PerformanceDatabase`), so a warm
-   database answers without simulating at all;
+2. the store rung answers archived cells on the request thread: the
+   request's own memo cell record, else a read-only replay of the cell
+   from the persistent measurement tier
+   (:class:`~repro.instrument.database.PerformanceDatabase`) — no batch
+   window, no worker;
+3. the rest must simulate: they are single-flight deduplicated,
+   coalesced into per-config measurement plans
+   (:mod:`repro.service.batching`) and run on a bounded worker pool
+   (:mod:`repro.service.workers`) through the same persistent tier;
 4. every step is measured (:mod:`repro.service.metrics`).
 
 The public surface is thread-safe: any number of threads may call
@@ -43,6 +46,7 @@ from repro.core.predictor import (
 from repro.errors import (
     InjectedFaultError,
     PredictionError,
+    ServiceClosedError,
     ServiceDegradedError,
     ServiceError,
     ServiceSaturatedError,
@@ -58,7 +62,13 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
 from repro.parallel.keys import cell_key
 from repro.parallel.memo import SimulationMemoStore
-from repro.service.workers import CellOutcome, CellTask, WorkerPool, execute_cell
+from repro.service.workers import (
+    CellOutcome,
+    CellTask,
+    WorkerPool,
+    execute_cell,
+    replay_cell,
+)
 from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 
 __all__ = ["PredictRequest", "PredictionService"]
@@ -164,15 +174,17 @@ class PredictionService:
     :class:`~repro.errors.ServiceTimeoutError`); ``max_batch`` flushes a
     collection window early once that many requests are pending;
     ``crash_threshold`` consecutive worker crashes flip the service into
-    cache-only *degraded mode* (L1 hits are still served, misses raise
+    cache-only *degraded mode* (L1 hits and archived cells are still
+    served, requests that would simulate raise
     :class:`~repro.errors.ServiceDegradedError`, and every
-    ``degraded_probe_every``-th miss is let through as a recovery probe —
-    one probe succeeding restores normal service).
+    ``degraded_probe_every``-th of those is let through as a recovery
+    probe — one probe succeeding restores normal service).
 
     ``cache_dir`` points at a :mod:`repro.parallel` simulation memo
     directory: whole cells found there are served without enqueueing any
-    simulation work, and freshly simulated cells are stored back, so the
-    serving layer shares warmed state with ``repro campaign --cache-dir``.
+    simulation work, and freshly simulated or replayed cells are stored
+    back, so the serving layer shares warmed state with
+    ``repro campaign --cache-dir``.
 
     ``tier_policy`` selects the serving-ladder rung order (a
     :class:`~repro.analytic.tiers.TierPolicy` or a policy name): under
@@ -280,12 +292,12 @@ class PredictionService:
 
         Raises :class:`~repro.errors.ServiceSaturatedError` (with a
         ``retry_after`` hint) instead of queueing when the worker pool is
-        full and the request can neither be answered from cache nor
+        full and the request can neither be answered from a cache tier nor
         coalesced onto an in-flight duplicate;
         :class:`~repro.errors.ServiceTimeoutError` when the deadline
         (``timeout``, defaulting to the service's ``default_timeout``)
         expires first; and :class:`~repro.errors.ServiceDegradedError` for
-        cache misses while the service is in degraded mode.
+        requests no cache tier answers while the service is degraded.
         """
         outcome, t0 = self._submit(request)
         if isinstance(outcome, PredictionReport):
@@ -325,7 +337,7 @@ class PredictionService:
         return results
 
     def _submit(self, request: PredictRequest):
-        """Tier ladder: L1, analytic rung, saturation gate, batcher.
+        """Tier ladder: L1, analytic rung, store rung, gates, batcher.
 
         Returns ``(report_or_future, start_time)``.
         """
@@ -345,7 +357,15 @@ class PredictionService:
             report = self._serve_analytic(request, t0)
             if report is not None:
                 return report, t0
-        if not self._pool.healthy and not self._batcher.in_flight(request.key):
+        in_flight = self._batcher.in_flight(request.key)
+        if not in_flight:
+            # The store rung needs no workers either: an archived cell is
+            # answered here, ahead of the gates and the batch window. A
+            # request already in flight coalesces onto it instead.
+            report = self._serve_archived(request, t0)
+            if report is not None:
+                return report, t0
+        if not self._pool.healthy and not in_flight:
             # Degraded mode: cache-only, except for a periodic probe that
             # tests whether the pool has recovered.
             with self._state_lock:
@@ -357,7 +377,7 @@ class PredictionService:
                     "service degraded (worker pool unhealthy); "
                     "serving cached reports only"
                 )
-        if self._pool.saturated and not self._batcher.in_flight(request.key):
+        if self._pool.saturated and not in_flight:
             self.metrics.rejected.inc()
             raise ServiceSaturatedError(
                 "service saturated; retry later",
@@ -415,6 +435,102 @@ class PredictionService:
             self.metrics.analytic_escalations.inc()
             return None
         return analytic.prediction_report((request.chain_length,))
+
+    # -- the store rung -------------------------------------------------------
+
+    def _serve_archived(
+        self, request: PredictRequest, t0: float
+    ) -> Optional[PredictionReport]:
+        """Answer an archived cell on the request thread, or None to batch.
+
+        Reads the request's own memo cell record, else replays the cell
+        read-only from the persistent tier (:func:`replay_cell`); a
+        replayed cell is stored back as a memo record exactly as a
+        dispatched one would be. Any missing row returns None and the
+        request goes on to the batcher unchanged.
+        """
+        if self._closed:
+            raise ServiceClosedError("service is shut down")
+        measurement = replace(self.measurement, seed=request.seed)
+        chain_lengths = (request.chain_length,)
+        memo_key = self._memo_key(request, measurement, chain_lengths)
+        with obs.span("service.store", benchmark=request.benchmark):
+            outcome = self._memo_outcome(request, memo_key)
+            if outcome is None:
+                outcome = replay_cell(
+                    CellTask(
+                        plan=CampaignPlan.for_cell(
+                            request.benchmark,
+                            request.problem_class,
+                            request.nprocs,
+                            chain_lengths=chain_lengths,
+                        ),
+                        machine=self.machine,
+                        measurement=measurement,
+                        application_seed=self.application_seed,
+                    ),
+                    self._cache.database,
+                )
+                if outcome is None:
+                    return None
+                self._memo_put(memo_key, outcome)
+        report = self._report(
+            request, outcome, self._account(request, outcome)
+        )
+        dt = self._clock() - t0
+        self.metrics.latency.observe(dt)
+        self.metrics.record_tier(report.tier, dt)
+        return report
+
+    def _memo_key(
+        self,
+        request: PredictRequest,
+        measurement: MeasurementConfig,
+        chain_lengths: Sequence[int],
+    ) -> Optional[dict]:
+        """The memo cell-record key for these chain lengths (None: no memo)."""
+        if self._memo is None:
+            return None
+        return cell_key(
+            self.machine,
+            measurement,
+            request.benchmark,
+            request.problem_class,
+            request.nprocs,
+            chain_lengths,
+            self.application_seed,
+        )
+
+    def _memo_outcome(
+        self, request: PredictRequest, memo_key: Optional[dict]
+    ) -> Optional[CellOutcome]:
+        """The memo cell record under ``memo_key`` as an outcome, or None."""
+        if memo_key is None:
+            return None
+        hit = self._memo.get(memo_key)
+        if hit is None:
+            return None
+        return CellOutcome(
+            benchmark=request.benchmark,
+            problem_class=request.problem_class,
+            nprocs=request.nprocs,
+            inputs=PredictionInputs.from_dict(hit["inputs"]),
+            actual=hit["actual"],
+            simulations=0,
+            reused=hit.get("reused", 0),
+        )
+
+    def _memo_put(self, memo_key: Optional[dict], outcome: CellOutcome) -> None:
+        """Store one cell record (seed-keyed, like every memo cell record)."""
+        if memo_key is not None:
+            self._memo.put(
+                memo_key,
+                {
+                    "inputs": outcome.inputs.to_dict(),
+                    "actual": outcome.actual,
+                    "reused": outcome.reused,
+                },
+            )
 
     def _await(
         self, future: Future, t0: float, timeout: Optional[float]
@@ -509,33 +625,12 @@ class PredictionService:
             chain_lengths=sorted({r.chain_length for r in requests}),
         )
         measurement = replace(self.measurement, seed=first.seed)
-        memo_key = None
-        if self._memo is not None:
-            memo_key = cell_key(
-                self.machine,
-                measurement,
-                first.benchmark,
-                first.problem_class,
-                first.nprocs,
-                plan.chain_lengths,
-                self.application_seed,
-            )
-            hit = self._memo.get(memo_key)
-            if hit is not None:
-                self.metrics.cell_seconds.observe(0.0)
-                self._finish(
-                    flights,
-                    CellOutcome(
-                        benchmark=first.benchmark,
-                        problem_class=first.problem_class,
-                        nprocs=first.nprocs,
-                        inputs=PredictionInputs.from_dict(hit["inputs"]),
-                        actual=hit["actual"],
-                        simulations=0,
-                        reused=hit.get("reused", 0),
-                    ),
-                )
-                return
+        memo_key = self._memo_key(first, measurement, plan.chain_lengths)
+        hit = self._memo_outcome(first, memo_key)
+        if hit is not None:
+            self.metrics.cell_seconds.observe(0.0)
+            self._finish(flights, hit)
+            return
         task = CellTask(
             plan=plan,
             machine=self.machine,
@@ -567,15 +662,7 @@ class PredictionService:
             except BaseException as exc:  # noqa: BLE001 — relay to waiters
                 self._fail(flights, exc)
                 return
-            if self._memo is not None and memo_key is not None:
-                self._memo.put(
-                    memo_key,
-                    {
-                        "inputs": outcome.inputs.to_dict(),
-                        "actual": outcome.actual,
-                        "reused": outcome.reused,
-                    },
-                )
+            self._memo_put(memo_key, outcome)
             self._finish(flights, outcome)
 
         pool_future.add_done_callback(_done)
@@ -592,32 +679,39 @@ class PredictionService:
 
     def _finish(self, flights: list[Flight], outcome) -> None:
         """Build each waiter's report from the cell outcome."""
-        self.metrics.simulations.inc(outcome.simulations)
-        warm = outcome.simulations == 0
-        tier = TIER_MEMO if warm else TIER_SIMULATION
-        self._record_analytic_error(flights[0].request, outcome.actual)
-        summation = SummationPredictor().predict(outcome.inputs)
+        summation = self._account(flights[0].request, outcome)
         for flight in flights:
-            request = flight.request
             try:
-                coupled = CouplingPredictor(request.chain_length).predict(
-                    outcome.inputs
-                )
+                report = self._report(flight.request, outcome, summation)
             except Exception as exc:  # noqa: BLE001 — relay to this waiter
                 self._fail([flight], exc)
                 continue
-            report = PredictionReport(
-                actual=outcome.actual,
-                predictions={
-                    SummationPredictor.name: summation,
-                    f"Coupling: {request.chain_length} kernels": coupled,
-                },
-                tier=tier,
-            )
-            self._cache.put_report(request.key, report)
-            (self.metrics.l2_hits if warm else self.metrics.misses).inc()
             if not flight.future.done():
                 flight.future.set_result(report)
+
+    def _account(self, request: PredictRequest, outcome) -> float:
+        """Count one cell outcome once; returns its summation prediction."""
+        self.metrics.simulations.inc(outcome.simulations)
+        self._record_analytic_error(request, outcome.actual)
+        return SummationPredictor().predict(outcome.inputs)
+
+    def _report(
+        self, request: PredictRequest, outcome, summation: float
+    ) -> PredictionReport:
+        """One request's report from its cell outcome, L1-cached and counted."""
+        coupled = CouplingPredictor(request.chain_length).predict(outcome.inputs)
+        warm = outcome.simulations == 0
+        report = PredictionReport(
+            actual=outcome.actual,
+            predictions={
+                SummationPredictor.name: summation,
+                f"Coupling: {request.chain_length} kernels": coupled,
+            },
+            tier=TIER_MEMO if warm else TIER_SIMULATION,
+        )
+        self._cache.put_report(request.key, report)
+        (self.metrics.l2_hits if warm else self.metrics.misses).inc()
+        return report
 
     def _record_analytic_error(
         self, request: PredictRequest, actual: float

@@ -21,7 +21,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from repro import faults, obs
 from repro.core.predictor import PredictionInputs
@@ -37,7 +37,13 @@ from repro.instrument.sweeps import Campaign, CampaignPlan
 from repro.service.cache import ACTUAL_KEY
 from repro.simmachine.machine import MachineConfig
 
-__all__ = ["CellTask", "CellOutcome", "execute_cell", "WorkerPool"]
+__all__ = [
+    "CellTask",
+    "CellOutcome",
+    "execute_cell",
+    "replay_cell",
+    "WorkerPool",
+]
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,41 @@ def execute_cell(task: CellTask, database: PerformanceDatabase) -> CellOutcome:
         actual=actual,
         simulations=simulations,
         reused=reused,
+    )
+
+
+def replay_cell(
+    task: CellTask, database: PerformanceDatabase
+) -> Optional[CellOutcome]:
+    """The read-only twin of :func:`execute_cell`, or None.
+
+    Reads every row :func:`execute_cell` would (the campaign's loop,
+    one-shot and window rows plus the application total) and simulates
+    nothing: any missing row returns None. Cheap enough for the request
+    thread, which is where the serving engine calls it.
+    """
+    campaign = Campaign(
+        plan=task.plan,
+        machine=task.machine,
+        measurement=task.measurement,
+        database=database,
+    )
+    (problem_class, nprocs) = task.plan.configurations()[0]
+    inputs = campaign.replay_configuration(problem_class, nprocs)
+    if inputs is None:
+        return None
+    benchmark = task.plan.benchmark
+    actual = database.get(benchmark, problem_class, nprocs, ACTUAL_KEY)
+    if actual is None:
+        return None
+    return CellOutcome(
+        benchmark=benchmark,
+        problem_class=problem_class,
+        nprocs=nprocs,
+        inputs=inputs,
+        actual=actual.mean,
+        simulations=0,
+        reused=campaign.measurements_reused + 1,
     )
 
 
