@@ -13,6 +13,10 @@ lock, so a server with one thread per client connection still holds a
 single sqlite handle, and :meth:`store_if_absent` /
 :meth:`get_or_measure` are free of check-then-insert races (``INSERT OR
 IGNORE`` followed by a re-read decides the winner).
+
+Replaying a whole cell (the serving engine's store rung) reads it with
+:meth:`PerformanceDatabase.read_cell`: one query for every row of the
+cell, each row still checksum-verified on use.
 """
 
 from __future__ import annotations
@@ -21,13 +25,17 @@ import json
 import sqlite3
 import threading
 import zlib
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro import faults
 from repro.errors import MeasurementError
 from repro.instrument.runner import Measurement
 
-__all__ = ["PerformanceDatabase", "payload_checksum"]
+__all__ = ["CellRows", "PerformanceDatabase", "payload_checksum"]
+
+#: One cell's archived rows (:meth:`PerformanceDatabase.read_cell`): kernel
+#: chain in, its verified measurement (or None) out.
+CellRows = Callable[[tuple[str, ...]], Optional[Measurement]]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS measurements (
@@ -208,6 +216,56 @@ class PerformanceDatabase:
             ).fetchone()
         if row is None:
             return None
+        return self._verified(
+            benchmark, problem_class, nprocs, kernels, kernels_json, row
+        )
+
+    def read_cell(
+        self, benchmark: str, problem_class: str, nprocs: int
+    ) -> CellRows:
+        """Every row of one cell from a single query, as a lookup.
+
+        The first lookup snapshots all of the cell's rows with one
+        ``SELECT`` (served by the ``UNIQUE`` index prefix); every lookup
+        then verifies only the row it asks for, exactly as :meth:`get`
+        would (same fault checkpoint, checksum compare and purge). A
+        replay that stops at its first missing or corrupt row therefore
+        verifies the same rows as one :meth:`get` per row, and one that
+        never looks anything up never touches sqlite.
+        """
+        snapshot: Optional[dict[str, tuple]] = None
+
+        def lookup(kernels: tuple[str, ...]) -> Optional[Measurement]:
+            nonlocal snapshot
+            if snapshot is None:
+                with self._lock:
+                    rows = self._connection().execute(
+                        "SELECT kernels, samples, overhead, checksum "
+                        "FROM measurements WHERE "
+                        "benchmark=? AND problem_class=? AND nprocs=?",
+                        (benchmark, problem_class, nprocs),
+                    ).fetchall()
+                snapshot = {key: tuple(payload) for key, *payload in rows}
+            kernels_json = json.dumps(list(kernels))
+            row = snapshot.get(kernels_json)
+            if row is None:
+                return None
+            return self._verified(
+                benchmark, problem_class, nprocs, kernels, kernels_json, row
+            )
+
+        return lookup
+
+    def _verified(
+        self,
+        benchmark: str,
+        problem_class: str,
+        nprocs: int,
+        kernels: tuple[str, ...],
+        kernels_json: str,
+        row: tuple,
+    ) -> Optional[Measurement]:
+        """The measurement in one fetched row, or None once purged corrupt."""
         samples, overhead, checksum = row
         if faults.check("db.read.corrupt") is not None:
             samples = _tamper(samples)

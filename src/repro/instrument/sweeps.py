@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.core.predictor import PredictionInputs
 from repro.errors import ConfigurationError, MeasurementError
-from repro.instrument.database import PerformanceDatabase
+from repro.instrument.database import CellRows, PerformanceDatabase
 from repro.instrument.runner import ChainRunner, MeasurementConfig
 from repro.npb import make_benchmark
 from repro.parallel.memo import SimulationMemoStore
@@ -104,18 +104,21 @@ class Campaign:
         self.measurements_run = 0
         self.measurements_reused = 0
 
-    def _archived(self, bench, kernels: Sequence[str]):
-        """The stored measurement of ``kernels``, counted as reused; or None."""
-        cached = self.database.get(
-            bench.name, bench.size.problem_class, bench.nprocs, tuple(kernels)
-        )
+    def _reused(self, cached):
+        """Count an archived measurement as reused; passes it through."""
         if cached is not None:
             self.measurements_reused += 1
             obs.get_registry().counter("campaign_measurements_reused").inc()
         return cached
 
     def _measure(self, runner: ChainRunner, kernels: Sequence[str]):
-        cached = self._archived(runner.benchmark, kernels)
+        bench = runner.benchmark
+        cached = self._reused(
+            self.database.get(
+                bench.name, bench.size.problem_class, bench.nprocs,
+                tuple(kernels),
+            )
+        )
         if cached is not None:
             return cached
         measured = measure_chain(runner, kernels, self.memo)
@@ -150,17 +153,20 @@ class Campaign:
         )
 
     def replay_configuration(
-        self, problem_class: str, nprocs: int
+        self, problem_class: str, nprocs: int, rows: CellRows
     ) -> Optional[PredictionInputs]:
         """One cell's inputs from archived rows alone, or None.
 
-        Reads exactly the rows :meth:`run_configuration` would measure and
-        never simulates: the first missing row (or an invalid cell or chain
-        length) returns None, leaving the cell to a measuring run.
+        ``rows`` is the cell's snapshot
+        (:meth:`~repro.instrument.database.PerformanceDatabase.read_cell`).
+        Looks up exactly the rows :meth:`run_configuration` would measure,
+        in that order, and never simulates: the first missing (or corrupt)
+        row, an invalid cell or an invalid chain length returns None,
+        leaving the cell to a measuring run.
         """
 
         def archived_mean(kernels: tuple[str, ...]) -> float:
-            cached = self._archived(bench, kernels)
+            cached = self._reused(rows(kernels))
             if cached is None:
                 raise _Unarchived
             return cached.mean

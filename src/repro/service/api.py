@@ -572,7 +572,11 @@ class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover — exercised via serve_socket
         try:
             for raw in self.rfile:
-                response = self.server.handle(raw.decode("utf-8"))
+                # Bytes that are not UTF-8 still owe a reply: decoded
+                # lossily they fail to parse and get the typed JSON error.
+                response = self.server.handle(
+                    raw.decode("utf-8", errors="replace")
+                )
                 if response is not None:
                     self.wfile.write(response.encode("utf-8") + b"\n")
                     self.wfile.flush()

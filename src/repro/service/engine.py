@@ -6,10 +6,10 @@ layer:
 
 1. an L1 LRU answers repeated requests in microseconds;
 2. the store rung answers archived cells on the request thread: the
-   request's own memo cell record, else a read-only replay of the cell
-   from the persistent measurement tier
+   request's own memo cell record, else a read-only, one-query replay of
+   the cell from the persistent measurement tier
    (:class:`~repro.instrument.database.PerformanceDatabase`) — no batch
-   window, no worker;
+   window, no worker, no write;
 3. the rest must simulate: they are single-flight deduplicated,
    coalesced into per-config measurement plans
    (:mod:`repro.service.batching`) and run on a bounded worker pool
@@ -153,7 +153,7 @@ class PredictRequest:
             )
         except KeyError as exc:
             raise ServiceError(f"request missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(f"malformed request: {exc}") from None
 
 
@@ -182,9 +182,9 @@ class PredictionService:
 
     ``cache_dir`` points at a :mod:`repro.parallel` simulation memo
     directory: whole cells found there are served without enqueueing any
-    simulation work, and freshly simulated or replayed cells are stored
-    back, so the serving layer shares warmed state with
-    ``repro campaign --cache-dir``.
+    simulation work, and cells the worker pool measures are stored back
+    (cells the store rung replays from sqlite are not), so the serving
+    layer shares warmed state with ``repro campaign --cache-dir``.
 
     ``tier_policy`` selects the serving-ladder rung order (a
     :class:`~repro.analytic.tiers.TierPolicy` or a policy name): under
@@ -444,10 +444,12 @@ class PredictionService:
         """Answer an archived cell on the request thread, or None to batch.
 
         Reads the request's own memo cell record, else replays the cell
-        read-only from the persistent tier (:func:`replay_cell`); a
-        replayed cell is stored back as a memo record exactly as a
-        dispatched one would be. Any missing row returns None and the
-        request goes on to the batcher unchanged.
+        read-only from the persistent tier (:func:`replay_cell`: one query,
+        every used row checksum-verified). A replay writes nothing back:
+        the pipeline refuses cell records built from reused rows, and the
+        next replay of the cell costs the same one read. Any missing or
+        corrupt row returns None and the request goes on to the batcher
+        unchanged.
         """
         if self._closed:
             raise ServiceClosedError("service is shut down")
@@ -473,7 +475,6 @@ class PredictionService:
                 )
                 if outcome is None:
                     return None
-                self._memo_put(memo_key, outcome)
         report = self._report(
             request, outcome, self._account(request, outcome)
         )
@@ -519,18 +520,6 @@ class PredictionService:
             simulations=0,
             reused=hit.get("reused", 0),
         )
-
-    def _memo_put(self, memo_key: Optional[dict], outcome: CellOutcome) -> None:
-        """Store one cell record (seed-keyed, like every memo cell record)."""
-        if memo_key is not None:
-            self._memo.put(
-                memo_key,
-                {
-                    "inputs": outcome.inputs.to_dict(),
-                    "actual": outcome.actual,
-                    "reused": outcome.reused,
-                },
-            )
 
     def _await(
         self, future: Future, t0: float, timeout: Optional[float]
@@ -662,7 +651,15 @@ class PredictionService:
             except BaseException as exc:  # noqa: BLE001 — relay to waiters
                 self._fail(flights, exc)
                 return
-            self._memo_put(memo_key, outcome)
+            if memo_key is not None:
+                self._memo.put(
+                    memo_key,
+                    {
+                        "inputs": outcome.inputs.to_dict(),
+                        "actual": outcome.actual,
+                        "reused": outcome.reused,
+                    },
+                )
             self._finish(flights, outcome)
 
         pool_future.add_done_callback(_done)

@@ -136,10 +136,12 @@ def replay_cell(
 ) -> Optional[CellOutcome]:
     """The read-only twin of :func:`execute_cell`, or None.
 
-    Reads every row :func:`execute_cell` would (the campaign's loop,
-    one-shot and window rows plus the application total) and simulates
-    nothing: any missing row returns None. Cheap enough for the request
-    thread, which is where the serving engine calls it.
+    Looks up every row :func:`execute_cell` would read (the campaign's
+    loop, one-shot and window rows, then the application total) in one
+    snapshot of the cell (:meth:`PerformanceDatabase.read_cell`, a single
+    query) and simulates nothing: any missing row returns None. Cheap
+    enough for the request thread, which is where the serving engine
+    calls it.
     """
     campaign = Campaign(
         plan=task.plan,
@@ -148,11 +150,12 @@ def replay_cell(
         database=database,
     )
     (problem_class, nprocs) = task.plan.configurations()[0]
-    inputs = campaign.replay_configuration(problem_class, nprocs)
+    benchmark = task.plan.benchmark
+    rows = database.read_cell(benchmark, problem_class, nprocs)
+    inputs = campaign.replay_configuration(problem_class, nprocs, rows)
     if inputs is None:
         return None
-    benchmark = task.plan.benchmark
-    actual = database.get(benchmark, problem_class, nprocs, ACTUAL_KEY)
+    actual = rows(ACTUAL_KEY)
     if actual is None:
         return None
     return CellOutcome(

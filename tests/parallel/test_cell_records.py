@@ -166,22 +166,37 @@ class TestRecordsCrossPaths:
             ] == result.summation
 
     def test_pipeline_skips_records_built_from_reused_rows(self, tmp_path):
-        # The service's sqlite tier is keyed without the seed: its seed-1
-        # record replays the rows seed 0 measured.
+        # The service's sqlite tier is keyed without the seed: a seed-1
+        # chain-3 request on a seed-0 chain-2 archive measures only the
+        # chain-3 windows and reuses seed 0's loop rows, and the
+        # dispatcher writes that mixed cell as the seed-1 record.
         cache = tmp_path / "memo"
         with PredictionService(
-            measurement=MEASUREMENT, cache_dir=str(cache)
+            measurement=MEASUREMENT, cache_dir=str(cache), batch_window=0.0
         ) as service:
-            for seed in (0, 1):
-                service.predict(PredictRequest("BT", "S", 4, seed=seed),
-                                timeout=120)
+            for seed, length in ((0, 2), (1, 3)):
+                service.predict(
+                    PredictRequest("BT", "S", 4, chain_length=length,
+                                   seed=seed),
+                    timeout=120,
+                )
+        records = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in cache.glob("*/*.json")
+        ]
+        (mixed,) = [
+            record["payload"] for record in records
+            if record["key"]["kind"] == "cell"
+            and record["key"]["chain_lengths"] == [3]
+        ]
+        assert mixed["reused"] > 0
         settings = ExperimentSettings(
             measurement=MeasurementConfig(repetitions=3, warmup=1, seed=1)
         )
         warm = ExperimentPipeline(settings, memo=cache).sweep(
-            "BT", "S", [4], chain_lengths=[2]
+            "BT", "S", [4], chain_lengths=[3]
         )
         baseline = ExperimentPipeline(settings).sweep(
-            "BT", "S", [4], chain_lengths=[2]
+            "BT", "S", [4], chain_lengths=[3]
         )
         assert_same_numbers(baseline, warm)

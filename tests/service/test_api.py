@@ -92,6 +92,21 @@ class TestHandleLine:
             )
             assert bad["ok"] is False and "unknown request fields" in bad["error"]
 
+    def test_overflowing_number_is_a_typed_error(self):
+        line = (
+            '{"benchmark": "BT", "problem_class": "S", "nprocs": 4, '
+            '"chain_length": 1e400}'
+        )
+        with make_service() as service:
+            single = json.loads(handle_line(service, line))
+            batch = json.loads(handle_line(service, f"[{line}]"))
+            assert service.stats()["requests"] == 0
+        (item,) = batch["results"]
+        for reply in (single, item):
+            assert reply["ok"] is False
+            assert reply["error_type"] == "ServiceError"
+            assert reply["error"].startswith("malformed request:")
+
     def test_stats_command(self):
         with make_service() as service:
             response = json.loads(handle_line(service, '{"cmd": "stats"}'))

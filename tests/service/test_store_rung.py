@@ -7,6 +7,7 @@ and the batch window; anything missing falls through to the batcher.
 
 import json
 import os
+import shutil
 import socket
 import sys
 import threading
@@ -25,7 +26,9 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.instrument import MeasurementConfig
 from repro.instrument.runner import ApplicationRunner, ChainRunner
 from repro.npb import make_benchmark
+from repro.parallel.worker import cell_inputs
 from repro.service import PredictRequest, PredictionService, serve_socket
+from repro.service.cache import ACTUAL_KEY
 from repro.service.workers import execute_cell
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
@@ -90,21 +93,37 @@ class TestArchivedCells:
         assert stats["batches"] == 1
         assert stats["simulations"] == len(flow.windows(3))
 
-    def test_memo_record_is_written_and_served(self, tmp_path):
+    def test_replay_writes_no_memo_record(self, tmp_path):
         db_path = tmp_path / "measurements.sqlite"
-        archive(db_path)
+        seed0 = archive(db_path)
         cache = tmp_path / "memo"
-        request = PredictRequest("BT", "S", 4, seed=7)
         with make_service(
             db_path=str(db_path), cache_dir=str(cache), batch_window=30.0
         ) as service:
-            replayed = service.predict(request, timeout=5)
+            replayed = service.predict(
+                PredictRequest("BT", "S", 4, seed=7), timeout=5
+            )
+            stats = service.stats()
+        assert replayed.tier == "memo"
+        assert replayed.predictions == seed0.predictions
+        assert stats["l2_hits"] == 1
+        assert stats["memo"]["stores"] == 0
+        assert [path for path in cache.rglob("*") if path.is_file()] == []
+
+    def test_memo_record_is_written_and_served(self, tmp_path):
+        # The dispatcher writes the record of a simulated seed; a replayed
+        # seed leaves none (above).
+        cache = tmp_path / "memo"
+        request = PredictRequest("BT", "S", 4, seed=7)
+        with make_service(cache_dir=str(cache), batch_window=0.0) as service:
+            simulated = service.predict(request, timeout=120)
             assert service.stats()["memo"]["stores"] == 1
         with make_service(cache_dir=str(cache), batch_window=30.0) as service:
             # An empty sqlite tier: only the memo record can answer.
             served = service.predict(request, timeout=5)
             stats = service.stats()
-        assert served == replayed
+        assert simulated.tier == "simulation"
+        assert served == simulated
         assert stats["memo"]["hits"] == 1
         assert stats["simulations"] == 0
 
@@ -224,38 +243,105 @@ class TestGates:
         assert stats["rejected"] == 1
 
 
+#: Archived chain length per corruption-test cell (class S, 4 ranks).
+ARCHIVED_CHAINS = {"BT": 2, "LU": 3}
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    """``benchmark -> (db path, seed-0 report)`` of each archived cell."""
+    root = tmp_path_factory.mktemp("archives")
+    return {
+        bench: (
+            root / f"{bench}.sqlite",
+            archive(
+                root / f"{bench}.sqlite",
+                PredictRequest(bench, "S", 4, chain_length=length),
+            ),
+        )
+        for bench, length in ARCHIVED_CHAINS.items()
+    }
+
+
+def replayed_rows(bench):
+    """Every row a replay of the archived cell reads, in reading order."""
+    rows = []
+
+    def record(kernels):
+        rows.append(kernels)
+        return 1.0
+
+    cell_inputs(make_benchmark(bench, "S", 4), (ARCHIVED_CHAINS[bench],),
+                record)
+    return rows + [ACTUAL_KEY]
+
+
+def corrupt_every(nth):
+    return FaultPlan(
+        specs=(FaultSpec(site="db.read.corrupt", every_nth=nth, max_fires=1),)
+    )
+
+
+def assert_falls_through(tmp_path, archives, bench, row):
+    """One corrupt read of ``row`` in a replay: purged, re-measured alone."""
+    rows = replayed_rows(bench)
+    target = {
+        "loop": rows[0],
+        "window": next(kernels for kernels in rows if len(kernels) > 1),
+        "actual": ACTUAL_KEY,
+    }[row]
+    db_path = tmp_path / "measurements.sqlite"
+    shutil.copyfile(archives[bench][0], db_path)
+    seed0 = archives[bench][1]
+    with make_service(
+        db_path=str(db_path), executor="inline", batch_window=0.0
+    ) as service:
+        stored = len(service.database)
+        with faults.active(corrupt_every(rows.index(target) + 1)):
+            report = service.predict(PredictRequest(
+                bench, "S", 4, chain_length=ARCHIVED_CHAINS[bench], seed=7
+            ))
+        stats = service.stats()
+        assert len(service.database) == stored
+    assert corruptions() == 1
+    # The purged row alone was re-measured, through the batcher.
+    assert report.tier == "simulation"
+    assert stats["simulations"] == 1
+    assert stats["batches"] == 1
+    assert stats["requests"] == 1
+    assert stats["misses"] == 1
+    assert stats["l2_hits"] == 0
+    assert stats["errors"] == 0
+    assert report.actual == seed0.actual
+    for name, value in seed0.predictions.items():
+        assert report.predictions[name] == pytest.approx(value, rel=0.5)
+
+
 class TestCorruption:
-    def test_corrupt_row_falls_through_to_one_answer(self, tmp_path):
+    @pytest.mark.parametrize("bench", sorted(ARCHIVED_CHAINS))
+    def test_one_check_per_replayed_row(self, tmp_path, archives, bench):
         db_path = tmp_path / "measurements.sqlite"
-        seed0 = archive(db_path)
-        with make_service(
-            db_path=str(db_path), executor="inline", batch_window=0.0
-        ) as service:
-            rows = len(service.database)
-            with faults.active(
-                FaultPlan(
-                    specs=(
-                        FaultSpec(
-                            site="db.read.corrupt", every_nth=1, max_fires=1
-                        ),
-                    )
-                )
-            ):
-                report = service.predict(PredictRequest("BT", "S", 4, seed=7))
-            stats = service.stats()
-            assert len(service.database) == rows
-        assert corruptions() == 1
-        # The purged row alone was re-measured, through the batcher.
-        assert report.tier == "simulation"
-        assert stats["simulations"] == 1
-        assert stats["batches"] == 1
-        assert stats["requests"] == 1
-        assert stats["misses"] == 1
-        assert stats["l2_hits"] == 0
-        assert stats["errors"] == 0
-        assert report.actual == seed0.actual
-        for name, value in seed0.predictions.items():
-            assert report.predictions[name] == pytest.approx(value, rel=0.5)
+        shutil.copyfile(archives[bench][0], db_path)
+        request = PredictRequest(
+            bench, "S", 4, chain_length=ARCHIVED_CHAINS[bench], seed=7
+        )
+        with make_service(db_path=str(db_path), batch_window=30.0) as service:
+            with faults.active(corrupt_every(10**9)) as injector:
+                report = service.predict(request, timeout=5)
+        assert report.tier == "memo"
+        assert injector.hits()["db.read.corrupt"] == len(replayed_rows(bench))
+
+    def test_corrupt_row_falls_through_to_one_answer(self, tmp_path, archives):
+        assert_falls_through(tmp_path, archives, "BT", "loop")
+
+    @pytest.mark.parametrize("bench,row", [
+        ("BT", "window"), ("BT", "actual"),
+        ("LU", "loop"), ("LU", "window"), ("LU", "actual"),
+    ])
+    def test_corrupt_row_at_each_site_falls_through(
+        self, tmp_path, archives, bench, row
+    ):
+        assert_falls_through(tmp_path, archives, bench, row)
 
 
 def open_handles(path: Path) -> int:
