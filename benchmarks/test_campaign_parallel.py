@@ -22,7 +22,6 @@ from pathlib import Path
 from benchmarks._ledger import record_bench
 from repro.experiments import ExperimentPipeline, ExperimentSettings
 from repro.instrument import MeasurementConfig
-from repro.simmachine import _backend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,7 +92,6 @@ def test_parallel_campaign_speedup(tmp_path):
         "cells": len(CLASSES) * len(PROCS),
         "jobs": JOBS,
         "cpu_count": cpu_count,
-        "engine_backend": _backend.BACKEND_NAME,
         "serial_seconds": round(serial_s, 4),
         "parallel_cold_seconds": round(cold_s, 4),
         "parallel_warm_seconds": round(warm_s, 4),

@@ -10,10 +10,9 @@ import json
 import time
 from pathlib import Path
 
-from benchmarks._ledger import record_bench, record_metrics
+from benchmarks._ledger import record_bench
 from repro.npb import make_benchmark
 from repro.simmachine import Machine, Simulator, ibm_sp_argonne
-from repro.simmachine import engine as _pure_engine
 from repro.simmpi import attach_world
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -28,15 +27,6 @@ def _baseline_simulator_cls():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.Simulator
-
-
-def _compiled_simulator_cls():
-    """The C extension's Simulator, or None in pure-only environments."""
-    if importlib.util.find_spec("repro.simmachine._cengine") is None:
-        return None
-    from repro.simmachine import _cengine
-
-    return _cengine.Simulator
 
 
 def _timeout_heavy_events(simulator_cls=Simulator, n_procs=20,
@@ -97,25 +87,15 @@ def test_engine_timeout_throughput(benchmark):
 
 
 def test_engine_bench_artifact():
-    """Record the engine ladder's ops/sec in ``BENCH_engine.json``.
+    """Record the engine's ops/sec against the baseline in ``BENCH_engine.json``.
 
-    Interleaved best-of-five A/B/C across the vendored pre-optimization
-    engine (``_engine_baseline.py``), the current pure-Python engine, and
-    — when built — the compiled extension: each round times the same load
-    on every side back to back, so host-speed drift and CPU throttling
-    hit all sides equally and the recorded speedups are trustworthy even
-    on noisy CI runners.
-
-    ``current`` stays pinned to the *pure* engine so the ``engine``
-    ledger series remains one comparable trajectory across the compiled
-    tier landing; the compiled side gets its own keys and its own
-    ``engine_compiled`` series.
+    Interleaved best-of-five A/B between the vendored pre-optimization
+    engine (``_engine_baseline.py``) and the current engine: each round
+    times the same load on both sides back to back, so host-speed drift
+    and CPU throttling hit both sides equally and the recorded speedups
+    are trustworthy even on noisy CI runners.
     """
-    baseline_cls = _baseline_simulator_cls()
-    compiled_cls = _compiled_simulator_cls()
-    sides = [("baseline", baseline_cls), ("current", _pure_engine.Simulator)]
-    if compiled_cls is not None:
-        sides.append(("compiled", compiled_cls))
+    sides = [("baseline", _baseline_simulator_cls()), ("current", Simulator)]
     loads = {
         "timeout_heavy": _timeout_heavy_events,
         "message_like": _message_like_events,
@@ -143,51 +123,15 @@ def test_engine_bench_artifact():
             for name in loads
         },
     }
-    if compiled_cls is not None:
-        record["compiled_events_per_sec"] = {
-            name: round(best[name]["compiled"], 0) for name in loads
-        }
-        record["compiled_speedup_vs_pure"] = {
-            name: round(best[name]["compiled"] / best[name]["current"], 3)
-            for name in loads
-        }
     (REPO_ROOT / "BENCH_engine.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     record_bench("engine", record, samples=5)
-    if compiled_cls is not None:
-        record_metrics(
-            "engine_compiled",
-            {
-                **{
-                    f"{name}.events_per_sec": {
-                        "value": record["compiled_events_per_sec"][name],
-                        "unit": "events/s",
-                        "direction": "higher",
-                    }
-                    for name in loads
-                },
-                **{
-                    f"{name}.speedup_vs_pure": {
-                        "value": record["compiled_speedup_vs_pure"][name],
-                        "unit": "x",
-                        "direction": "higher",
-                    }
-                    for name in loads
-                },
-            },
-            samples=5,
-        )
     # Both loads must stay comfortably ahead of the old engine; the
     # timeout-heavy path is the one the pure-Python optimization targeted.
     assert record["speedup"]["timeout_heavy"] >= 1.15, record
     assert record["speedup"]["message_like"] >= 1.15, record
-    # The compiled tier's contract: at least 2x the pure engine on both
-    # workload shapes (interleaved measurement, so the ratio is robust).
-    if compiled_cls is not None:
-        assert record["compiled_speedup_vs_pure"]["timeout_heavy"] >= 2.0, record
-        assert record["compiled_speedup_vs_pure"]["message_like"] >= 2.0, record
 
 
 def test_collective_allreduce_cost(benchmark):

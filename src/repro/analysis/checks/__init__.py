@@ -4,7 +4,6 @@ from repro.analysis.checks import (  # noqa: F401
     apiparity,
     asyncsafety,
     blocking,
-    compiledsurface,
     determinism,
     faultsites,
     locks,

@@ -64,16 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(reproduction of Taylor et al., HPDC 2002)"
         ),
     )
-    from repro.simmachine import _backend
-
     parser.add_argument(
-        "--version",
-        action="version",
-        version=(
-            f"repro {__version__} "
-            f"(engine: {_backend.BACKEND_NAME}, "
-            f"selected by {_backend.SELECTED_BY})"
-        ),
+        "--version", action="version", version=f"repro {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -100,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("machine", help="describe the simulated machine")
-
-    sub.add_parser(
-        "doctor",
-        help="report the active engine backend and how it was selected",
-    )
 
     report = sub.add_parser(
         "report", help="run every experiment and write EXPERIMENTS.md"
@@ -495,45 +482,6 @@ def _cmd_machine() -> int:
         f"contention coeff {net.contention_coeff}"
     )
     print(f"  noise: cv={cfg.noise_cv}, floor={cfg.noise_floor * 1e6:.0f} us")
-    return 0
-
-
-def _cmd_doctor() -> int:
-    """Report the engine backend in use and the build environment."""
-    import importlib.util
-    import os
-    import platform
-
-    from repro.simmachine import _backend
-
-    info = _backend.backend_info()
-    print(f"repro {__version__}")
-    print(f"engine backend: {info['backend']}")
-    override = os.environ.get("REPRO_ENGINE")
-    if info["selected_by"] == "env":
-        print(f"  selected by: REPRO_ENGINE={override}")
-    else:
-        print("  selected by: auto (REPRO_ENGINE unset)")
-    try:
-        spec = importlib.util.find_spec("repro.simmachine._cengine")
-    except ImportError:  # pragma: no cover — package itself missing
-        spec = None
-    if spec is None:
-        print("  compiled extension: not built")
-        print(
-            "    build with: REPRO_BUILD_EXT=1 python setup.py "
-            "build_ext --inplace"
-        )
-    else:
-        print(f"  compiled extension: {spec.origin}")
-    build = info.get("build")
-    if build:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(build.items()))
-        print(f"  build metadata: {detail}")
-    print(
-        f"python: {platform.python_implementation()} "
-        f"{platform.python_version()}"
-    )
     return 0
 
 
@@ -1163,8 +1111,6 @@ def _dispatch(args) -> int:
         )
     if args.command == "machine":
         return _cmd_machine()
-    if args.command == "doctor":
-        return _cmd_doctor()
     if args.command == "report":
         return _cmd_report(args.output, args.repetitions, args.seed)
     if args.command == "sweep":

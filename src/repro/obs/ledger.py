@@ -317,19 +317,6 @@ def _engine_metrics(doc: dict[str, Any]) -> dict[str, dict[str, Any]]:
             "unit": "x",
             "direction": HIGHER,
         }
-    # Compiled-engine sides (present only when the extension is built).
-    for workload, value in doc.get("compiled_events_per_sec", {}).items():
-        metrics[f"{workload}.compiled_events_per_sec"] = {
-            "value": value,
-            "unit": "events/s",
-            "direction": HIGHER,
-        }
-    for workload, value in doc.get("compiled_speedup_vs_pure", {}).items():
-        metrics[f"{workload}.compiled_speedup_vs_pure"] = {
-            "value": value,
-            "unit": "x",
-            "direction": HIGHER,
-        }
     return metrics
 
 

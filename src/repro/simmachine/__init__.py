@@ -13,14 +13,7 @@ approximate the Argonne IBM SP used in the paper: 120 MHz P2SC processors
 and a multistage switch.
 """
 
-from repro.simmachine._backend import (
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    Simulator,
-    Timeout,
-)
+from repro.simmachine.engine import AnyOf, Event, Process, Simulator, Timeout
 from repro.simmachine.machine import (
     CacheLevelConfig,
     MachineConfig,
@@ -36,7 +29,6 @@ from repro.simmachine.noise import NoiseModel
 from repro.simmachine.process import Machine, RankContext
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "CacheLevelConfig",
     "DataRegion",

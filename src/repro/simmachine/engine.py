@@ -6,7 +6,7 @@ large experiments push millions of events through this queue:
 
 * :class:`Event` — one-shot triggerable occurrence with callbacks;
 * :class:`Timeout` — event scheduled a fixed delay in the future;
-* :class:`AllOf` — barrier over a set of events;
+* :class:`AnyOf` — first completion among a set of events;
 * :class:`Process` — a Python generator that ``yield``\\ s events and is
   resumed when they fire; a process is itself an event that triggers on
   completion with the generator's return value;
@@ -22,14 +22,13 @@ this turns hung message-matching bugs into crisp test failures.
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro import faults
 from repro.errors import DeadlockError, SimulationError
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "Process", "Simulator"]
+__all__ = ["Event", "Timeout", "AnyOf", "Process", "Simulator"]
 
 _PENDING = object()
 
@@ -104,18 +103,6 @@ class Event:
         self.sim._schedule(self, 0.0)
         return self
 
-    def _process(self) -> None:
-        self.processed = True
-        cb = self._cb
-        if cb is not None:
-            self._cb = None
-            cb(self)
-        callbacks = self.callbacks
-        if callbacks is not None:
-            self.callbacks = None
-            for cb in callbacks:
-                cb(self)
-
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Register ``cb`` to run when the event is processed.
 
@@ -154,36 +141,6 @@ class Timeout(Event):
             delay *= scale
         sim._seq = seq = sim._seq + 1
         heappush(sim._queue, (sim.now + delay, seq, self))
-
-
-class AllOf(Event):
-    """Fires once every child event has been processed.
-
-    The value is the list of child values in the order given. A failing
-    child propagates its exception.
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for ev in self._children:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([ev.value for ev in self._children])
 
 
 class AnyOf(Event):
@@ -299,7 +256,7 @@ class Simulator:
         if self._delay_scale != 1.0:
             delay *= self._delay_scale
         self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
+        heappush(self._queue, (self.now + delay, self._seq, event))
 
     def event(self) -> Event:
         """Create a fresh pending event bound to this simulator."""
@@ -308,10 +265,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Create a barrier event over ``events``."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Create a first-completion event over ``events``."""
@@ -325,17 +278,8 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
 
-    def step(self) -> None:
-        """Process the single next event."""
-        time, _seq, event = heapq.heappop(self._queue)
-        if time < self.now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self.now = time
-        self.events_processed += 1
-        event._process()
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains (or ``until`` simulated seconds).
+    def run(self) -> float:
+        """Run until the queue drains.
 
         Returns the final clock value. Raises :class:`DeadlockError` if the
         queue drains while processes are still alive, and
@@ -346,46 +290,24 @@ class Simulator:
         burst = faults.check("sim.run.noise")
         if burst is not None and burst.param > 0:
             self._delay_scale = burst.param
-        # Hot loop: equivalent to `while queue: self.step()` with the method
-        # call and bounds checks peeled out — this loop retires every event
-        # of every simulation, so each saved bytecode is measurable.
-        # The `_process` body is inlined below (no Event subclass overrides
-        # it): one method call per event is the single biggest remaining
-        # per-event cost.
+        # Hot loop: it retires every event of every simulation, so event
+        # processing is inlined here rather than paid as a method call per
+        # event.
         queue = self._queue
-        if until is None:
-            while queue:
-                time, _seq, event = heappop(queue)
-                self.now = time
-                self.events_processed += 1
-                event.processed = True
-                cb = event._cb
-                if cb is not None:
-                    event._cb = None
+        while queue:
+            time, _seq, event = heappop(queue)
+            self.now = time
+            self.events_processed += 1
+            event.processed = True
+            cb = event._cb
+            if cb is not None:
+                event._cb = None
+                cb(event)
+            callbacks = event.callbacks
+            if callbacks is not None:
+                event.callbacks = None
+                for cb in callbacks:
                     cb(event)
-                callbacks = event.callbacks
-                if callbacks is not None:
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
-        else:
-            while queue:
-                if queue[0][0] > until:
-                    self.now = until
-                    return until
-                time, _seq, event = heappop(queue)
-                self.now = time
-                self.events_processed += 1
-                event.processed = True
-                cb = event._cb
-                if cb is not None:
-                    event._cb = None
-                    cb(event)
-                callbacks = event.callbacks
-                if callbacks is not None:
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
         if self._alive:
             raise DeadlockError(sorted(p.name for p in self._alive))
         return self.now

@@ -18,7 +18,7 @@ from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import ConfigurationError, SimulationError
-from repro.simmachine._backend import Event, Process, Simulator
+from repro.simmachine.engine import Event, Process, Simulator
 from repro.simmachine.machine import MachineConfig
 from repro.simmachine.memory import DataRegion, MemoryHierarchy
 from repro.simmachine.network import NetworkModel

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import CommunicationError
-from repro.simmachine._backend import Event
+from repro.simmachine.engine import Event
 from repro.simmachine.process import Machine, RankContext
 from repro.simmpi.request import Request
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.simmachine._backend import Event
+from repro.simmachine.engine import Event
 
 __all__ = ["Request"]
 

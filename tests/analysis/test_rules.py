@@ -17,7 +17,7 @@ class TestRegistry:
         assert ids == sorted(ids)
         for expected in ("REP001", "REP002", "REP003", "REP004", "REP005",
                          "REP006", "REP007", "REP008", "REP009", "REP010",
-                         "REP011", "REP012", "REP013", "REP014", "REP015"):
+                         "REP011", "REP012", "REP013", "REP014"):
             assert expected in ids
 
     def test_every_rule_documented(self):
@@ -916,156 +916,3 @@ class TestUnretainedTaskREP013:
             select=["REP013"],
         )
         assert rule_ids(findings) == ["REP013"]
-
-
-class TestCompiledSurfaceREP015:
-    def test_module_getattr_fires(self, lint):
-        findings = lint(
-            {
-                "simmachine/engine.py": """\
-                def __getattr__(name):
-                    raise AttributeError(name)
-                """
-            },
-            select=["REP015"],
-        )
-        assert rule_ids(findings) == ["REP015"]
-
-    def test_getattr_rebinding_fires(self, lint):
-        findings = lint(
-            {
-                "simmachine/network.py": """\
-                def _lazy(name):
-                    raise AttributeError(name)
-
-                __getattr__ = _lazy
-                """
-            },
-            select=["REP015"],
-        )
-        assert rule_ids(findings) == ["REP015"]
-
-    def test_class_getattr_is_fine(self, lint):
-        # Only the *module-level* hook is mypyc-hostile.
-        findings = lint(
-            {
-                "simmachine/engine.py": """\
-                class Proxy:
-                    def __getattr__(self, name):
-                        return getattr(self._inner, name)
-                """
-            },
-            select=["REP015"],
-        )
-        assert findings == []
-
-    def test_globals_mutation_fires(self, lint):
-        findings = lint(
-            {
-                "simmachine/memory.py": """\
-                globals()["LINE_BYTES"] = 128
-                globals().update(LINE_BYTES=128)
-                globals().pop("LINE_BYTES", None)
-                del globals()["LINE_BYTES"]
-                """
-            },
-            select=["REP015"],
-        )
-        assert rule_ids(findings) == ["REP015"] * 4
-
-    def test_globals_read_is_fine(self, lint):
-        findings = lint(
-            {
-                "simmachine/memory.py": """\
-                def exports():
-                    return sorted(globals())
-
-                _have_numpy = "np" in globals()
-                """
-            },
-            select=["REP015"],
-        )
-        assert findings == []
-
-    def test_monkeypatch_on_module_class_fires(self, lint):
-        findings = lint(
-            {
-                "simmpi/comm.py": """\
-                class Communicator:
-                    def send(self, msg):
-                        return msg
-
-                def _fast_send(self, msg):
-                    return msg
-
-                Communicator.send = _fast_send
-                setattr(Communicator, "recv", _fast_send)
-                """
-            },
-            select=["REP015"],
-        )
-        assert rule_ids(findings) == ["REP015"] * 2
-
-    def test_instance_and_foreign_attributes_are_fine(self, lint):
-        findings = lint(
-            {
-                "simmachine/engine.py": """\
-                import config
-
-                class Simulator:
-                    def __init__(self):
-                        self.now = 0.0
-
-                config.verbose = True
-
-                def tune(sim):
-                    sim.now = 0.0
-                    setattr(sim, "now", 0.0)
-                """
-            },
-            select=["REP015"],
-        )
-        assert findings == []
-
-    def test_off_surface_files_are_ignored(self, lint):
-        findings = lint(
-            {
-                "simmachine/machine.py": """\
-                def __getattr__(name):
-                    raise AttributeError(name)
-                """,
-                "obs/ledger.py": """\
-                globals()["X"] = 1
-                """,
-            },
-            select=["REP015"],
-        )
-        assert findings == []
-
-    def test_suppression_comment_is_honoured(self, lint):
-        findings = lint(
-            {
-                "simmachine/engine.py": """\
-                def __getattr__(name):  # repro: ignore[REP015] deprecation shim
-                    raise AttributeError(name)
-                """
-            },
-            select=["REP015"],
-        )
-        assert findings == []
-
-    def test_real_compiled_surface_is_clean(self):
-        import os
-
-        from repro import simmachine, simmpi
-        from repro.analysis import analyze_paths, select_rules
-
-        dirs = [
-            os.path.dirname(simmachine.__file__),
-            os.path.dirname(simmpi.__file__),
-        ]
-        src_root = os.path.dirname(os.path.dirname(dirs[0]))
-        findings = analyze_paths(
-            dirs, rules=select_rules(["REP015"]), root=src_root
-        )
-        assert findings == []

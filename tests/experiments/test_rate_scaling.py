@@ -1,14 +1,17 @@
 """Rate-scaling oracle: a machine twice as slow in every rate doubles every time.
 
-With noise off, halving the clock and doubling every memory, cache and
-network time leaves the simulation the same sequence of decisions on a
-time axis stretched by two. Multiplying by a power of two is exact in
-IEEE arithmetic, so every measured time doubles bit for bit: the
-application run, each isolated kernel, each chain window and both
-predictions. The coupling values are ratios of those times and so stay
-bit-equal. Any time constant the simulator does not take from the
-machine config, or any arithmetic that is not homogeneous in time,
-breaks the ratio.
+Halving the clock and doubling every memory, cache and network time
+leaves the simulation the same sequence of decisions on a time axis
+stretched by two. Multiplying by a power of two is exact in IEEE
+arithmetic, so every measured time doubles bit for bit: the application
+run, each isolated kernel, each chain window and both predictions. The
+coupling values are ratios of those times and so stay bit-equal. Any
+time constant the simulator does not take from the machine config, or
+any arithmetic that is not homogeneous in time, breaks the ratio.
+
+This holds with noise on too: the seeded draws do not depend on time,
+the multiplicative factor scales a doubled time, and the additive OS
+jitter is a draw times ``noise_floor``, which doubles with the rest.
 """
 
 from dataclasses import replace
@@ -29,6 +32,7 @@ def slowed(config: MachineConfig, factor: float) -> MachineConfig:
     proc = config.processor
     net = config.network
     return config.with_(
+        noise_floor=config.noise_floor * factor,
         processor=replace(
             proc,
             clock_hz=proc.clock_hz / factor,
@@ -54,15 +58,23 @@ def measure(machine: MachineConfig, cell):
     return ExperimentPipeline(settings).config_result(*cell, [CHAIN_LENGTH])
 
 
+CELLS = {"BT.S.4": ("BT", "S", 4), "LU.W.4": ("LU", "W", 4), "SP.W.9": ("SP", "W", 9)}
+
+
 @pytest.mark.parametrize(
-    "cell",
-    [("BT", "S", 4), ("LU", "W", 4), ("SP", "W", 9)],
-    ids=["BT.S.4", "LU.W.4", "SP.W.9"],
+    "cell, noisy",
+    [
+        pytest.param(cell, noisy, id=name + ("-noise" if noisy else ""))
+        for noisy in (False, True)
+        for name, cell in CELLS.items()
+    ],
 )
-def test_doubling_every_rate_doubles_every_time(cell):
-    quiet = ibm_sp_argonne().with_(noise_cv=0.0, noise_floor=0.0)
-    base = measure(quiet, cell)
-    slow = measure(slowed(quiet, SCALE), cell)
+def test_doubling_every_rate_doubles_every_time(cell, noisy):
+    machine = ibm_sp_argonne()
+    if not noisy:
+        machine = machine.with_(noise_cv=0.0, noise_floor=0.0)
+    base = measure(machine, cell)
+    slow = measure(slowed(machine, SCALE), cell)
 
     assert slow.actual == SCALE * base.actual
     assert slow.summation == SCALE * base.summation
