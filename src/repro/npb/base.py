@@ -36,9 +36,15 @@ class KernelInstance:
     body: KernelBody
 
     def __call__(self, ctx: RankContext) -> Generator[Event, Any, Any]:
-        """Run one invocation on ``ctx``'s rank (labels counters first)."""
+        """Label ``ctx``'s counters and return one invocation's generator.
+
+        The label is set at call time, not at the generator's first step,
+        so the caller must run the generator at once (``yield from``), as
+        every composed program does. Returning the body's own generator
+        spares one frame on every resume inside the kernel.
+        """
         ctx.set_label(self.name)
-        return (yield from self.body(ctx))
+        return self.body(ctx)
 
 
 class Layout:

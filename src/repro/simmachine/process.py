@@ -70,6 +70,9 @@ class RankContext:
         self.sim: Simulator = machine.sim
         self.memory: MemoryHierarchy = machine.memories[rank]
         self._noise = machine.noise_streams[rank]
+        # Read once per compute_seconds call; the config is immutable.
+        self._flop_time = machine.config.processor.flop_time
+        self._noise_floor = machine.config.noise_floor
         self.label = "_"
         self.comm = None  # attached by repro.simmpi.attach_world
         self.counters: dict[str, KernelCounters] = {}
@@ -104,10 +107,10 @@ class RankContext:
         """
         if flops < 0:
             raise SimulationError(f"negative flops {flops!r}")
-        seconds = flops * self.machine.config.processor.flop_time
+        seconds = flops * self._flop_time
         if jitter:
             seconds *= self._noise.factor()
-            seconds += self._noise.floor_jitter(self.machine.config.noise_floor)
+            seconds += self._noise.floor_jitter(self._noise_floor)
         c = self._current or self._counters()
         c.compute_time += seconds
         c.flops += flops

@@ -17,11 +17,14 @@ Collectives are implemented as real tree/ring algorithms over point-to-point
 messages, so their cost scales with ``log P`` (or ``P``) like on a real
 machine rather than being an analytic formula.
 
-Blocking operations add no join event: ``send`` and ``recv`` cost one
-engine event each, ``sendrecv`` two, and ``waitall`` none beyond its
-requests' own. Every completion time is the one a join would give; the
-events a join would add between a message's posting and its completion
-only order work that falls at one simulated time.
+A :class:`Request` is an engine event, yielded directly. Blocking operations
+add no join event: ``send`` costs one engine event, ``recv`` one or none,
+``sendrecv`` one or two, and ``waitall`` none beyond its requests' own. A
+receive whose message has already arrived costs no engine event: it
+completes when it is posted, and blocking calls do not yield a request
+that is already complete. Every completion time is the one a join would
+give; the events a join would add between a message's posting and its
+completion only order work that falls at one simulated time.
 """
 
 from repro.simmpi.comm import Comm, World, attach_world

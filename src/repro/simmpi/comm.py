@@ -16,11 +16,14 @@ See the package docstring for usage. Implementation notes:
   pairwise exchanges for ``alltoall`` — their simulated cost therefore
   scales with ``P`` the way real MPI implementations do.
 * Every send, blocking or not, goes through :meth:`Comm.isend`, and every
-  receive through :meth:`Comm.irecv`. Blocking calls yield the request's
-  event directly, and ``waitall``/``sendrecv`` wait on their events in
-  turn, with no join event. Each operation still completes when a join
-  would; fewer events change only the order of work that falls at one
-  simulated time, and the golden tables pin every simulated number.
+  receive through :meth:`Comm.irecv`. A :class:`Request` is itself the
+  engine event of its operation: blocking calls yield it directly, and
+  ``waitall``/``sendrecv`` wait on their requests in turn, with no join
+  event. A receive whose message has already arrived completes when it is
+  posted, with no engine event, and no blocking call yields a request that
+  is already complete. Each operation still completes when a join would;
+  fewer events change only the order of work that falls at one simulated
+  time, and the golden tables pin every simulated number.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ class World:
         self.machine = machine
         self.size = machine.nprocs
         # pending_msgs[dst][(src, tag)] -> deque of (arrival, nbytes, payload)
-        self.pending_msgs: list[dict[tuple[int, int], deque]] = [
+        self.pending_msgs: list[dict[tuple[int, int], deque[tuple[float, int, Any]]]] = [
             {} for _ in range(self.size)
         ]
-        # pending_recvs[dst][(src, tag)] -> deque of Event
-        self.pending_recvs: list[dict[tuple[int, int], deque]] = [
+        # pending_recvs[dst][(src, tag)] -> deque of receive requests
+        self.pending_recvs: list[dict[tuple[int, int], deque[Request]]] = [
             {} for _ in range(self.size)
         ]
         #: Fault injection hook for tests: called as ``fn(src, dst, tag)``
@@ -136,27 +139,31 @@ class Comm:
         ):
             # Message lost in the network: sender proceeds normally.
             world.dropped_messages += 1
-            send_ev = sim.timeout(max(0.0, sender_done - now))
-            return Request(send_ev, "send", dest, tag, nbytes)
-        key = (self.rank, tag)
-        recv_boxes = world.pending_recvs[dest]
-        recv_box = recv_boxes.get(key)
-        if recv_box:
-            ev = recv_box.popleft()
-            if not recv_box:
-                del recv_boxes[key]
-            ev.trigger_at(payload, max(0.0, arrival - now))
         else:
-            boxes = world.pending_msgs[dest]
-            queue = boxes.get(key)
-            if queue is None:
-                queue = boxes[key] = deque()
-            queue.append((arrival, nbytes, payload))
-        send_ev = sim.timeout(max(0.0, sender_done - now))
-        return Request(send_ev, "send", dest, tag, nbytes)
+            key = (self.rank, tag)
+            recv_boxes = world.pending_recvs[dest]
+            recv_box = recv_boxes.get(key)
+            if recv_box:
+                rreq = recv_box.popleft()
+                if not recv_box:
+                    del recv_boxes[key]
+                rreq.trigger_at(payload, max(0.0, arrival - now))
+            else:
+                boxes = world.pending_msgs[dest]
+                queue = boxes.get(key)
+                if queue is None:
+                    queue = boxes[key] = deque()
+                queue.append((arrival, nbytes, payload))
+        req = Request(sim, "send", dest, tag, nbytes)
+        req.trigger_at(None, max(0.0, sender_done - now))
+        return req
 
     def irecv(self, source: int, tag: int = 0, _collective: bool = False) -> Request:
-        """Nonblocking receive from a specific source and tag."""
+        """Nonblocking receive from a specific source and tag.
+
+        When the matching message has already arrived, the request comes
+        back complete, carrying the payload, with no engine event.
+        """
         if type(source) is not int or not 0 <= source < self.size:
             self._check_peer(source)
         if tag < 0 or (tag >= COLL_TAG_BASE and not _collective):
@@ -165,26 +172,35 @@ class Comm:
         sim = self.sim
         boxes = self.world.pending_msgs[self.rank]
         queue = boxes.get(key)
-        ev: Event = sim.event()
-        nbytes = -1
         if queue:
             arrival, nbytes, payload = queue.popleft()
             if not queue:
                 del boxes[key]
-            ev.trigger_at(payload, max(0.0, arrival - sim.now))
-        else:
-            recv_boxes = self.world.pending_recvs[self.rank]
-            waiting = recv_boxes.get(key)
-            if waiting is None:
-                waiting = recv_boxes[key] = deque()
-            waiting.append(ev)
-        return Request(ev, "recv", source, tag, nbytes)
+            req = Request(sim, "recv", source, tag, nbytes)
+            delay = arrival - sim.now
+            if delay > 0.0:
+                req.trigger_at(payload, delay)
+            else:
+                # Arrived: complete at post, as the queue would at delay 0.
+                req._value = payload
+                req.processed = True
+            return req
+        req = Request(sim, "recv", source, tag, -1)
+        recv_boxes = self.world.pending_recvs[self.rank]
+        waiting = recv_boxes.get(key)
+        if waiting is None:
+            waiting = recv_boxes[key] = deque()
+        waiting.append(req)
+        return req
 
     def wait(self, request: Request) -> Generator[Event, Any, Any]:
         """Block until ``request`` completes; returns the payload (recv)."""
-        t0 = self.sim.now
-        value = yield request.event
-        self.ctx.account_wait(self.sim.now - t0)
+        if request.processed:
+            return request._value
+        sim = self.sim
+        t0 = sim.now
+        value = yield request
+        self.ctx.account_wait(sim.now - t0)
         return value
 
     def waitany(
@@ -197,7 +213,7 @@ class Comm:
         """
         reqs = list(requests)
         t0 = self.sim.now
-        index, value = yield self.sim.any_of([r.event for r in reqs])
+        index, value = yield self.sim.any_of(reqs)
         self.ctx.account_wait(self.sim.now - t0)
         return index, value
 
@@ -216,11 +232,10 @@ class Comm:
         t0 = sim.now
         values: list[Any] = []
         for req in reqs:
-            ev = req.event
-            if ev.processed:
-                values.append(ev.value)
+            if req.processed:
+                values.append(req._value)
             else:
-                values.append((yield ev))
+                values.append((yield req))
         self.ctx.account_wait(sim.now - t0)
         return values
 
@@ -237,7 +252,7 @@ class Comm:
         req = self.isend(dest, nbytes, tag, payload, messages, _collective)
         sim = self.sim
         t0 = sim.now
-        yield req.event
+        yield req
         self.ctx.account_wait(sim.now - t0)
 
     def recv(
@@ -245,9 +260,11 @@ class Comm:
     ) -> Generator[Event, Any, Any]:
         """Blocking receive; returns the payload."""
         req = self.irecv(source, tag, _collective)
+        if req.processed:
+            return req._value
         sim = self.sim
         t0 = sim.now
-        value = yield req.event
+        value = yield req
         self.ctx.account_wait(sim.now - t0)
         return value
 
@@ -264,8 +281,8 @@ class Comm:
     ) -> Generator[Event, Any, Any]:
         """Simultaneous exchange: returns the received payload.
 
-        Waits on the receive, then on the send if it is still pending,
-        with no join event.
+        Waits on the receive unless its message had arrived, then on the
+        send if it is still pending, with no join event.
         """
         source = dest if source is None else source
         recv_tag = send_tag if recv_tag is None else recv_tag
@@ -274,9 +291,12 @@ class Comm:
         sreq = self.isend(dest, nbytes, send_tag, payload, messages, _collective)
         sim = self.sim
         t0 = sim.now
-        value = yield rreq.event
-        if not sreq.event.processed:
-            yield sreq.event
+        if rreq.processed:
+            value = rreq._value
+        else:
+            value = yield rreq
+        if not sreq.processed:
+            yield sreq
         self.ctx.account_wait(sim.now - t0)
         return value
 

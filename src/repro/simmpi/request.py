@@ -4,24 +4,33 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.simmachine.engine import Event
+from repro.simmachine.engine import _PENDING, Event, Simulator
 
 __all__ = ["Request"]
 
 
-class Request:
-    """Handle for a nonblocking send or receive.
+class Request(Event):
+    """Handle for a nonblocking send or receive; it is its own engine event.
 
-    The underlying :class:`~repro.simmachine.engine.Event` fires when the
-    operation completes; for receives the event's value is the message
-    payload. Use ``yield from comm.wait(req)`` / ``comm.waitall(reqs)``
-    inside a rank program.
+    A send request is scheduled like a :class:`~repro.simmachine.engine.Timeout`
+    at the time its injection finishes. A receive request is triggered by
+    the matching send with the message payload as its value; when the
+    message has already arrived at post time, :meth:`Comm.irecv` returns it
+    processed, with no queue entry. Yield it directly, or use
+    ``yield from comm.wait(req)`` / ``comm.waitall(reqs)`` inside a rank
+    program.
     """
 
-    __slots__ = ("event", "kind", "peer", "tag", "nbytes")
+    __slots__ = ("kind", "peer", "tag", "nbytes")
 
-    def __init__(self, event: Event, kind: str, peer: int, tag: int, nbytes: int) -> None:
-        self.event = event
+    def __init__(self, sim: Simulator, kind: str, peer: int, tag: int, nbytes: int) -> None:
+        # Every slot set directly, as in Timeout: one runs per message.
+        self.sim = sim
+        self._cb = None
+        self.callbacks = None
+        self._value = _PENDING
+        self._exc = None
+        self.processed = False
         self.kind = kind  # "send" | "recv"
         self.peer = peer
         self.tag = tag
@@ -30,14 +39,14 @@ class Request:
     @property
     def complete(self) -> bool:
         """True once the operation has finished."""
-        return self.event.processed
+        return self.processed
 
     @property
     def payload(self) -> Optional[Any]:
         """The received payload (receives only; None before completion)."""
-        if not self.event.triggered:
+        if not self.triggered:
             return None
-        return self.event.value
+        return self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.complete else "pending"

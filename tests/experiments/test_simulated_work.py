@@ -27,7 +27,7 @@ CHAIN_LENGTH = 2
 #: cell -> totals over isolated kernels, chain windows and the application.
 PINNED = {
     ("BT", "A", 16): {
-        "sim_events": 15164,
+        "sim_events": 14207,
         "sim_messages": 5798,
         "sim_message_bytes": 601630720,
         "sim_noise_draws": 6240,
@@ -35,7 +35,7 @@ PINNED = {
         "sim_cache_bytes_missed": 5863636992,
     },
     ("SP", "A", 16): {
-        "sim_events": 16220,
+        "sim_events": 15369,
         "sim_messages": 6158,
         "sim_message_bytes": 245114880,
         "sim_noise_draws": 6784,
@@ -43,7 +43,7 @@ PINNED = {
         "sim_cache_bytes_missed": 1488977920,
     },
     ("LU", "A", 8): {
-        "sim_events": 66628,
+        "sim_events": 54334,
         "sim_messages": 559546,
         "sim_message_bytes": 49829824,
         "sim_noise_draws": 35744,

@@ -401,3 +401,92 @@ class TestDroppedSendrecv:
             run(machine4, program)
         assert exc.value.blocked == ["rank0"]
         assert world.dropped_messages == 1
+
+
+class TestArrivedReceive:
+    """A receive whose message has arrived completes when it is posted."""
+
+    @staticmethod
+    def run_pair(post_delay):
+        """Rank 0 sends at 0; rank 1 receives after ``post_delay``."""
+        machine = make_machine(linear_test_machine(2), 2)
+        seen = {}
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                yield from comm.send(1, 800, tag=1, payload="x")
+            else:
+                yield ctx.sim.timeout(post_delay)
+                ctx.set_label("k")
+                req = comm.irecv(0, tag=1)
+                seen["complete"] = req.complete
+                seen["post"] = ctx.sim.now
+                seen["value"] = yield from comm.wait(req)
+                seen["done"] = ctx.sim.now
+
+        machine.run(program)
+        counters = machine.contexts[1].counters.get("k")
+        seen["wait"] = 0.0 if counters is None else counters.wait_time
+        seen["events"] = machine.sim.events_processed
+        return seen
+
+    def test_complete_at_post_with_no_wait_and_one_event_fewer(self):
+        early = self.run_pair(0.0)
+        late = self.run_pair(1.0)
+        assert not early["complete"]
+        assert early["wait"] > 0.0
+        assert late["complete"]
+        assert late["value"] == early["value"] == "x"
+        assert late["done"] == late["post"] == 1.0
+        assert late["wait"] == 0.0
+        assert late["events"] == early["events"] - 1
+
+    def test_waitany_returns_the_arrived_index(self):
+        machine = make_machine(linear_test_machine(3), 3)
+        results = []
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                pending = comm.irecv(1, tag=1)
+                yield ctx.sim.timeout(1.0)
+                arrived = comm.irecv(2, tag=1)
+                assert arrived.complete and not pending.complete
+                results.append((yield from comm.waitany([pending, arrived])))
+                results.append(ctx.sim.now)
+                yield from comm.wait(pending)
+            elif comm.rank == 1:
+                yield ctx.sim.timeout(2.0)
+                yield from comm.send(0, 10, tag=1, payload="late")
+            else:
+                yield from comm.send(0, 10, tag=1, payload="early")
+
+        machine.run(program)
+        assert results == [(1, "early"), 1.0]
+
+    @pytest.mark.parametrize("blocking", ["recv", "wait"])
+    def test_many_arrived_receives_do_not_recurse(self, blocking):
+        # More arrived receives than the interpreter's frame limit.
+        count = sys.getrecursionlimit() + 100
+        machine = make_machine(linear_test_machine(2), 2)
+        got = []
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                for i in range(count):
+                    comm.isend(1, 8, tag=5, payload=i)
+            else:
+                yield ctx.sim.timeout(1.0)
+                if blocking == "recv":
+                    for _ in range(count):
+                        got.append((yield from comm.recv(0, tag=5)))
+                else:
+                    reqs = [comm.irecv(0, tag=5) for _ in range(count)]
+                    for req in reqs:
+                        got.append((yield from comm.wait(req)))
+            yield ctx.sim.timeout(0.0)
+
+        machine.run(program)
+        assert got == list(range(count))
