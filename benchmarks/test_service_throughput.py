@@ -151,15 +151,15 @@ def test_single_flight_under_concurrent_identical_load():
     """Eight threads asking the same question cost one simulation."""
     import threading
 
-    from repro.service.workers import execute_cell
+    from repro.service.workers import simulate_cell
 
     calls = []
     lock = threading.Lock()
 
-    def counting(task, database=None):
+    def counting(spec):
         with lock:
-            calls.append(task)
-        return execute_cell(task, database)
+            calls.append(spec)
+        return simulate_cell(spec)
 
     with PredictionService(
         measurement=MEASUREMENT, execute=counting, batch_window=0.02

@@ -2,9 +2,10 @@
 
 Combines three production features:
 
-* :class:`~repro.instrument.sweeps.Campaign` — sweep (class, procs) cells,
-  memoizing every measurement in a sqlite database so re-runs are free
-  (the Prophesy workflow the paper's group built);
+* :class:`~repro.experiments.pipeline.ExperimentPipeline` with a memo
+  directory — sweep (class, procs) cells, archiving every measurement in
+  the content-addressed memo store so re-runs are free (the Prophesy
+  workflow the paper's group built);
 * :func:`~repro.core.uncertainty.prediction_interval` — propagate the
   measurement noise through the coupling pipeline into an error bar, so
   the class-S "measuring errors get magnified" effect is quantified
@@ -17,78 +18,63 @@ Run:  python examples/measurement_campaign.py
 import os
 import tempfile
 
-from repro.core import (
-    CouplingPredictor,
-    MeasuredQuantity,
-    SummationPredictor,
-    prediction_interval,
-)
-from repro.instrument import (
-    Campaign,
-    CampaignPlan,
-    ChainRunner,
-    MeasurementConfig,
-    PerformanceDatabase,
-)
+from repro.core import MeasuredQuantity, prediction_interval
+from repro.experiments import ExperimentPipeline, ExperimentSettings
+from repro.instrument import ChainRunner, MeasurementConfig
 from repro.npb import make_benchmark
-from repro.simmachine import ibm_sp_argonne
+from repro.parallel import measure_chain
 
 CHAIN = 2
 
 
 def main() -> None:
-    db_path = os.path.join(tempfile.gettempdir(), "repro_campaign.sqlite")
-    plan = CampaignPlan(
-        benchmark="BT",
-        problem_classes=("S", "W"),
-        proc_counts=(4, 16),
-        chain_lengths=(CHAIN,),
+    cache_dir = os.path.join(tempfile.gettempdir(), "repro_campaign_memo")
+    settings = ExperimentSettings(
+        measurement=MeasurementConfig(repetitions=8, warmup=2)
     )
-    machine = ibm_sp_argonne()
-    measurement = MeasurementConfig(repetitions=8, warmup=2)
-    campaign = Campaign(
-        plan=plan,
-        machine=machine,
-        measurement=measurement,
-        database=PerformanceDatabase(db_path),
-    )
-    results = campaign.run()
-    print(
-        f"campaign: {campaign.measurements_run} measurements run, "
-        f"{campaign.measurements_reused} reused from {db_path}\n"
-    )
+    pipeline = ExperimentPipeline(settings, memo=cache_dir)
+    results = [
+        result
+        for cls in ("S", "W")
+        for result in pipeline.sweep("BT", cls, [4, 16], chain_lengths=[CHAIN])
+    ]
 
     print(f"{'cell':>8} {'summation':>11} {'coupling':>10} {'95% interval':>24}")
-    for (cls, procs), inputs in results.items():
-        # Re-derive per-measurement noise for the interval (mean + sem).
-        bench = make_benchmark("BT", cls, procs)
-        runner = ChainRunner(bench, machine, measurement)
-        loop_q = {
-            k: MeasuredQuantity.from_measurement(runner.measure((k,)))
-            for k in inputs.flow.names
-        }
-        chain_q = {
-            w: MeasuredQuantity.from_measurement(runner.measure(w))
-            for w in inputs.flow.windows(CHAIN)
-        }
+    for result in results:
+        # Per-measurement noise for the interval (mean + sem), read back
+        # from the memo store the sweep just filled.
+        runner = ChainRunner(
+            make_benchmark("BT", result.problem_class, result.nprocs),
+            settings.machine,
+            settings.measurement,
+        )
+
+        def quantity(kernels):
+            return MeasuredQuantity.from_measurement(
+                measure_chain(runner, kernels, pipeline.memo)
+            )
+
+        flow = result.inputs.flow
         interval = prediction_interval(
-            inputs.flow,
-            inputs.iterations,
-            loop_q,
-            chain_q,
+            flow,
+            result.inputs.iterations,
+            {k: quantity((k,)) for k in flow.names},
+            {w: quantity(w) for w in flow.windows(CHAIN)},
             CHAIN,
             draws=300,
         )
-        summation = SummationPredictor().predict(inputs)
-        coupled = CouplingPredictor(CHAIN).predict(inputs)
         print(
-            f"{cls}/{procs:>2}p {summation:>11.3f} {coupled:>10.3f} "
+            f"{result.problem_class}/{result.nprocs:>2}p "
+            f"{result.summation:>11.3f} "
+            f"{result.coupling_prediction(CHAIN):>10.3f} "
             f"[{interval.lo95:.3f}, {interval.hi95:.3f}] "
             f"(+-{100 * interval.relative_halfwidth:.2f} %)"
         )
+    stats = pipeline.memo.stats()
     print(
-        "\nRe-run this script: every measurement comes back from the "
-        "database instantly."
+        f"\nmemo: {stats['hits']} hits, {stats['stores']} stores in "
+        f"{cache_dir}\nRe-run this script: every cell and measurement comes "
+        "back from the memo store instantly."
     )
 
 

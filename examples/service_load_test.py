@@ -8,8 +8,8 @@ and prints the metrics that explain where the time went:
   chain lengths of one configuration share a cell);
 * concurrent identical requests coalesce onto a single flight;
 * everything afterwards is an L1 cache hit;
-* re-running this script reuses the sqlite tier: the service answers the
-  whole workload with zero new simulations (``l2_hits`` instead of
+* re-running this script reuses the memo directory: the service answers
+  the whole workload with zero new simulations (``l2_hits`` instead of
   ``misses``).
 
 Run:  python examples/service_load_test.py
@@ -40,9 +40,9 @@ def client(service: PredictionService, reports: list) -> None:
 
 
 def main() -> None:
-    db_path = os.path.join(tempfile.gettempdir(), "repro_service.sqlite")
+    cache_dir = os.path.join(tempfile.gettempdir(), "repro_service_memo")
     with PredictionService(
-        db_path=db_path,
+        cache_dir=cache_dir,
         measurement=MeasurementConfig(repetitions=4, warmup=2, seed=0),
         max_workers=2,
         batch_window=0.01,
@@ -74,8 +74,8 @@ def main() -> None:
             f"({reports[0].relative_error(best):+.2f} % error)"
         )
     print(
-        f"\nRe-run this script: the database at {db_path} lets the service "
-        "answer everything without a single new simulation."
+        f"\nRe-run this script: the memo directory {cache_dir} lets the "
+        "service answer everything without a single new simulation."
     )
 
 

@@ -21,8 +21,6 @@ REP011    async safety: no await while holding a synchronous lock
 REP012    async safety: no blocking calls inside ``async def`` outside an
           executor handoff
 REP013    async safety: create_task/ensure_future results must be retained
-REP014    engine API parity: tier-ladder engines keep identical public
-          signatures for every shared method name (graph rule)
 ========  ==================================================================
 
 Analysis runs in two phases: phase 1 walks each file's AST once for the

@@ -1,7 +1,6 @@
 """Built-in rules; importing this package registers them all."""
 
 from repro.analysis.checks import (  # noqa: F401
-    apiparity,
     asyncsafety,
     blocking,
     determinism,

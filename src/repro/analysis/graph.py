@@ -58,11 +58,10 @@ __all__ = [
     "build_graph",
     "load_cached",
     "module_name_for",
-    "signature_tokens",
 ]
 
 #: Bump when the serialized form changes; stale caches rebuild.
-GRAPH_SCHEMA_VERSION = 1
+GRAPH_SCHEMA_VERSION = 2
 
 #: Longest alias/re-export chain the resolver follows before giving up.
 _MAX_ALIAS_DEPTH = 16
@@ -89,31 +88,6 @@ def module_name_for(path: str) -> str:
     return ".".join(parts)
 
 
-def signature_tokens(args: ast.arguments) -> tuple[str, ...]:
-    """Canonical, comparable form of a def's parameter list.
-
-    Annotations and default *values* are deliberately excluded — parity
-    (REP014) is about the calling convention: names, order, kinds, and
-    whether a parameter is optional (``=?``).
-    """
-    tokens: list[str] = []
-    positional = list(args.posonlyargs) + list(args.args)
-    first_default = len(positional) - len(args.defaults)
-    for index, arg in enumerate(positional):
-        tokens.append(arg.arg + ("=?" if index >= first_default else ""))
-        if args.posonlyargs and index == len(args.posonlyargs) - 1:
-            tokens.append("/")
-    if args.vararg is not None:
-        tokens.append("*" + args.vararg.arg)
-    elif args.kwonlyargs:
-        tokens.append("*")
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        tokens.append(arg.arg + ("=?" if default is not None else ""))
-    if args.kwarg is not None:
-        tokens.append("**" + args.kwarg.arg)
-    return tuple(tokens)
-
-
 @dataclass(frozen=True)
 class FunctionInfo:
     """One indexed function, method, or module body."""
@@ -125,11 +99,6 @@ class FunctionInfo:
     name: str
     class_name: Optional[str] = None
     is_async: bool = False
-    signature: tuple[str, ...] = ()
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
 
     def to_dict(self) -> dict:
         return {
@@ -140,7 +109,6 @@ class FunctionInfo:
             "name": self.name,
             "class_name": self.class_name,
             "is_async": self.is_async,
-            "signature": list(self.signature),
         }
 
     @classmethod
@@ -153,7 +121,6 @@ class FunctionInfo:
             name=data["name"],
             class_name=data.get("class_name"),
             is_async=data.get("is_async", False),
-            signature=tuple(data.get("signature", ())),
         )
 
 
@@ -555,7 +522,6 @@ def _collect_defs(module: _ModuleIndex, graph: ProjectGraph) -> None:
                 line=node.lineno,
                 name=node.name,
                 is_async=isinstance(node, ast.AsyncFunctionDef),
-                signature=signature_tokens(node.args),
             )
             module.functions[node.name] = info
             graph.functions[info.qualname] = info
@@ -579,7 +545,6 @@ def _collect_defs(module: _ModuleIndex, graph: ProjectGraph) -> None:
                         name=item.name,
                         class_name=node.name,
                         is_async=isinstance(item, ast.AsyncFunctionDef),
-                        signature=signature_tokens(item.args),
                     )
                     klass.methods[item.name] = info
                     graph.functions[info.qualname] = info

@@ -8,7 +8,7 @@ Examples::
     repro predict BT W 9 -L 3       # one-off prediction comparison
     repro machine                   # show the simulated IBM SP
     repro profile LU A 8            # per-kernel application profile
-    repro serve --db perf.sqlite    # JSON-lines prediction service on stdin
+    repro serve --cache-dir DIR     # JSON-lines prediction service on stdin
     repro campaign BT --classes S,W --procs 4,9 --jobs 4 \
         --cache-dir .repro-cache    # parallel sweep with simulation memo
     repro metrics --port 7101       # scrape a running server's metrics
@@ -103,24 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repetitions", type=int, default=8, help="harness repetitions"
     )
     report.add_argument("--seed", type=int, default=0)
-
-    sweep = sub.add_parser(
-        "sweep", help="run a measurement campaign into a database"
-    )
-    _add_configuration_arguments(sweep, with_class=False)
-    sweep.add_argument(
-        "--classes", default="S", help="comma-separated problem classes"
-    )
-    sweep.add_argument(
-        "--procs", default="4", help="comma-separated processor counts"
-    )
-    sweep.add_argument(
-        "--chains", default="2", help="comma-separated chain lengths"
-    )
-    sweep.add_argument(
-        "--db", default=":memory:", help="sqlite path (memoizes reruns)"
-    )
-    sweep.add_argument("--repetitions", type=int, default=6)
 
     campaign = sub.add_parser(
         "campaign",
@@ -223,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve predictions over JSON lines (stdin) or a TCP socket",
     )
     serve.add_argument(
-        "--db", default=":memory:", help="persistent measurement tier (sqlite)"
+        "--db", default=None, metavar="PATH",
+        help="ignored (kept for old command lines); see --cache-dir",
     )
     serve.add_argument("--repetitions", type=int, default=6)
     serve.add_argument(
@@ -508,45 +491,6 @@ def _cmd_report(output: str, repetitions: int, seed: int) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    from repro.core import CouplingPredictor, SummationPredictor
-    from repro.instrument import (
-        Campaign,
-        CampaignPlan,
-        MeasurementConfig,
-        PerformanceDatabase,
-    )
-    from repro.simmachine import ibm_sp_argonne
-
-    plan = CampaignPlan(
-        benchmark=args.benchmark,
-        problem_classes=tuple(c.upper() for c in args.classes.split(",")),
-        proc_counts=tuple(int(p) for p in args.procs.split(",")),
-        chain_lengths=tuple(int(c) for c in args.chains.split(",")),
-    )
-    campaign = Campaign(
-        plan=plan,
-        machine=ibm_sp_argonne(),
-        measurement=MeasurementConfig(repetitions=args.repetitions, warmup=2),
-        database=PerformanceDatabase(args.db),
-    )
-    results = campaign.run()
-    length = plan.chain_lengths[0]
-    print(
-        f"{'class':>5} {'procs':>5} {'summation':>12} "
-        f"{'coupling L=' + str(length):>14}"
-    )
-    for (cls, procs), inputs in results.items():
-        summation = SummationPredictor().predict(inputs)
-        coupled = CouplingPredictor(length).predict(inputs)
-        print(f"{cls:>5} {procs:>5} {summation:>12.3f} {coupled:>14.3f}")
-    print(
-        f"measurements: {campaign.measurements_run} run, "
-        f"{campaign.measurements_reused} reused from {args.db}"
-    )
-    return 0
-
-
 def _cmd_campaign(args) -> int:
     import time
 
@@ -780,6 +724,10 @@ def _cmd_serve(args) -> int:
     )
 
     obs.configure_logging(stream=sys.stderr)
+    if args.db is not None:
+        # Accepted for old command lines; the memo directory (--cache-dir)
+        # is the one persistent tier.
+        obs.log("serve.db_ignored", db=args.db)
     plan = None
     if args.fault_plan is not None:
         with open(args.fault_plan, encoding="utf-8") as handle:
@@ -809,7 +757,6 @@ def _cmd_serve(args) -> int:
                 ProcessShardManager(
                     make_shard_configs(
                         args.shards,
-                        db_path=args.db,
                         cache_dir=args.cache_dir,
                         fault_plan=plan,
                         **service_kwargs,
@@ -825,14 +772,11 @@ def _cmd_serve(args) -> int:
             if plan is not None:
                 faults.install(plan)
             served = stack.enter_context(
-                PredictionService(
-                    db_path=args.db, cache_dir=args.cache_dir, **service_kwargs
-                )
+                PredictionService(cache_dir=args.cache_dir, **service_kwargs)
             )
             handler = None
         obs.log(
             "serve.configured",
-            db=args.db,
             workers=args.workers,
             executor=args.executor,
             queue_depth=args.queue_depth,
@@ -1113,8 +1057,6 @@ def _dispatch(args) -> int:
         return _cmd_machine()
     if args.command == "report":
         return _cmd_report(args.output, args.repetitions, args.seed)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
     if args.command == "campaign":
         return _cmd_campaign(args)
     if args.command == "profile":

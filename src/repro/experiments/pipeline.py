@@ -388,10 +388,7 @@ class ExperimentPipeline:
                     self.settings.application_seed,
                 )
                 record = self.memo.get(record_keys[p])
-                # A serving-engine record that reused rows of its sqlite
-                # tier may hold another seed's numbers (that tier is keyed
-                # without the seed), so only simulated records are adopted.
-                if record is None or record.get("reused", 0):
+                if record is None:
                     missing.append(p)
                 else:
                     self._adopt(

@@ -61,8 +61,8 @@ SITES: Mapping[str, str] = {
     "engine.dispatch.error": "dispatch fails the whole batch with a typed error",
     "batch.dispatch.error": "the batcher's dispatch callable raises",
     "cache.l1.drop": "the L1 report entry evaporates (read corruption)",
-    "db.write.corrupt": "sqlite-tier samples are corrupted on write",
-    "db.read.corrupt": "sqlite-tier samples bit-rot on read",
+    "db.write.corrupt": "a memo-store payload is corrupted on write",
+    "db.read.corrupt": "a memo-store payload bit-rots on read",
     "api.disconnect": "the wire client disconnects mid-request",
     "shard.process.exit": "a serving shard process dies (hard exit) mid-line",
     "sim.run.error": "the discrete-event simulator crashes",

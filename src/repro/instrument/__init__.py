@@ -24,7 +24,6 @@ against full runs in the test suite).
 """
 
 from repro.instrument.cache_counters import CacheCounterReport, cache_report
-from repro.instrument.database import PerformanceDatabase
 from repro.instrument.profiler import KernelProfile, ProfileReport, profile_application
 from repro.instrument.runner import (
     ApplicationResult,
@@ -33,20 +32,16 @@ from repro.instrument.runner import (
     Measurement,
     MeasurementConfig,
 )
-from repro.instrument.sweeps import Campaign, CampaignPlan
 from repro.instrument.timeline import render_timeline
 
 __all__ = [
     "ApplicationResult",
     "ApplicationRunner",
     "CacheCounterReport",
-    "Campaign",
-    "CampaignPlan",
     "ChainRunner",
     "KernelProfile",
     "Measurement",
     "MeasurementConfig",
-    "PerformanceDatabase",
     "ProfileReport",
     "cache_report",
     "profile_application",

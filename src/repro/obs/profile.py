@@ -363,7 +363,9 @@ class SamplingProfiler:
         self.max_stacks = max_stacks
         self.data = ProfileData(interval)
         self._span_stacks: dict[int, list[str]] = {}
-        self._stacks_lock = threading.Lock()
+        # Re-entrant: the SIGPROF handler runs on the thread it interrupts,
+        # which may be inside _push/_pop holding this lock.
+        self._stacks_lock = threading.RLock()
         self._started_at = 0.0
         self._running = False
         self._sampler_thread: Optional[threading.Thread] = None

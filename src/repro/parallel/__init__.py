@@ -3,11 +3,13 @@
 Reproducing a full table suite means simulating many independent
 (benchmark, class, nprocs) cells. This package makes that fast twice over:
 
-* :mod:`repro.parallel.memo` — a process-safe, content-addressed on-disk
-  store (:class:`SimulationMemoStore`) keyed by digests from
+* :mod:`repro.parallel.memo` — the one persistent result store: a
+  process-safe, content-addressed on-disk store
+  (:class:`SimulationMemoStore`) keyed by digests from
   :mod:`repro.parallel.keys`; an already-measured sweep cell is read
-  back as one cell record, and any already-simulated measurement or
-  application run is replayed from disk instead of re-simulated.
+  back as one cell record, any already-simulated measurement or
+  application run is replayed from disk instead of re-simulated, and the
+  serving engine answers archived cells from one archive record.
 * :mod:`repro.parallel.executor` / :mod:`repro.parallel.worker` — sweep
   cells fanned out across a ``ProcessPoolExecutor`` with a deterministic
   merge back into submission order and observability counters carried
@@ -22,6 +24,7 @@ from repro.parallel.executor import execute_cells
 from repro.parallel.keys import (
     SCHEMA_VERSION,
     application_key,
+    archive_key,
     canonical_json,
     cell_key,
     config_fingerprint,
@@ -44,6 +47,7 @@ __all__ = [
     "CellResult",
     "CellSpec",
     "application_key",
+    "archive_key",
     "canonical_json",
     "cell_key",
     "config_fingerprint",

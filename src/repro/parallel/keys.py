@@ -9,7 +9,7 @@ application-run parameters). REP001 guarantees the simulation tier is
 deterministic, so two runs with equal keys produce bit-identical samples —
 which is exactly what makes the digest a safe substitute for re-simulating.
 
-Three key kinds exist:
+Four key kinds exist:
 
 * ``measurement`` — one :meth:`ChainRunner.measure` result (samples +
   overhead) for a specific kernel window;
@@ -17,7 +17,12 @@ Three key kinds exist:
 * ``cell`` — a whole sweep cell (prediction inputs + actual). The
   experiment pipeline and the serving engine both read and write it with
   the same ``{"inputs", "actual"}`` payload, so either one's warm cache
-  directory answers the other's cells without simulating.
+  directory answers the other's cells without simulating;
+* ``archive`` — the serving engine's answer for one cell at one chain
+  length: the ``cell`` fields with the noise seed dropped from the
+  measurement protocol. The first batch to write it wins (create-if-absent)
+  and every request for that machine, protocol, cell and chain length, at
+  any seed, is answered from it.
 
 Bumping :data:`SCHEMA_VERSION` invalidates every existing entry at once —
 do that whenever the simulator's numeric behaviour changes.
@@ -41,6 +46,7 @@ __all__ = [
     "measurement_key",
     "application_key",
     "cell_key",
+    "archive_key",
     "digest",
     "digest_canonical",
 ]
@@ -144,6 +150,35 @@ def cell_key(
         "application_seed": application_seed,
         "tier": str(tier),
     }
+
+
+def archive_key(
+    machine: MachineConfig,
+    measurement: MeasurementConfig,
+    benchmark: str,
+    problem_class: str,
+    nprocs: int,
+    chain_length: int,
+    application_seed: int,
+) -> dict:
+    """Identity of one archived answer: a cell key minus the noise seed.
+
+    The serving engine's store rung reads exactly this one record per
+    request, so a fresh seed is answered from whichever seed archived the
+    (machine, protocol, cell, chain length) first.
+    """
+    key = cell_key(
+        machine,
+        measurement,
+        benchmark,
+        problem_class,
+        nprocs,
+        (chain_length,),
+        application_seed,
+    )
+    key["kind"] = "archive"
+    del key["measurement"]["seed"]
+    return key
 
 
 def digest(key: Mapping[str, Any]) -> str:

@@ -13,7 +13,10 @@ The memo-aware measurement helpers here (:func:`measure_chain`,
 serial path in :class:`repro.experiments.pipeline.ExperimentPipeline`, so
 a cache hit replays the exact floats a fresh simulation would produce
 (REP001 determinism) and serial, parallel, and warm-cache runs stay
-bit-identical.
+bit-identical. The serving engine runs :func:`run_cell` itself on its
+worker threads (:func:`repro.service.workers.simulate_cell`), so served
+cells and campaign cells share one code path and one set of seed-keyed
+measurement records.
 """
 
 from __future__ import annotations
@@ -102,23 +105,17 @@ def cell_inputs(
     bench,
     chain_lengths: Sequence[int],
     mean_of: Callable[[tuple[str, ...]], float],
-    include_one_shots: bool = True,
 ) -> PredictionInputs:
     """A cell's prediction inputs, one ``mean_of(kernels)`` per measurement.
 
     The single enumeration of what a cell measures, in protocol order:
     isolated loop kernels, one-shot pre/post kernels, then every window of
-    every chain length. Measuring campaigns, pool workers and the serving
-    engine's read-only replay differ only in ``mean_of``; a replay that
-    finds a row missing raises out of it.
+    every chain length.
     """
     flow = ControlFlow(bench.loop_kernel_names)
     loop_times = {k: mean_of((k,)) for k in flow.names}
-    pre: dict[str, float] = {}
-    post: dict[str, float] = {}
-    if include_one_shots:
-        pre = {k: mean_of((k,)) for k in bench.pre_kernel_names}
-        post = {k: mean_of((k,)) for k in bench.post_kernel_names}
+    pre = {k: mean_of((k,)) for k in bench.pre_kernel_names}
+    post = {k: mean_of((k,)) for k in bench.post_kernel_names}
     chain_times: dict[tuple[str, ...], float] = {}
     for length in chain_lengths:
         for window in flow.windows(length):

@@ -8,10 +8,12 @@ time. This subsystem turns that into a long-lived service:
   :class:`~repro.service.engine.PredictRequest` objects, returns
   :class:`~repro.core.predictor.PredictionReport` objects;
 * :mod:`~repro.service.cache` — two-tier cache: in-process report LRU
-  (with TTL) over the persistent Prophesy-style measurement database;
+  (with TTL) over the one persistent store, the
+  :class:`~repro.parallel.memo.SimulationMemoStore` directory that
+  campaigns share;
 * :mod:`~repro.service.batching` — single-flight deduplication of
   identical in-flight requests plus coalescing of distinct ones into
-  per-configuration measurement plans;
+  per-cell batches;
 * :mod:`~repro.service.workers` — a bounded ``concurrent.futures`` thread
   pool (or inline executor) running the simulations, with
   reject-with-retry-after backpressure;
@@ -29,7 +31,7 @@ Quickstart::
 
     from repro.service import PredictionService, PredictRequest
 
-    with PredictionService(db_path="perf.sqlite") as service:
+    with PredictionService(cache_dir=".repro-cache") as service:
         report = service.predict(PredictRequest("BT", "W", 9, chain_length=3))
         print(report.errors(), service.stats()["cache_hit_ratio"])
 """
@@ -58,10 +60,10 @@ from repro.service.shard import (
     make_shard_configs,
     route_key,
 )
-from repro.service.workers import CellTask, WorkerPool, execute_cell
+from repro.service.workers import CellOutcome, WorkerPool, simulate_cell
 
 __all__ = [
-    "CellTask",
+    "CellOutcome",
     "HashRing",
     "InProcessShardManager",
     "LRUCache",
@@ -79,7 +81,6 @@ __all__ = [
     "WorkerPool",
     "counters_payload",
     "error_dict",
-    "execute_cell",
     "handle_line",
     "make_shard_configs",
     "metrics_payload",
@@ -87,4 +88,5 @@ __all__ = [
     "route_key",
     "serve_jsonl",
     "serve_socket",
+    "simulate_cell",
 ]

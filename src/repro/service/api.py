@@ -569,6 +569,14 @@ class _LineHandler(socketserver.StreamRequestHandler):
     #: pinning its handler thread forever.
     timeout = 600.0
 
+    def setup(self) -> None:
+        super().setup()
+        self.server.track(self.connection, True)
+
+    def finish(self) -> None:
+        self.server.track(self.connection, False)
+        super().finish()
+
     def handle(self) -> None:  # pragma: no cover — exercised via serve_socket
         try:
             for raw in self.rfile:
@@ -596,6 +604,28 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _LineHandler)
         #: One exchange: a request line in, a response line (or None) out.
         self.handle = handle
+        self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+
+    def track(self, connection: socket.socket, live: bool) -> None:
+        """Register (or forget) one open client connection."""
+        with self._lock:
+            if live:
+                self._connections.add(connection)
+            else:
+                self._connections.discard(connection)
+
+    def server_close(self) -> None:
+        """Stop listening and drop every open connection, as a dying
+        process would: peers see a reset, not a server that still talks."""
+        super().server_close()
+        with self._lock:
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 def serve_socket(

@@ -13,9 +13,9 @@ Two distinct ideas live here:
   requests cost exactly one cell execution.
 * **Batching** — distinct requests that arrive within the collection
   ``window`` are grouped by their configuration key
-  (benchmark, class, nprocs, seed) and dispatched as *one* measurement
-  plan, sharing the runner warm-up (the empty-loop overhead measurement)
-  and the campaign's memoization across chain lengths.
+  (benchmark, class, nprocs, seed) and dispatched as *one* cell run,
+  sharing the runner warm-up (the empty-loop overhead measurement) and
+  the memo store's measurement records across chain lengths.
 
 The batcher owns one daemon dispatcher thread; the dispatch callable (the
 engine) is invoked on that thread with each group and must not block

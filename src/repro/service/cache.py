@@ -2,35 +2,34 @@
 
 Tier 1 is an in-process LRU with optional TTL holding finished
 :class:`~repro.core.predictor.PredictionReport` objects keyed by the full
-request tuple (benchmark, class, nprocs, chain length, seed). Tier 2 is the
-existing Prophesy-style
-:class:`~repro.instrument.database.PerformanceDatabase`: it persists the
-underlying *measurements*, so even when a report ages out of the LRU (or a
-fresh process starts against a warm database file) the service rebuilds the
-report from stored samples, on the request thread, without re-running a
-single simulation.
+request tuple (benchmark, class, nprocs, chain length, seed). Tier 2 is
+the one persistent result store, the
+:class:`~repro.parallel.memo.SimulationMemoStore` directory: it holds the
+seed-keyed measurement and cell records that campaigns and the serving
+engine share, and the engine's seed-free archive records
+(:func:`~repro.parallel.keys.archive_key`), so even when a report ages
+out of the LRU (or a fresh process starts against a warm directory) the
+service answers from one archive record on the request thread, without
+re-running a single simulation.
 
-The persistent tier is keyed by the measurement tuple
-(benchmark, class, nprocs, kernel chain) — like
-:class:`~repro.instrument.sweeps.Campaign` memoization it is agnostic to
-the measurement noise seed; only the L1 tier distinguishes seeds.
+Only the L1 tier distinguishes seeds for an archived answer: the archive
+record of a (machine, protocol, cell, chain length) is written once, by
+the first batch to finish it, and answers every seed after.
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import threading
 import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional
 
 from repro import faults
-from repro.instrument.database import PerformanceDatabase
+from repro.parallel.memo import SimulationMemoStore
 
-__all__ = ["LRUCache", "TieredPredictionCache", "ACTUAL_KEY"]
-
-#: Pseudo-kernel chain under which the full application's actual runtime is
-#: archived in the persistent tier (the real chains never collide with it).
-ACTUAL_KEY: tuple[str, ...] = ("__APPLICATION_TOTAL__",)
+__all__ = ["LRUCache", "TieredPredictionCache"]
 
 _MISSING = object()
 
@@ -119,32 +118,33 @@ class LRUCache:
 
 
 class TieredPredictionCache:
-    """L1 report LRU over the L2 persistent measurement store.
+    """L1 report LRU over the persistent memo store.
 
-    The service consults :meth:`get_report` first; on a miss it replays
-    the cell read-only from :attr:`database` on the request thread
-    (:func:`~repro.service.workers.replay_cell`), so a fully archived cell
-    is answered without the batcher or a worker. Only a cell with a
-    missing row goes on to a measurement plan run *through*
-    :attr:`database`, which measures just the missing rows.
+    The service consults :meth:`get_report` first; on a miss it reads the
+    request's archive record from :attr:`memo` on the request thread, so
+    an archived cell is answered without the batcher or a worker. Only a
+    cell with no archive record goes on to a measuring run, which
+    simulates through the same store and so measures only what it lacks.
+
+    Without ``cache_dir`` the memo store lives in a private temporary
+    directory that :meth:`close` removes; a given ``cache_dir`` is left
+    in place.
     """
 
     def __init__(
         self,
         capacity: int = 1024,
         ttl: Optional[float] = None,
-        database: Optional[PerformanceDatabase] = None,
-        db_path: str = ":memory:",
+        cache_dir: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.reports = LRUCache(capacity=capacity, ttl=ttl, clock=clock)
-        # NB: an empty PerformanceDatabase is falsy (it has __len__), so the
-        # ownership test must be `is None`, never truthiness.
-        self._owns_database = database is None
-        self.database = (
-            PerformanceDatabase(db_path) if database is None else database
+        self._private_dir = (
+            tempfile.mkdtemp(prefix="repro-memo-") if cache_dir is None else None
         )
-        self.db_path = getattr(self.database, "path", db_path)
+        self.memo = SimulationMemoStore(
+            cache_dir if cache_dir is not None else self._private_dir
+        )
 
     # -- tier 1 ---------------------------------------------------------------
 
@@ -166,13 +166,13 @@ class TieredPredictionCache:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the persistent tier if this cache owns it."""
-        if self._owns_database:
-            self.database.close()
+        """Remove the memo directory if this cache created it."""
+        if self._private_dir is not None:
+            shutil.rmtree(self._private_dir, ignore_errors=True)
 
     def stats(self) -> dict:
-        """Both tiers' counters."""
+        """L1 counters and where the persistent tier lives."""
         return {
             "l1": self.reports.stats(),
-            "l2": {"path": self.db_path, "measurements": len(self.database)},
+            "l2": {"path": str(self.memo.root)},
         }

@@ -5,16 +5,22 @@
 layer:
 
 1. an L1 LRU answers repeated requests in microseconds;
-2. the store rung answers archived cells on the request thread: the
-   request's own memo cell record, else a read-only, one-query replay of
-   the cell from the persistent measurement tier
-   (:class:`~repro.instrument.database.PerformanceDatabase`) — no batch
-   window, no worker, no write;
+2. the store rung answers archived cells on the request thread from one
+   archive record of the memo store
+   (:class:`~repro.parallel.memo.SimulationMemoStore`, keyed by
+   :func:`~repro.parallel.keys.archive_key`) — no batch window, no
+   worker, no write;
 3. the rest must simulate: they are single-flight deduplicated,
-   coalesced into per-config measurement plans
-   (:mod:`repro.service.batching`) and run on a bounded worker pool
-   (:mod:`repro.service.workers`) through the same persistent tier;
+   coalesced into per-cell batches (:mod:`repro.service.batching`) and
+   run on a bounded worker pool (:mod:`repro.service.workers`) through
+   the same memo store, which then archives each chain length's answer;
 4. every step is measured (:mod:`repro.service.metrics`).
+
+**Seeds.** A request's seed selects its measurement-noise stream, but an
+archived answer is seed-free: the first batch to finish a (machine,
+protocol, cell, chain length) archives its answer with a create-if-absent
+write, and every request for it — at any seed, that batch's own included
+— is answered from that record.
 
 The public surface is thread-safe: any number of threads may call
 :meth:`PredictionService.predict` concurrently.
@@ -52,23 +58,15 @@ from repro.errors import (
     ServiceSaturatedError,
     ServiceTimeoutError,
 )
-from repro.instrument.database import PerformanceDatabase
 from repro.instrument.runner import MeasurementConfig
-from repro.instrument.sweeps import CampaignPlan
 from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
+from repro.parallel.keys import archive_key, cell_key
+from repro.parallel.worker import CellSpec
 from repro.service.batching import Flight, RequestBatcher
 from repro.service.cache import TieredPredictionCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
-from repro.parallel.keys import cell_key
-from repro.parallel.memo import SimulationMemoStore
-from repro.service.workers import (
-    CellOutcome,
-    CellTask,
-    WorkerPool,
-    execute_cell,
-    replay_cell,
-)
+from repro.service.workers import CellOutcome, WorkerPool, simulate_cell
 from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 
 __all__ = ["PredictRequest", "PredictionService"]
@@ -78,9 +76,9 @@ __all__ = ["PredictRequest", "PredictionService"]
 class PredictRequest:
     """One prediction to serve.
 
-    ``seed`` selects the measurement-noise stream (distinct seeds are
-    distinct L1 cache entries; the persistent measurement tier is
-    seed-agnostic, exactly like campaign memoization).
+    ``seed`` selects the measurement-noise stream of a batch that
+    simulates (distinct seeds are distinct L1 cache entries); an archived
+    answer serves every seed (see the module docstring).
     """
 
     benchmark: str
@@ -161,13 +159,15 @@ class PredictionService:
     """Batched, cached, metered serving of prediction reports.
 
     Parameters mirror the subsystem layers: cache sizing (``cache_capacity``
-    / ``cache_ttl`` / ``db_path`` or an externally owned ``database``),
-    batching (``batch_window``), the worker pool (``max_workers`` /
+    / ``cache_ttl`` / the memo directory ``cache_dir``), batching (``batch_window``), the worker pool (``max_workers`` /
     ``queue_depth`` / ``executor``), and the measurement protocol shared by
     every cell (``machine`` / ``measurement`` / ``application_seed``).
 
-    ``execute`` swaps the cell executor (tests inject counting/blocking
-    stubs); ``executor`` is ``"thread"`` or ``"inline"``.
+    ``execute`` swaps the cell executor, a callable from
+    :class:`~repro.parallel.worker.CellSpec` to
+    :class:`~repro.service.workers.CellOutcome` (tests inject
+    counting/blocking stubs); ``executor`` is ``"thread"`` or
+    ``"inline"``.
 
     Robustness knobs: ``default_timeout`` is the per-request deadline when
     a :meth:`predict` call passes none (misses that exceed it raise
@@ -181,10 +181,12 @@ class PredictionService:
     probe — one probe succeeding restores normal service).
 
     ``cache_dir`` points at a :mod:`repro.parallel` simulation memo
-    directory: whole cells found there are served without enqueueing any
-    simulation work, and cells the worker pool measures are stored back
-    (cells the store rung replays from sqlite are not), so the serving
-    layer shares warmed state with ``repro campaign --cache-dir``.
+    directory, the service's one persistent tier: archived answers,
+    whole cell records and single measurements found there are served
+    without simulating them again, and everything the worker pool
+    measures is stored back, so the serving layer shares warmed state
+    with ``repro campaign --cache-dir``. Without it the service uses a
+    private temporary directory that :meth:`close` removes.
 
     ``tier_policy`` selects the serving-ladder rung order (a
     :class:`~repro.analytic.tiers.TierPolicy` or a policy name): under
@@ -204,8 +206,6 @@ class PredictionService:
         machine: Optional[MachineConfig] = None,
         measurement: Optional[MeasurementConfig] = None,
         *,
-        database: Optional[PerformanceDatabase] = None,
-        db_path: str = ":memory:",
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
         batch_window: float = 0.005,
@@ -230,22 +230,16 @@ class PredictionService:
         #: deployment (``repro serve --shards N``); None when standalone.
         self.shard_id = shard_id
         self.tier_policy = resolve_tier_policy(tier_policy)
-        # Content-addressed simulation memo (repro.parallel): consulted
-        # before a cell task is enqueued, so a warm directory serves whole
-        # cells without touching the worker pool at all.
-        self._memo = (
-            SimulationMemoStore(cache_dir) if cache_dir is not None else None
-        )
         self.measurement = measurement or MeasurementConfig()
         self.application_seed = application_seed
         self._clock = clock
         self._cache = TieredPredictionCache(
             capacity=cache_capacity,
             ttl=cache_ttl,
-            database=database,
-            db_path=db_path,
+            cache_dir=cache_dir,
             clock=clock,
         )
+        self._memo = self._cache.memo
         if default_timeout is not None and default_timeout <= 0:
             raise ServiceError(
                 f"default_timeout must be positive, got {default_timeout}"
@@ -254,7 +248,7 @@ class PredictionService:
             raise ServiceError(
                 f"degraded_probe_every must be >= 1, got {degraded_probe_every}"
             )
-        self._execute = execute or execute_cell
+        self._execute = execute or simulate_cell
         self.default_timeout = default_timeout
         self._pool = WorkerPool(
             max_workers=max_workers,
@@ -443,82 +437,36 @@ class PredictionService:
     ) -> Optional[PredictionReport]:
         """Answer an archived cell on the request thread, or None to batch.
 
-        Reads the request's own memo cell record, else replays the cell
-        read-only from the persistent tier (:func:`replay_cell`: one query,
-        every used row checksum-verified). A replay writes nothing back:
-        the pipeline refuses cell records built from reused rows, and the
-        next replay of the cell costs the same one read. Any missing or
-        corrupt row returns None and the request goes on to the batcher
-        unchanged.
+        One read of the request's archive record and no write: a miss (or
+        a corrupt record, purged by the read) sends the request on to the
+        batcher unchanged.
         """
         if self._closed:
             raise ServiceClosedError("service is shut down")
-        measurement = replace(self.measurement, seed=request.seed)
-        chain_lengths = (request.chain_length,)
-        memo_key = self._memo_key(request, measurement, chain_lengths)
         with obs.span("service.store", benchmark=request.benchmark):
-            outcome = self._memo_outcome(request, memo_key)
-            if outcome is None:
-                outcome = replay_cell(
-                    CellTask(
-                        plan=CampaignPlan.for_cell(
-                            request.benchmark,
-                            request.problem_class,
-                            request.nprocs,
-                            chain_lengths=chain_lengths,
-                        ),
-                        machine=self.machine,
-                        measurement=measurement,
-                        application_seed=self.application_seed,
-                    ),
-                    self._cache.database,
-                )
-                if outcome is None:
-                    return None
-        report = self._report(
-            request, outcome, self._account(request, outcome)
-        )
+            archived = self._memo.get(
+                self._archive_key(request, request.chain_length)
+            )
+            if archived is None:
+                return None
+            inputs = PredictionInputs.from_dict(archived["inputs"])
+        self._record_analytic_error(request, archived["actual"])
+        report = self._report(request, inputs, archived["actual"], warm=True)
         dt = self._clock() - t0
         self.metrics.latency.observe(dt)
         self.metrics.record_tier(report.tier, dt)
         return report
 
-    def _memo_key(
-        self,
-        request: PredictRequest,
-        measurement: MeasurementConfig,
-        chain_lengths: Sequence[int],
-    ) -> Optional[dict]:
-        """The memo cell-record key for these chain lengths (None: no memo)."""
-        if self._memo is None:
-            return None
-        return cell_key(
+    def _archive_key(self, request: PredictRequest, chain_length: int) -> dict:
+        """The seed-free archive key of one cell at one chain length."""
+        return archive_key(
             self.machine,
-            measurement,
+            self.measurement,
             request.benchmark,
             request.problem_class,
             request.nprocs,
-            chain_lengths,
+            chain_length,
             self.application_seed,
-        )
-
-    def _memo_outcome(
-        self, request: PredictRequest, memo_key: Optional[dict]
-    ) -> Optional[CellOutcome]:
-        """The memo cell record under ``memo_key`` as an outcome, or None."""
-        if memo_key is None:
-            return None
-        hit = self._memo.get(memo_key)
-        if hit is None:
-            return None
-        return CellOutcome(
-            benchmark=request.benchmark,
-            problem_class=request.problem_class,
-            nprocs=request.nprocs,
-            inputs=PredictionInputs.from_dict(hit["inputs"]),
-            actual=hit["actual"],
-            simulations=0,
-            reused=hit.get("reused", 0),
         )
 
     def _await(
@@ -606,32 +554,42 @@ class PredictionService:
         flights = viable
         if not flights:
             return
-        requests = [flight.request for flight in flights]
-        plan = CampaignPlan.for_cell(
-            first.benchmark,
-            first.problem_class,
-            first.nprocs,
-            chain_lengths=sorted({r.chain_length for r in requests}),
-        )
-        measurement = replace(self.measurement, seed=first.seed)
-        memo_key = self._memo_key(first, measurement, plan.chain_lengths)
-        hit = self._memo_outcome(first, memo_key)
-        if hit is not None:
-            self.metrics.cell_seconds.observe(0.0)
-            self._finish(flights, hit)
-            return
-        task = CellTask(
-            plan=plan,
+        spec = CellSpec(
+            benchmark=first.benchmark,
+            problem_class=first.problem_class,
+            nprocs=first.nprocs,
+            chain_lengths=tuple(
+                sorted({flight.request.chain_length for flight in flights})
+            ),
             machine=self.machine,
-            measurement=measurement,
+            measurement=replace(self.measurement, seed=first.seed),
             application_seed=self.application_seed,
+            cache_dir=str(self._memo.root),
         )
+        record_key = cell_key(
+            spec.machine,
+            spec.measurement,
+            spec.benchmark,
+            spec.problem_class,
+            spec.nprocs,
+            spec.chain_lengths,
+            spec.application_seed,
+        )
+        record = self._memo.get(record_key)
+        if record is not None:
+            self.metrics.cell_seconds.observe(0.0)
+            self._finish(
+                flights,
+                CellOutcome(
+                    inputs=PredictionInputs.from_dict(record["inputs"]),
+                    actual=record["actual"],
+                    simulations=0,
+                ),
+            )
+            return
         try:
             pool_future = self._pool.submit(
-                self._traced_cell,
-                obs.current_context(),
-                task,
-                self._cache.database,
+                self._traced_cell, obs.current_context(), spec
             )
         except ServiceError as exc:
             self._fail(flights, exc)
@@ -648,61 +606,89 @@ class PredictionService:
             try:
                 # repro: ignore[REP003] — done-callback: fut already resolved
                 outcome = fut.result()
+                self._memo.put(
+                    record_key,
+                    {"inputs": outcome.inputs.to_dict(), "actual": outcome.actual},
+                )
             except BaseException as exc:  # noqa: BLE001 — relay to waiters
                 self._fail(flights, exc)
                 return
-            if memo_key is not None:
-                self._memo.put(
-                    memo_key,
-                    {
-                        "inputs": outcome.inputs.to_dict(),
-                        "actual": outcome.actual,
-                        "reused": outcome.reused,
-                    },
-                )
             self._finish(flights, outcome)
 
         pool_future.add_done_callback(_done)
 
-    def _traced_cell(self, context, task, database):
+    def _traced_cell(self, context, spec: CellSpec) -> CellOutcome:
         """Run one cell on a worker thread under the request's trace."""
         with obs.use_context(context), obs.span(
             "service.cell",
-            benchmark=task.plan.benchmark,
-            cls=task.plan.problem_classes[0],
-            nprocs=task.plan.proc_counts[0],
+            benchmark=spec.benchmark,
+            cls=spec.problem_class,
+            nprocs=spec.nprocs,
         ):
-            return self._execute(task, database)
+            return self._execute(spec)
 
-    def _finish(self, flights: list[Flight], outcome) -> None:
-        """Build each waiter's report from the cell outcome."""
-        summation = self._account(flights[0].request, outcome)
+    def _finish(self, flights: list[Flight], outcome: CellOutcome) -> None:
+        """Archive the batch's answer per chain length, then answer waiters.
+
+        Each chain length's record is created only if absent, so when an
+        earlier batch (at any seed) archived it first, this batch's
+        waiters get that record's numbers like every later request.
+        """
+        self.metrics.simulations.inc(outcome.simulations)
+        self._record_analytic_error(flights[0].request, outcome.actual)
+        warm = outcome.simulations == 0
+        answers: dict[int, tuple[PredictionInputs, float]] = {}
         for flight in flights:
+            request = flight.request
             try:
-                report = self._report(flight.request, outcome, summation)
+                if request.chain_length not in answers:
+                    answers[request.chain_length] = self._archive(
+                        request, outcome
+                    )
+                inputs, actual = answers[request.chain_length]
+                report = self._report(request, inputs, actual, warm)
             except Exception as exc:  # noqa: BLE001 — relay to this waiter
                 self._fail([flight], exc)
                 continue
             if not flight.future.done():
                 flight.future.set_result(report)
 
-    def _account(self, request: PredictRequest, outcome) -> float:
-        """Count one cell outcome once; returns its summation prediction."""
-        self.metrics.simulations.inc(outcome.simulations)
-        self._record_analytic_error(request, outcome.actual)
-        return SummationPredictor().predict(outcome.inputs)
+    def _archive(
+        self, request: PredictRequest, outcome: CellOutcome
+    ) -> tuple[PredictionInputs, float]:
+        """The archived ``(inputs, actual)`` of the request's chain length."""
+        length = request.chain_length
+        inputs = replace(
+            outcome.inputs,
+            chain_times={
+                window: t
+                for window, t in outcome.inputs.chain_times.items()
+                if len(window) == length
+            },
+        )
+        own = {"inputs": inputs.to_dict(), "actual": outcome.actual}
+        archived = self._memo.put_if_absent(
+            self._archive_key(request, length), own
+        )
+        if archived is own:
+            return inputs, outcome.actual
+        return PredictionInputs.from_dict(archived["inputs"]), archived["actual"]
 
     def _report(
-        self, request: PredictRequest, outcome, summation: float
+        self,
+        request: PredictRequest,
+        inputs: PredictionInputs,
+        actual: float,
+        warm: bool,
     ) -> PredictionReport:
-        """One request's report from its cell outcome, L1-cached and counted."""
-        coupled = CouplingPredictor(request.chain_length).predict(outcome.inputs)
-        warm = outcome.simulations == 0
+        """One request's report, L1-cached and counted."""
         report = PredictionReport(
-            actual=outcome.actual,
+            actual=actual,
             predictions={
-                SummationPredictor.name: summation,
-                f"Coupling: {request.chain_length} kernels": coupled,
+                SummationPredictor.name: SummationPredictor().predict(inputs),
+                f"Coupling: {request.chain_length} kernels": CouplingPredictor(
+                    request.chain_length
+                ).predict(inputs),
             },
             tier=TIER_MEMO if warm else TIER_SIMULATION,
         )
@@ -768,8 +754,7 @@ class PredictionService:
         """Service counters plus cache-tier counters, JSON-friendly."""
         snapshot = self.metrics.stats()
         snapshot["cache"] = self._cache.stats()
-        if self._memo is not None:
-            snapshot["memo"] = self._memo.stats()
+        snapshot["memo"] = self._memo.stats()
         snapshot["degraded"] = self.degraded
         snapshot["worker_respawns"] = self._pool.respawns
         snapshot["worker_crashes"] = self._pool.crashes
@@ -796,11 +781,6 @@ class PredictionService:
         """
         self.metrics.refresh_gauges()
         return (self.metrics.registry, obs.get_registry())
-
-    @property
-    def database(self) -> PerformanceDatabase:
-        """The persistent measurement tier (shared with campaigns/sweeps)."""
-        return self._cache.database
 
     def close(self) -> None:
         """Stop batching, drain workers, release the cache tiers."""

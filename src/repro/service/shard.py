@@ -2,8 +2,8 @@
 
 ``repro serve --shards N`` splits the prediction keyspace over N
 shared-nothing worker *processes*. Each shard owns a full
-:class:`~repro.service.engine.PredictionService` — its own L1 cache,
-sqlite tier, memo ``cache_dir`` slice, batcher, worker pool, SLO monitor —
+:class:`~repro.service.engine.PredictionService` — its own L1 cache, memo
+``cache_dir`` slice, batcher, worker pool, SLO monitor —
 and speaks the ordinary JSONL/TCP line protocol on a loopback port, so
 every robustness property of the single-process server (single-flight
 dedup, backpressure, deadlines, degraded mode) holds *per shard* with no
@@ -14,7 +14,7 @@ new code.
   ~1/N of the keyspace (onto the ring neighbours), which is what lets the
   router survive a SIGKILLed shard by re-routing instead of re-sharding.
 * :class:`ShardServiceConfig` — the picklable recipe for one shard's
-  service (per-shard db path / memo slice derived by
+  service (per-shard memo slice derived by
   :func:`make_shard_configs`), shipped to the child process.
 * :func:`shard_main` — the child entry point: install the fault plan,
   build the service, serve the line protocol with the
@@ -179,7 +179,6 @@ class ShardServiceConfig:
     shard_id: int
     machine: Optional[MachineConfig] = None
     measurement: Optional[MeasurementConfig] = None
-    db_path: str = ":memory:"
     cache_capacity: int = 1024
     cache_ttl: Optional[float] = None
     batch_window: float = 0.005
@@ -215,7 +214,6 @@ class ShardServiceConfig:
         return PredictionService(
             machine=self.machine,
             measurement=self.measurement,
-            db_path=self.db_path,
             cache_capacity=self.cache_capacity,
             cache_ttl=self.cache_ttl,
             batch_window=self.batch_window,
@@ -238,26 +236,20 @@ class ShardServiceConfig:
 
 def make_shard_configs(
     shards: int,
-    db_path: str = ":memory:",
     cache_dir: Optional[str] = None,
     **service_kwargs: Any,
 ) -> list[ShardServiceConfig]:
     """Per-shard configs with disjoint persistence slices.
 
-    A file-backed ``db_path`` becomes ``{db_path}.shard{NN}`` per shard
-    and a memo ``cache_dir`` becomes ``{cache_dir}/shard-{NN}`` — shards
+    A memo ``cache_dir`` becomes ``{cache_dir}/shard-{NN}`` — shards
     share *nothing*, so there is no cross-process locking anywhere in the
-    serving tier. ``:memory:`` stays per-process private by nature.
+    serving tier. Without one, each shard's service uses its own private
+    temporary directory.
     """
     if shards < 1:
         raise ServiceError(f"shards must be >= 1, got {shards}")
     configs = []
     for shard_id in range(shards):
-        shard_db = (
-            db_path
-            if db_path == ":memory:"
-            else f"{db_path}.shard{shard_id:02d}"
-        )
         shard_cache = (
             os.path.join(cache_dir, f"shard-{shard_id:02d}")
             if cache_dir is not None
@@ -266,7 +258,6 @@ def make_shard_configs(
         configs.append(
             ShardServiceConfig(
                 shard_id=shard_id,
-                db_path=shard_db,
                 cache_dir=shard_cache,
                 **service_kwargs,
             )
@@ -434,7 +425,7 @@ class ProcessShardManager:
         """Replace a dead shard with a fresh process; returns its address.
 
         The replacement starts cold (empty L1) but inherits the shard's
-        persistent slices (sqlite file, memo directory), so previously
+        persistent slice (its memo directory), so previously
         simulated cells come back warm from disk.
         """
         old = self._procs.get(shard_id)

@@ -2,14 +2,16 @@
 
 The expensive part of a prediction is the discrete-event simulation of the
 measurement protocol (isolated kernels, chain windows, one-shots) plus the
-full application run. :func:`execute_cell` packages exactly that work for
-one (benchmark, class, nprocs) cell; :class:`WorkerPool` runs cells in
-parallel on a bounded ``concurrent.futures`` pool, rejecting new work with
-a retry-after hint once the queue is full (backpressure instead of
-unbounded buffering).
+full application run. :func:`simulate_cell` runs exactly that work for one
+(benchmark, class, nprocs) cell through
+:func:`repro.parallel.worker.run_cell`, the function campaign workers run,
+so the server and campaigns simulate through one code path and share the
+memo store's seed-keyed measurement records. :class:`WorkerPool` runs
+cells in parallel on a bounded ``concurrent.futures`` pool, rejecting new
+work with a retry-after hint once the queue is full (backpressure instead
+of unbounded buffering).
 
-Workers share the service's persistent tier; ``INSERT OR IGNORE``
-semantics in :class:`~repro.instrument.database.PerformanceDatabase` make
+Workers share the service's memo directory; its atomic writes make
 concurrent writers safe. Process parallelism for serving comes from
 ``repro serve --shards N`` (:mod:`repro.service.shard`), not from this
 pool.
@@ -21,7 +23,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from repro import faults, obs
 from repro.core.predictor import PredictionInputs
@@ -31,149 +33,42 @@ from repro.errors import (
     ServiceSaturatedError,
     WorkerCrashError,
 )
-from repro.instrument.database import PerformanceDatabase
-from repro.instrument.runner import ApplicationRunner, Measurement, MeasurementConfig
-from repro.instrument.sweeps import Campaign, CampaignPlan
-from repro.service.cache import ACTUAL_KEY
-from repro.simmachine.machine import MachineConfig
+from repro.parallel.worker import CellSpec, run_cell
 
 __all__ = [
-    "CellTask",
     "CellOutcome",
-    "execute_cell",
-    "replay_cell",
+    "simulate_cell",
     "WorkerPool",
 ]
-
-
-@dataclass(frozen=True)
-class CellTask:
-    """One unit of worker-pool work: measure a single sweep cell."""
-
-    plan: CampaignPlan
-    machine: MachineConfig
-    measurement: MeasurementConfig
-    application_seed: int = 7
-
-    def __post_init__(self) -> None:
-        if len(self.plan.configurations()) != 1:
-            raise ServiceError(
-                "a cell task needs a single-cell plan; "
-                f"got {len(self.plan.configurations())} cells"
-            )
 
 
 @dataclass(frozen=True)
 class CellOutcome:
     """What a worker hands back: inputs + actual + work accounting."""
 
-    benchmark: str
-    problem_class: str
-    nprocs: int
     inputs: PredictionInputs
     actual: float
     simulations: int
-    reused: int
 
 
-def execute_cell(task: CellTask, database: PerformanceDatabase) -> CellOutcome:
-    """Measure one cell through the service's shared persistent tier.
+def simulate_cell(spec: CellSpec) -> CellOutcome:
+    """Measure one cell through the memo store at ``spec.cache_dir``.
 
-    A fully archived cell runs zero simulations — the campaign memoization
-    *is* the L2 cache replay.
+    A cell whose measurements are all stored runs zero simulations. Every
+    simulated measurement (and the application run) is stored exactly
+    once, so the cell's store count is its simulation count.
     """
     stall = faults.check("worker.cell.stall")
     if stall is not None:
         time.sleep(stall.param)
     if faults.check("worker.cell.crash") is not None:
         raise WorkerCrashError("injected worker crash (worker.cell.crash)")
-    campaign = Campaign(
-        plan=task.plan,
-        machine=task.machine,
-        measurement=task.measurement,
-        database=database,
-    )
-    (problem_class, nprocs) = task.plan.configurations()[0]
-    inputs = campaign.run_configuration(problem_class, nprocs)
-    simulations = campaign.measurements_run
-    reused = campaign.measurements_reused
-    benchmark = task.plan.benchmark
-    cached_actual = database.get(benchmark, problem_class, nprocs, ACTUAL_KEY)
-    if cached_actual is not None:
-        actual = cached_actual.mean
-        reused += 1
-    else:
-        bench_run = ApplicationRunner(
-            campaign_benchmark(benchmark, problem_class, nprocs),
-            task.machine,
-            seed=task.application_seed,
-        ).run()
-        actual = bench_run.total_time
-        database.store_if_absent(
-            Measurement(
-                benchmark=benchmark,
-                problem_class=problem_class,
-                nprocs=nprocs,
-                kernels=ACTUAL_KEY,
-                samples=(actual,),
-                overhead=0.0,
-            )
-        )
-        simulations += 1
+    result = run_cell(spec)
     return CellOutcome(
-        benchmark=benchmark,
-        problem_class=problem_class,
-        nprocs=nprocs,
-        inputs=inputs,
-        actual=actual,
-        simulations=simulations,
-        reused=reused,
+        inputs=PredictionInputs.from_dict(result.inputs),
+        actual=result.actual,
+        simulations=result.memo_stats["stores"],
     )
-
-
-def replay_cell(
-    task: CellTask, database: PerformanceDatabase
-) -> Optional[CellOutcome]:
-    """The read-only twin of :func:`execute_cell`, or None.
-
-    Looks up every row :func:`execute_cell` would read (the campaign's
-    loop, one-shot and window rows, then the application total) in one
-    snapshot of the cell (:meth:`PerformanceDatabase.read_cell`, a single
-    query) and simulates nothing: any missing row returns None. Cheap
-    enough for the request thread, which is where the serving engine
-    calls it.
-    """
-    campaign = Campaign(
-        plan=task.plan,
-        machine=task.machine,
-        measurement=task.measurement,
-        database=database,
-    )
-    (problem_class, nprocs) = task.plan.configurations()[0]
-    benchmark = task.plan.benchmark
-    rows = database.read_cell(benchmark, problem_class, nprocs)
-    inputs = campaign.replay_configuration(problem_class, nprocs, rows)
-    if inputs is None:
-        return None
-    actual = rows(ACTUAL_KEY)
-    if actual is None:
-        return None
-    return CellOutcome(
-        benchmark=benchmark,
-        problem_class=problem_class,
-        nprocs=nprocs,
-        inputs=inputs,
-        actual=actual.mean,
-        simulations=0,
-        reused=campaign.measurements_reused + 1,
-    )
-
-
-def campaign_benchmark(benchmark: str, problem_class: str, nprocs: int):
-    """Build the benchmark object a cell task refers to."""
-    from repro.npb import make_benchmark
-
-    return make_benchmark(benchmark, problem_class, nprocs)
 
 
 class WorkerPool:
@@ -183,7 +78,7 @@ class WorkerPool:
     beyond that raises
     :class:`~repro.errors.ServiceSaturatedError` carrying a retry-after
     estimate instead of queueing unboundedly. ``kind`` selects
-    ``"thread"`` (default — shares the in-process database) or
+    ``"thread"`` (default — shares the in-process memo store) or
     ``"inline"`` (synchronous, for debugging and deterministic tests).
 
     **Worker death.** A task failing with

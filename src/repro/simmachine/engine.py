@@ -94,6 +94,25 @@ class Event:
         heappush(sim._queue, (sim.now + delay, seq, self))
         return self
 
+    def trigger_at_time(self, value: Any, when: float) -> "Event":
+        """Trigger with ``value`` at absolute time ``max(when, now)``.
+
+        Scheduling at ``when`` itself rather than at ``now + (when - now)``
+        keeps a message's completion exactly at its arrival time (the
+        relative form can round one ulp off). While a ``sim.run.noise``
+        burst stretches delays, the relative path applies the stretch.
+        """
+        sim = self.sim
+        now = sim.now
+        if sim._delay_scale != 1.0:
+            return self.trigger_at(value, max(0.0, when - now))
+        if self._value is not _PENDING or self._exc is not None:
+            raise SimulationError("event triggered twice")
+        self._value = value
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (when if when > now else now, seq, self))
+        return self
+
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception to throw into waiters."""
         if self.triggered:

@@ -147,7 +147,7 @@ class Comm:
                 rreq = recv_box.popleft()
                 if not recv_box:
                     del recv_boxes[key]
-                rreq.trigger_at(payload, max(0.0, arrival - now))
+                rreq.trigger_at_time(payload, arrival)
             else:
                 boxes = world.pending_msgs[dest]
                 queue = boxes.get(key)
@@ -155,7 +155,7 @@ class Comm:
                     queue = boxes[key] = deque()
                 queue.append((arrival, nbytes, payload))
         req = Request(sim, "send", dest, tag, nbytes)
-        req.trigger_at(None, max(0.0, sender_done - now))
+        req.trigger_at_time(None, sender_done)
         return req
 
     def irecv(self, source: int, tag: int = 0, _collective: bool = False) -> Request:
@@ -177,9 +177,8 @@ class Comm:
             if not queue:
                 del boxes[key]
             req = Request(sim, "recv", source, tag, nbytes)
-            delay = arrival - sim.now
-            if delay > 0.0:
-                req.trigger_at(payload, delay)
+            if arrival > sim.now:
+                req.trigger_at_time(payload, arrival)
             else:
                 # Arrived: complete at post, as the queue would at delay 0.
                 req._value = payload

@@ -9,7 +9,6 @@ from repro.analysis.graph import (
     build_graph,
     load_cached,
     module_name_for,
-    signature_tokens,
 )
 from repro.analysis.visitor import iter_python_files
 from tests.analysis.conftest import write_tree
@@ -47,34 +46,6 @@ class TestModuleNaming:
         assert module_name_for("src/repro/core/models.py") == (
             "repro.core.models"
         )
-
-
-class TestSignatureTokens:
-    def test_kinds_and_optionality(self, tmp_path):
-        graph = build(
-            tmp_path,
-            {
-                "m.py": """\
-                def f(a, b=1, *rest, c, d=2, **kw):
-                    return a
-                """
-            },
-        )
-        assert graph.functions["m.f"].signature == (
-            "a", "b=?", "*rest", "c", "d=?", "**kw"
-        )
-
-    def test_positional_only_marker(self, tmp_path):
-        graph = build(
-            tmp_path,
-            {
-                "m.py": """\
-                def f(a, /, b):
-                    return a + b
-                """
-            },
-        )
-        assert graph.functions["m.f"].signature == ("a", "/", "b")
 
 
 class TestResolution:

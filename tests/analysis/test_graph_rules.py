@@ -1,8 +1,7 @@
-"""Phase-2 graph rules: REP010 transitive determinism, REP014 API parity."""
+"""Phase-2 graph rules: REP010 transitive determinism."""
 
 from __future__ import annotations
 
-from repro.analysis.checks.apiparity import ApiParityRule, ParityGroup
 from repro.analysis.rules import select_rules
 from repro.analysis.visitor import Analyzer, iter_python_files
 from tests.analysis.conftest import write_tree
@@ -145,94 +144,4 @@ class TestTransitiveDeterminismREP010:
             return stamp(state)  # repro: ignore[REP010] — test override
         """
         findings, _ = lint_tree(tmp_path, files, select=["REP010"])
-        assert findings == []
-
-
-PARITY_FIXTURE = {
-    "engines/__init__.py": "",
-    "engines/fast.py": """\
-    class FastEngine:
-        def run(self, workload, until=None):
-            return workload
-
-        def only_fast(self):
-            return 1
-    """,
-    "engines/exact.py": """\
-    class ExactEngine:
-        def run(self, workload, until=None):
-            return workload
-    """,
-}
-
-PARITY_GROUP = ParityGroup(
-    name="test-engines",
-    members=("engines.fast.FastEngine", "engines.exact.ExactEngine"),
-)
-
-
-class TestApiParityREP014:
-    def test_matching_shared_signatures_pass(self, tmp_path):
-        findings, _ = lint_tree(
-            tmp_path, PARITY_FIXTURE, rules=[ApiParityRule([PARITY_GROUP])]
-        )
-        assert findings == []
-
-    def test_perturbed_signature_fails(self, tmp_path):
-        files = dict(PARITY_FIXTURE)
-        files["engines/exact.py"] = """\
-        class ExactEngine:
-            def run(self, workload, deadline=None):
-                return workload
-        """
-        findings, _ = lint_tree(
-            tmp_path, files, rules=[ApiParityRule([PARITY_GROUP])]
-        )
-        (finding,) = findings
-        assert finding.rule == "REP014"
-        assert "diverges" in finding.message
-        assert "until=?" in finding.message and "deadline=?" in finding.message
-        # Both definitions are named so the drifting side is obvious.
-        assert any("FastEngine" in hop for hop in finding.witness)
-        assert any("ExactEngine" in hop for hop in finding.witness)
-
-    def test_unshared_names_do_not_require_parity(self, tmp_path):
-        files = dict(PARITY_FIXTURE)
-        files["engines/exact.py"] = """\
-        class ExactEngine:
-            def run(self, workload, until=None):
-                return workload
-
-            def only_exact(self):
-                return 2
-        """
-        findings, _ = lint_tree(
-            tmp_path, files, rules=[ApiParityRule([PARITY_GROUP])]
-        )
-        assert findings == []
-
-    def test_private_methods_are_ignored(self, tmp_path):
-        files = dict(PARITY_FIXTURE)
-        files["engines/exact.py"] = """\
-        class ExactEngine:
-            def run(self, workload, until=None):
-                return workload
-
-            def _only_fast(self, different):
-                return different
-        """
-        findings, _ = lint_tree(
-            tmp_path, files, rules=[ApiParityRule([PARITY_GROUP])]
-        )
-        assert findings == []
-
-    def test_committed_group_holds_on_real_tree(self):
-        # The real tier engines must satisfy the committed contract.
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        analyzer = Analyzer(select_rules(["REP014"]))
-        findings = analyzer.run(
-            iter_python_files([str(repo / "src")]), root=str(repo)
-        )
         assert findings == []

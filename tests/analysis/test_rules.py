@@ -17,7 +17,7 @@ class TestRegistry:
         assert ids == sorted(ids)
         for expected in ("REP001", "REP002", "REP003", "REP004", "REP005",
                          "REP006", "REP007", "REP008", "REP009", "REP010",
-                         "REP011", "REP012", "REP013", "REP014"):
+                         "REP011", "REP012", "REP013"):
             assert expected in ids
 
     def test_every_rule_documented(self):

@@ -1,12 +1,12 @@
 """Deterministic chaos harness for the prediction serving stack.
 
 Drives the *real* service — L1 cache, single-flight batcher, worker pool,
-persistent sqlite tier, wire protocol — from many client threads while a
+persistent memo store, wire protocol — from many client threads while a
 seeded :class:`~repro.faults.FaultPlan` fires faults at every layer. The
 cell *simulation* is replaced by :func:`synthetic_execute`, which mirrors
-``execute_cell``'s fault checkpoints and database round-trip but builds
-its measurements arithmetically, so a soak of thousands of requests runs
-in seconds while still exercising every robustness path.
+``simulate_cell``'s fault checkpoints and memo-store round-trip but
+builds its measurements arithmetically, so a soak of thousands of
+requests runs in seconds while still exercising every robustness path.
 
 The harness's contract (asserted by ``tests/chaos/test_chaos.py``):
 
@@ -14,7 +14,7 @@ The harness's contract (asserted by ``tests/chaos/test_chaos.py``):
 * **typed outcomes** — every request yields a well-formed JSON response
   (``ok: true`` with predictions, or ``ok: false`` with ``error_type``)
   or an accounted client disconnect;
-* **no silent corruption** — injected sqlite-tier corruption is detected
+* **no silent corruption** — injected memo-store corruption is detected
   and purged, never served (the tamper marker can never reach a client);
 * **metrics reconcile** — obs counters match the injector's per-site fire
   counts, and those fire counts match the pure
@@ -33,9 +33,13 @@ from dataclasses import dataclass, field
 from repro import faults, obs
 from repro.core.kernel import ControlFlow
 from repro.core.predictor import PredictionInputs
-from repro.errors import ClientDisconnectError, WorkerCrashError
-from repro.instrument.runner import Measurement
+from repro.errors import (
+    ClientDisconnectError,
+    MeasurementError,
+    WorkerCrashError,
+)
 from repro.npb import make_benchmark
+from repro.parallel.memo import TAMPER, SimulationMemoStore
 from repro.service import (
     PredictionService,
     ShardRouter,
@@ -46,10 +50,7 @@ from repro.service.workers import CellOutcome
 
 #: Sentinel planted by the ``db.*.corrupt`` tamper; if it ever shows up in
 #: a served value, corrupted data escaped detection.
-TAMPER_MARKER = 666333.0
-
-#: Pseudo-chain under which synthetic cells archive their "actual" time.
-CHAOS_KEY = ("__CHAOS_ACTUAL__",)
+TAMPER_MARKER = TAMPER
 
 
 def _stable_time(*parts) -> float:
@@ -60,14 +61,16 @@ def _stable_time(*parts) -> float:
     return 1e-4 + (digest % 9999) * 1e-6
 
 
-def synthetic_execute(task, database=None) -> CellOutcome:
-    """A fast, deterministic stand-in for ``execute_cell``.
+def synthetic_execute(spec) -> CellOutcome:
+    """A fast, deterministic stand-in for ``simulate_cell``.
 
     Honours the same fault checkpoints (``worker.cell.stall``,
-    ``worker.cell.crash``) and performs a real persistent-tier round-trip
-    (``store_if_absent`` + ``get``) so the ``db.*.corrupt`` sites are
-    exercised — the served ``actual`` comes *from the database*, making
-    undetected corruption observable at the client.
+    ``worker.cell.crash``) and performs a real memo-store round-trip
+    (``put`` + ``get`` in the spec's ``cache_dir``) so the
+    ``db.*.corrupt`` sites are exercised — the served ``actual`` comes
+    *from the store*, making undetected corruption observable at the
+    client. A corrupt read-back is purged and the write retried; three
+    corrupt read-backs in a row raise a typed ``MeasurementError``.
     """
     stall = faults.check("worker.cell.stall")
     if stall is not None:
@@ -75,8 +78,9 @@ def synthetic_execute(task, database=None) -> CellOutcome:
     if faults.check("worker.cell.crash") is not None:
         raise WorkerCrashError("injected worker crash (worker.cell.crash)")
 
-    (problem_class, nprocs) = task.plan.configurations()[0]
-    benchmark = task.plan.benchmark
+    benchmark, problem_class, nprocs = (
+        spec.benchmark, spec.problem_class, spec.nprocs
+    )
     bench = make_benchmark(benchmark, problem_class, nprocs)
     flow = ControlFlow(bench.loop_kernel_names)
     loop_times = {
@@ -84,7 +88,7 @@ def synthetic_execute(task, database=None) -> CellOutcome:
         for k in flow.names
     }
     chain_times = {}
-    for length in task.plan.chain_lengths:
+    for length in spec.chain_lengths:
         for window in flow.windows(length):
             base = sum(loop_times[k] for k in window)
             wiggle = 0.9 + 0.2 * (_stable_time(*window) * 1e3 % 1.0)
@@ -97,29 +101,32 @@ def synthetic_execute(task, database=None) -> CellOutcome:
     )
     actual = sum(loop_times.values()) * bench.iterations
 
-    if database is not None:
-        # Round-trip the actual through the sqlite tier so db.write.corrupt
+    if spec.cache_dir is not None:
+        # Round-trip the actual through the memo store so db.write.corrupt
         # / db.read.corrupt stand between us and the served value.
-        stored = database.store_if_absent(
-            Measurement(
-                benchmark=benchmark,
-                problem_class=problem_class,
-                nprocs=nprocs,
-                kernels=CHAOS_KEY,
-                samples=(actual,),
-                overhead=0.0,
+        store = SimulationMemoStore(spec.cache_dir)
+        key = {
+            "kind": "chaos-actual",
+            "benchmark": benchmark,
+            "problem_class": problem_class,
+            "nprocs": nprocs,
+        }
+        for _attempt in range(3):
+            store.put(key, {"actual": actual})
+            stored = store.get(key)
+            if stored is not None:
+                actual = stored["actual"]
+                break
+        else:
+            raise MeasurementError(
+                f"chaos actual for {benchmark}.{problem_class}.{nprocs} "
+                "failed integrity verification after retry"
             )
-        )
-        actual = stored.mean
 
     return CellOutcome(
-        benchmark=benchmark,
-        problem_class=problem_class,
-        nprocs=nprocs,
         inputs=inputs,
         actual=actual,
         simulations=1,
-        reused=0,
     )
 
 

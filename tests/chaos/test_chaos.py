@@ -35,10 +35,12 @@ SMOKE_PLAN = plan(
 )
 
 #: Probabilistic soak: the injector's seeded streams decide, and stalls
-#: are longer than the deadline so timeouts occur.
+#: are longer than the deadline so timeouts occur. Archive records answer
+#: every seed of a cell, so the soak's stream runs only a few dozen cells:
+#: the stall cadence is counted in cell executions, not requests.
 SOAK_PLAN = plan(
     FaultSpec(site="worker.cell.crash", probability=0.06),
-    FaultSpec(site="worker.cell.stall", every_nth=40, param=0.6),
+    FaultSpec(site="worker.cell.stall", every_nth=5, param=0.6),
     FaultSpec(site="pool.submit.reject", probability=0.02),
     FaultSpec(site="batch.dispatch.error", probability=0.02),
     FaultSpec(site="engine.dispatch.error", probability=0.02),

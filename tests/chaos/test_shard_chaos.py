@@ -268,7 +268,7 @@ def test_sigkill_composes_with_data_layer_faults(tmp_path):
         seed=11,
     )
     configs = _configs(
-        fault_plan=plan, db_path=str(tmp_path / "chaos.sqlite")
+        fault_plan=plan, cache_dir=str(tmp_path / "memo")
     )
     with ProcessShardManager(configs) as manager, serve_router(
         manager, admission_limit=64

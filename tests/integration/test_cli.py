@@ -30,7 +30,7 @@ class TestParser:
         args = build_parser().parse_args(["profile", "lu", "a", "8"])
         assert args.benchmark == "LU"
         assert args.problem_class == "A"
-        args = build_parser().parse_args(["sweep", "cg", "--classes", "s,w"])
+        args = build_parser().parse_args(["campaign", "cg", "--classes", "s,w"])
         assert args.benchmark == "CG"
 
     def test_mixed_case_rejected_only_when_invalid(self, capsys):
@@ -88,34 +88,6 @@ class TestCommands:
         assert exc.value.code == 0
 
 
-class TestSweepCommand:
-    def test_sweep_prints_predictions(self, capsys, tmp_path):
-        db = str(tmp_path / "sweep.sqlite")
-        assert main(
-            [
-                "sweep", "BT",
-                "--classes", "S",
-                "--procs", "1,4",
-                "--repetitions", "2",
-                "--db", db,
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "summation" in out and "coupling L=2" in out
-        assert "24 run, 0 reused" in out
-
-    def test_sweep_memoizes_across_invocations(self, capsys, tmp_path):
-        db = str(tmp_path / "sweep.sqlite")
-        args = [
-            "sweep", "BT", "--classes", "S", "--procs", "4",
-            "--repetitions", "2", "--db", db,
-        ]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "0 run, 12 reused" in capsys.readouterr().out
-
-
 class TestServeCommand:
     def test_jsonl_session_over_stdin(self, capsys, monkeypatch):
         requests = "\n".join(
@@ -140,19 +112,33 @@ class TestServeCommand:
         assert "serve.closed requests=2" in captured.err
         assert '"requests"' in captured.err
 
-    def test_serve_persists_measurements(self, capsys, monkeypatch, tmp_path):
-        db = str(tmp_path / "serve.sqlite")
+    def test_serve_persists_measurements(
+        self, capsys, caplog, monkeypatch, tmp_path
+    ):
+        cache = tmp_path / "memo"
         line = '{"benchmark": "BT", "problem_class": "S", "nprocs": 4}\n'
         monkeypatch.setattr("sys.stdin", io.StringIO(line))
         assert main(
-            ["serve", "--db", db, "--repetitions", "2",
+            ["serve", "--db", str(tmp_path / "serve.sqlite"),
+             "--cache-dir", str(cache), "--repetitions", "2",
              "--executor", "inline", "--batch-window", "0"]
         ) == 0
         capsys.readouterr()
-        from repro.instrument import PerformanceDatabase
-
-        with PerformanceDatabase(db) as stored:
-            assert len(stored) == 13  # 12 chain rows + the application total
+        # --db is accepted and ignored; the memo directory holds every
+        # measurement, the cell record and the chain length's archive.
+        ignored = [
+            r for r in caplog.records
+            if r.getMessage().startswith("serve.db_ignored")
+        ]
+        assert len(ignored) == 1
+        assert not (tmp_path / "serve.sqlite").exists()
+        kinds = sorted(
+            json.loads(path.read_text(encoding="utf-8"))["key"]["kind"]
+            for path in cache.glob("*/*.json")
+        )
+        assert kinds == (
+            ["application", "archive", "cell"] + ["measurement"] * 13
+        )
 
 
 class TestReportCommand:

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -142,19 +143,16 @@ def test_admission_pressure_recovers_via_client_retry():
 
 
 def test_sharded_persistence_is_shared_nothing(tmp_path):
-    """Each shard owns a private db + memo slice; none collide."""
-    db = str(tmp_path / "perf.sqlite")
+    """Each shard owns a private memo slice; none collide."""
     cache = str(tmp_path / "memo")
     configs = make_shard_configs(
         3,
-        db_path=db,
         cache_dir=cache,
         measurement=MeasurementConfig(repetitions=2, warmup=1, seed=0),
         max_workers=2,
     )
-    paths = [(c.db_path, c.cache_dir) for c in configs]
-    assert len({p for p, _ in paths}) == 3
-    assert len({c for _, c in paths}) == 3
+    paths = [c.cache_dir for c in configs]
+    assert len(set(paths)) == 3
     with ProcessShardManager(configs) as manager, serve_router(
         manager
     ) as (_, (host, port)):
@@ -169,7 +167,10 @@ def test_sharded_persistence_is_shared_nothing(tmp_path):
                     }
                 )["ok"]
     # every shard that served a cell persisted into its own slice
-    populated = [path for path, _ in paths if os.path.exists(path)]
+    populated = [
+        path for path in paths
+        if os.path.isdir(path) and any(Path(path).glob("*/*.json"))
+    ]
     assert populated, "no shard persisted anything"
 
 

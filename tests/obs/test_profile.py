@@ -1,5 +1,6 @@
 """The sampling profiler: backends, attribution, merging, exports."""
 
+import sys
 import threading
 import time
 
@@ -188,6 +189,21 @@ class TestSamplingProfiler:
             with obs.tag("hot.region"):
                 _burn(0.2)
         assert profiler.data.span_seconds().get("hot.region", 0) > 0
+
+
+    @pytest.mark.timeout(10)
+    def test_signal_inside_span_bookkeeping_does_not_deadlock(self):
+        # SIGPROF can land while the interrupted thread holds the span
+        # stack lock (inside obs.span's push or pop); the handler must
+        # still take its sample instead of waiting on that lock forever.
+        profiler = SamplingProfiler(interval=0.002, backend="thread")
+        profiler._push(threading.get_ident(), "outer")
+        profiler._running = True
+        with profiler._stacks_lock:
+            profiler._on_signal(0, sys._getframe())
+        profiler._running = False
+        assert profiler.data.sample_count == 1
+        assert profiler.data.span_samples == {("outer",): 1}
 
 
 class TestModuleApi:

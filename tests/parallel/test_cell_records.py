@@ -165,11 +165,11 @@ class TestRecordsCrossPaths:
                 SummationPredictor.name
             ] == result.summation
 
-    def test_pipeline_skips_records_built_from_reused_rows(self, tmp_path):
-        # The service's sqlite tier is keyed without the seed: a seed-1
-        # chain-3 request on a seed-0 chain-2 archive measures only the
-        # chain-3 windows and reuses seed 0's loop rows, and the
-        # dispatcher writes that mixed cell as the seed-1 record.
+    def test_new_seed_simulates_its_own_loop_kernels(self, tmp_path):
+        # A seed-1 chain-3 request on a seed-0 chain-2 store has no
+        # archive to answer it: its batch measures seed 1's own loop
+        # kernels (measurement records are seed-keyed) and writes a pure
+        # seed-1 cell record, which the seed-1 pipeline adopts as is.
         cache = tmp_path / "memo"
         with PredictionService(
             measurement=MEASUREMENT, cache_dir=str(cache), batch_window=0.0
@@ -180,22 +180,15 @@ class TestRecordsCrossPaths:
                                    seed=seed),
                     timeout=120,
                 )
-        records = [
-            json.loads(path.read_text(encoding="utf-8"))
-            for path in cache.glob("*/*.json")
-        ]
-        (mixed,) = [
-            record["payload"] for record in records
-            if record["key"]["kind"] == "cell"
-            and record["key"]["chain_lengths"] == [3]
-        ]
-        assert mixed["reused"] > 0
+        assert sorted(cell_records(cache)) == [(4, (2,)), (4, (3,))]
         settings = ExperimentSettings(
             measurement=MeasurementConfig(repetitions=3, warmup=1, seed=1)
         )
+        runs = sim_runs()
         warm = ExperimentPipeline(settings, memo=cache).sweep(
             "BT", "S", [4], chain_lengths=[3]
         )
+        assert sim_runs() == runs
         baseline = ExperimentPipeline(settings).sweep(
             "BT", "S", [4], chain_lengths=[3]
         )

@@ -4,8 +4,7 @@ import threading
 
 import pytest
 
-from repro.instrument import PerformanceDatabase
-from repro.service.cache import ACTUAL_KEY, LRUCache, TieredPredictionCache
+from repro.service.cache import LRUCache, TieredPredictionCache
 
 
 class FakeClock:
@@ -96,27 +95,30 @@ class TestLRUCache:
 
 
 class TestTieredPredictionCache:
-    def test_owns_and_closes_internal_database(self, tmp_path):
-        cache = TieredPredictionCache(db_path=str(tmp_path / "t.sqlite"))
-        assert len(cache.database) == 0
+    def test_owns_and_closes_internal_database(self):
+        # Without a cache_dir the persistent tier is a private temporary
+        # memo directory, removed on close.
+        cache = TieredPredictionCache()
+        root = cache.memo.root
+        cache.memo.put({"kind": "test"}, {"v": 1})
+        assert root.is_dir()
         cache.close()
-        with pytest.raises(Exception):
-            len(cache.database)
+        assert not root.exists()
 
-    def test_external_database_left_open(self):
-        db = PerformanceDatabase()
-        cache = TieredPredictionCache(database=db)
+    def test_external_database_left_open(self, tmp_path):
+        cache = TieredPredictionCache(cache_dir=str(tmp_path / "memo"))
+        cache.memo.put({"kind": "test"}, {"v": 1})
         cache.close()
-        assert len(db) == 0  # still usable
-        db.close()
+        assert len(cache.memo) == 1  # still there, still usable
+        assert cache.memo.get({"kind": "test"}) == {"v": 1}
 
-    def test_external_empty_database_is_not_replaced(self):
-        # PerformanceDatabase defines __len__; an empty one is falsy. The
-        # tier must still adopt it (identity, not truthiness).
-        db = PerformanceDatabase()
-        cache = TieredPredictionCache(database=db)
-        assert cache.database is db
-        db.close()
+    def test_external_empty_database_is_not_replaced(self, tmp_path):
+        # An empty memo store has len() 0 (falsy); the tier must still
+        # adopt the given directory, not a private one.
+        cache = TieredPredictionCache(cache_dir=str(tmp_path))
+        assert cache.memo.root == tmp_path
+        cache.close()
+        assert tmp_path.is_dir()
 
     def test_report_tier_and_stats(self):
         cache = TieredPredictionCache(capacity=8)
@@ -126,8 +128,5 @@ class TestTieredPredictionCache:
         assert cache.get_report(key) == "report"
         stats = cache.stats()
         assert stats["l1"]["hits"] == 1
-        assert stats["l2"]["measurements"] == 0
+        assert stats["l2"]["path"] == str(cache.memo.root)
         cache.close()
-
-    def test_actual_key_never_collides_with_real_chains(self):
-        assert ACTUAL_KEY[0].startswith("__")

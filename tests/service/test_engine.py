@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ServiceError, ServiceSaturatedError
 from repro.instrument import MeasurementConfig
 from repro.service import PredictRequest, PredictionService
-from repro.service.workers import execute_cell
+from repro.service.workers import simulate_cell
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
@@ -93,12 +93,16 @@ class TestServing:
             assert stats["batch_size"]["max"] == 2.0
 
     def test_l2_reconstruction_across_restart(self, tmp_path):
-        db = str(tmp_path / "perf.sqlite")
+        cache = str(tmp_path / "memo")
         request = PredictRequest("BT", "S", 4)
-        with make_service(db_path=db, executor="inline", batch_window=0.0) as a:
+        with make_service(
+            cache_dir=cache, executor="inline", batch_window=0.0
+        ) as a:
             cold = a.predict(request)
             assert a.stats()["simulations"] > 0
-        with make_service(db_path=db, executor="inline", batch_window=0.0) as b:
+        with make_service(
+            cache_dir=cache, executor="inline", batch_window=0.0
+        ) as b:
             warm = b.predict(request)
             stats = b.stats()
             assert stats["simulations"] == 0
@@ -124,7 +128,7 @@ class TestServing:
             assert stats["simulations"] == simulations_cold
 
     def test_execution_errors_propagate_and_count(self):
-        def explode(task, database=None):
+        def explode(spec):
             raise RuntimeError("simulator on fire")
 
         with make_service(
@@ -148,10 +152,10 @@ class TestSingleFlight:
         calls = []
         lock = threading.Lock()
 
-        def counting(task, database=None):
+        def counting(spec):
             with lock:
-                calls.append(task)
-            return execute_cell(task, database)
+                calls.append(spec)
+            return simulate_cell(spec)
 
         with make_service(
             execute=counting, batch_window=0.05, max_workers=2
@@ -181,10 +185,10 @@ class TestBackpressure:
         started = threading.Event()
         release = threading.Event()
 
-        def blocking(task, database=None):
+        def blocking(spec):
             started.set()
             assert release.wait(timeout=30)
-            return execute_cell(task, database)
+            return simulate_cell(spec)
 
         service = make_service(
             execute=blocking,

@@ -3,7 +3,7 @@
 Unit coverage for :mod:`repro.faults` (specs, plans, determinism, the
 injector) plus per-site integration tests: worker crashes flipping the
 service into degraded mode and probes recovering it, request deadlines,
-client retry with backoff, sqlite-tier corruption detection, L1 drops,
+client retry with backoff, memo-store corruption detection, L1 drops,
 and the wire-level disconnect/error typing.
 """
 
@@ -15,7 +15,6 @@ import pytest
 from repro import faults, obs
 from repro.errors import (
     ConfigurationError,
-    MeasurementError,
     ServiceDegradedError,
     ServiceSaturatedError,
     ServiceTimeoutError,
@@ -23,8 +22,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.instrument import MeasurementConfig, PerformanceDatabase
-from repro.instrument.runner import Measurement
+from repro.instrument import MeasurementConfig
+from repro.parallel.memo import SimulationMemoStore
 from repro.service import (
     PredictRequest,
     PredictionService,
@@ -33,7 +32,7 @@ from repro.service import (
     handle_line,
     serve_jsonl,
 )
-from repro.service.workers import execute_cell
+from repro.service.workers import simulate_cell
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
@@ -258,9 +257,9 @@ class TestTimeouts:
     def test_deadline_raises_typed_timeout(self):
         release = threading.Event()
 
-        def blocking(task, database=None):
+        def blocking(spec):
             assert release.wait(timeout=30)
-            return execute_cell(task, database)
+            return simulate_cell(spec)
 
         service = make_service(
             execute=blocking, batch_window=0.0, default_timeout=0.05
@@ -278,9 +277,9 @@ class TestTimeouts:
     def test_explicit_timeout_overrides_default(self):
         release = threading.Event()
 
-        def blocking(task, database=None):
+        def blocking(spec):
             assert release.wait(timeout=30)
-            return execute_cell(task, database)
+            return simulate_cell(spec)
 
         service = make_service(
             execute=blocking, batch_window=0.0, default_timeout=300.0
@@ -385,63 +384,60 @@ class TestClientRetry:
             assert flaky.calls == 1
 
 
-def sample_measurement(**overrides):
-    fields = dict(
-        benchmark="BT",
-        problem_class="S",
-        nprocs=4,
-        kernels=("k1", "k2"),
-        samples=(1.0, 1.1, 0.9),
-        overhead=0.01,
-    )
-    fields.update(overrides)
-    return Measurement(**fields)
+def sample_key(nprocs=4):
+    return {"kind": "measurement", "benchmark": "BT", "nprocs": nprocs}
+
+
+SAMPLE = {"samples": [1.0, 1.1, 0.9], "overhead": 0.01}
+
+
+def corruption_count():
+    return obs.get_registry().counter("cache_corruption_detected").value
 
 
 class TestDatabaseIntegrity:
-    def test_read_corruption_is_detected_purged_and_counted(self):
-        with PerformanceDatabase() as db:
-            db.store(sample_measurement())
-            key = ("BT", "S", 4, ("k1", "k2"))
-            with faults.active(
-                plan(FaultSpec(site="db.read.corrupt", every_nth=1, max_fires=1))
-            ):
-                assert db.get(*key) is None  # corrupted read → miss
-            counter = obs.get_registry().counter("cache_corruption_detected")
-            assert counter.value == 1
-            assert len(db) == 0  # the bad row was purged
-            # Re-measuring after the purge works again.
-            db.store(sample_measurement())
-            assert db.get(*key) is not None
+    """The ``db.*.corrupt`` sites on the memo store, the one persistent tier."""
 
-    def test_write_corruption_self_heals_via_retry(self):
-        with PerformanceDatabase() as db:
-            with faults.active(
-                plan(FaultSpec(site="db.write.corrupt", every_nth=1, max_fires=1))
-            ):
-                stored = db.store_if_absent(sample_measurement())
-            assert stored.samples == (1.0, 1.1, 0.9)
-            assert len(db) == 1
-            counter = obs.get_registry().counter("cache_corruption_detected")
-            assert counter.value == 1
+    def test_read_corruption_is_detected_purged_and_counted(self, tmp_path):
+        store = SimulationMemoStore(tmp_path)
+        store.put(sample_key(), SAMPLE)
+        with faults.active(
+            plan(FaultSpec(site="db.read.corrupt", every_nth=1, max_fires=1))
+        ):
+            assert store.get(sample_key()) is None  # corrupted read → miss
+        assert corruption_count() == 1
+        assert len(store) == 0  # the bad record was purged
+        # Re-measuring after the purge works again.
+        store.put(sample_key(), SAMPLE)
+        assert store.get(sample_key()) == SAMPLE
 
-    def test_persistent_write_corruption_raises_typed_error(self):
-        with PerformanceDatabase() as db:
-            with faults.active(
-                plan(FaultSpec(site="db.write.corrupt", every_nth=1))
-            ):
-                with pytest.raises(MeasurementError, match="integrity"):
-                    db.store_if_absent(sample_measurement())
+    def test_write_corruption_self_heals_via_retry(self, tmp_path):
+        store = SimulationMemoStore(tmp_path)
+        with faults.active(
+            plan(FaultSpec(site="db.write.corrupt", every_nth=1, max_fires=1))
+        ):
+            # The writer keeps its pristine payload; the disk copy rots
+            # under an honest checksum.
+            assert store.put_if_absent(sample_key(), SAMPLE) == SAMPLE
+        assert corruption_count() == 0
+        assert store.get(sample_key()) is None  # detected on read
+        assert corruption_count() == 1
+        assert store.put_if_absent(sample_key(), SAMPLE) == SAMPLE
+        assert store.get(sample_key()) == SAMPLE
+        assert len(store) == 1
 
-    def test_concurrent_writers_heal_a_write_and_a_read_corruption(self):
+    def test_concurrent_writers_heal_a_write_and_a_read_corruption(
+        self, tmp_path
+    ):
         # Writers of one key race through write and read-back corruption;
-        # every call must still return the verified row.
-        failures = []
+        # every call must still return a verified (never tampered) payload.
+        store = SimulationMemoStore(tmp_path)
+        returned, failures = [], []
 
-        def store(measurement):
+        def write(key):
             try:
-                db.store_if_absent(measurement)
-            except MeasurementError as exc:
+                returned.append(store.put_if_absent(key, SAMPLE))
+            except Exception as exc:  # noqa: BLE001 — collected for assert
                 failures.append(exc)
 
         switch = sys.getswitchinterval()
@@ -452,11 +448,12 @@ class TestDatabaseIntegrity:
                     FaultSpec(site="db.write.corrupt", every_nth=5),
                     FaultSpec(site="db.read.corrupt", every_nth=7),
                 )
-            ), PerformanceDatabase() as db:
+            ):
                 for nprocs in range(1, 61):
-                    measurement = sample_measurement(nprocs=nprocs)
                     writers = [
-                        threading.Thread(target=store, args=(measurement,))
+                        threading.Thread(
+                            target=write, args=(sample_key(nprocs),)
+                        )
                         for _ in range(4)
                     ]
                     for writer in writers:
@@ -467,14 +464,28 @@ class TestDatabaseIntegrity:
         finally:
             sys.setswitchinterval(switch)
         assert failures == []
+        assert len(returned) == 240
+        assert all(payload == SAMPLE for payload in returned)
 
-    def test_legacy_rows_without_checksum_are_accepted(self):
-        with PerformanceDatabase() as db:
-            db.store(sample_measurement())
-            with db._lock:
-                db._connection().execute("UPDATE measurements SET checksum=NULL")
-                db._connection().commit()
-            assert db.get("BT", "S", 4, ("k1", "k2")) is not None
+    def test_one_record_per_key_under_racing_writers(self, tmp_path):
+        store = SimulationMemoStore(tmp_path)
+        winners = []
+        start = threading.Barrier(8, timeout=30)
+
+        def write(value):
+            start.wait()
+            winners.append(store.put_if_absent(sample_key(), {"v": value}))
+
+        threads = [
+            threading.Thread(target=write, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(store) == 1
+        assert store.stats()["stores"] == 1
+        assert winners == [store.get(sample_key())] * 8
 
 
 class TestCacheDrop:

@@ -240,10 +240,10 @@ class _Gate:
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def __call__(self, task, database=None):
+    def __call__(self, spec):
         self.entered.set()
         assert self.release.wait(timeout=30.0), "gate never released"
-        return synthetic_execute(task, database)
+        return synthetic_execute(spec)
 
 
 @pytest.fixture

@@ -1,21 +1,21 @@
 """The store rung: archived cells answered on the request thread.
 
-A request whose cell is fully archived in the persistent tier (or in its
-own memo cell record) is answered before the degraded/saturation gates
-and the batch window; anything missing falls through to the batcher.
+A request whose (machine, protocol, cell, chain length) has an archive
+record in the memo store is answered from that one record before the
+degraded/saturation gates and the batch window, at any seed; anything
+else falls through to the batcher, whose batch then archives its answer
+with a create-if-absent write.
 """
 
+import io
 import json
-import os
-import shutil
-import socket
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro import faults, obs
+from repro.cli import main
 from repro.core.kernel import ControlFlow
 from repro.errors import (
     ServiceDegradedError,
@@ -26,10 +26,10 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.instrument import MeasurementConfig
 from repro.instrument.runner import ApplicationRunner, ChainRunner
 from repro.npb import make_benchmark
-from repro.parallel.worker import cell_inputs
-from repro.service import PredictRequest, PredictionService, serve_socket
-from repro.service.cache import ACTUAL_KEY
-from repro.service.workers import execute_cell
+from repro.parallel.memo import SimulationMemoStore
+from repro.service import PredictRequest, PredictionService
+from repro.service.workers import simulate_cell
+from repro.simmachine import ibm_sp_argonne, linear_test_machine
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
@@ -39,25 +39,54 @@ def make_service(**kwargs):
     return PredictionService(**kwargs)
 
 
-def archive(db_path, request=PredictRequest("BT", "S", 4)):
+def archive(cache, request=PredictRequest("BT", "S", 4), **kwargs):
     """Simulate and archive one cell in a throwaway service; its report."""
-    with make_service(db_path=str(db_path), batch_window=0.0) as service:
+    with make_service(
+        cache_dir=str(cache), batch_window=0.0, **kwargs
+    ) as service:
         return service.predict(request, timeout=120)
+
+
+def records(cache, kind):
+    """Payloads of every ``kind`` record in a memo directory."""
+    found = []
+    for path in cache.glob("*/*.json"):
+        wrapper = json.loads(path.read_text(encoding="utf-8"))
+        if wrapper["key"]["kind"] == kind:
+            found.append(wrapper["payload"])
+    return found
 
 
 def corruptions():
     return obs.counter_snapshot().get(("cache_corruption_detected", ()), 0)
 
 
+@pytest.fixture
+def store_calls(monkeypatch):
+    """Counts of every memo-store read and write, across all instances."""
+    calls = {"get": 0, "put": 0, "put_if_absent": 0}
+    for name in calls:
+        original = getattr(SimulationMemoStore, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationMemoStore, name, counted)
+    return calls
+
+
 class TestArchivedCells:
-    def test_answered_without_the_batch_window(self, tmp_path):
-        db_path = tmp_path / "measurements.sqlite"
-        seed0 = archive(db_path)
-        with make_service(db_path=str(db_path), batch_window=30.0) as service:
+    def test_answered_without_the_batch_window(self, tmp_path, store_calls):
+        cache = tmp_path / "memo"
+        seed0 = archive(cache)
+        store_calls.update(get=0, put=0, put_if_absent=0)
+        with make_service(cache_dir=str(cache), batch_window=30.0) as service:
             report = service.predict(
                 PredictRequest("BT", "S", 4, seed=7), timeout=5
             )
             stats = service.stats()
+        assert store_calls == {"get": 1, "put": 0, "put_if_absent": 0}
         assert report.tier == "memo"
         assert stats["simulations"] == 0
         assert stats["batches"] == 0
@@ -68,8 +97,8 @@ class TestArchivedCells:
     def test_longer_chain_batches_only_the_new_windows(
         self, tmp_path, monkeypatch
     ):
-        db_path = tmp_path / "measurements.sqlite"
-        archive(db_path)
+        cache = tmp_path / "memo"
+        archive(cache)
         measured = []
         measure = ChainRunner.measure
 
@@ -82,7 +111,7 @@ class TestArchivedCells:
 
         monkeypatch.setattr(ChainRunner, "measure", spy)
         monkeypatch.setattr(ApplicationRunner, "run", no_application)
-        with make_service(db_path=str(db_path), batch_window=0.0) as service:
+        with make_service(cache_dir=str(cache), batch_window=0.0) as service:
             report = service.predict(
                 PredictRequest("BT", "S", 4, chain_length=3), timeout=120
             )
@@ -94,12 +123,10 @@ class TestArchivedCells:
         assert stats["simulations"] == len(flow.windows(3))
 
     def test_replay_writes_no_memo_record(self, tmp_path):
-        db_path = tmp_path / "measurements.sqlite"
-        seed0 = archive(db_path)
         cache = tmp_path / "memo"
-        with make_service(
-            db_path=str(db_path), cache_dir=str(cache), batch_window=30.0
-        ) as service:
+        seed0 = archive(cache)
+        before = sorted(cache.rglob("*"))
+        with make_service(cache_dir=str(cache), batch_window=30.0) as service:
             replayed = service.predict(
                 PredictRequest("BT", "S", 4, seed=7), timeout=5
             )
@@ -108,18 +135,19 @@ class TestArchivedCells:
         assert replayed.predictions == seed0.predictions
         assert stats["l2_hits"] == 1
         assert stats["memo"]["stores"] == 0
-        assert [path for path in cache.rglob("*") if path.is_file()] == []
+        assert sorted(cache.rglob("*")) == before
 
     def test_memo_record_is_written_and_served(self, tmp_path):
-        # The dispatcher writes the record of a simulated seed; a replayed
-        # seed leaves none (above).
+        # A simulated batch writes its seed's cell record and its chain
+        # length's archive record; the archive answers the next service.
         cache = tmp_path / "memo"
         request = PredictRequest("BT", "S", 4, seed=7)
         with make_service(cache_dir=str(cache), batch_window=0.0) as service:
             simulated = service.predict(request, timeout=120)
-            assert service.stats()["memo"]["stores"] == 1
+            assert service.stats()["memo"]["stores"] == 2
+        assert len(records(cache, "cell")) == 1
+        assert len(records(cache, "archive")) == 1
         with make_service(cache_dir=str(cache), batch_window=30.0) as service:
-            # An empty sqlite tier: only the memo record can answer.
             served = service.predict(request, timeout=5)
             stats = service.stats()
         assert simulated.tier == "simulation"
@@ -127,13 +155,11 @@ class TestArchivedCells:
         assert stats["memo"]["hits"] == 1
         assert stats["simulations"] == 0
 
-    def test_concurrent_replays_share_the_connection_with_a_writer(
-        self, tmp_path
-    ):
-        # Request threads replay one cell while a worker archives another
-        # through the same sqlite connection.
-        db_path = tmp_path / "measurements.sqlite"
-        seed0 = archive(db_path)
+    def test_concurrent_reads_race_a_writer(self, tmp_path):
+        # Request threads read one cell's archive while a worker archives
+        # another cell into the same directory.
+        cache = tmp_path / "memo"
+        seed0 = archive(cache)
         answers, failures = [], []
 
         def ask(seed):
@@ -147,7 +173,7 @@ class TestArchivedCells:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with make_service(db_path=str(db_path)) as service:
+            with make_service(cache_dir=str(cache)) as service:
                 threads = [
                     threading.Thread(
                         target=service.predict,
@@ -174,10 +200,11 @@ class TestArchivedCells:
 
 
 class TestGates:
-    def test_degraded_pool_still_serves_archived_cells(self, tmp_path):
-        db_path = tmp_path / "measurements.sqlite"
+    def test_degraded_pool_still_serves_archived_cells(
+        self, tmp_path, store_calls
+    ):
         with make_service(
-            db_path=str(db_path),
+            cache_dir=str(tmp_path / "memo"),
             executor="inline",
             batch_window=0.0,
             crash_threshold=2,
@@ -193,7 +220,9 @@ class TestGates:
                     with pytest.raises(WorkerCrashError):
                         service.predict(PredictRequest("BT", "S", nprocs))
             assert service.degraded
+            store_calls.update(get=0, put=0, put_if_absent=0)
             report = service.predict(PredictRequest("BT", "S", 4, seed=7))
+            assert store_calls == {"get": 1, "put": 0, "put_if_absent": 0}
             with pytest.raises(ServiceDegradedError):
                 service.predict(PredictRequest("BT", "S", 16))
             stats = service.stats()
@@ -201,18 +230,20 @@ class TestGates:
         assert report.predictions == seed0.predictions
         assert stats["degraded_rejects"] == 1
 
-    def test_saturated_pool_still_serves_archived_cells(self, tmp_path):
+    def test_saturated_pool_still_serves_archived_cells(
+        self, tmp_path, store_calls
+    ):
         gate = threading.Event()
         gate.set()
         started = threading.Event()
 
-        def gated(task, database=None):
+        def gated(spec):
             started.set()
             assert gate.wait(timeout=30)
-            return execute_cell(task, database)
+            return simulate_cell(spec)
 
         service = make_service(
-            db_path=str(tmp_path / "measurements.sqlite"),
+            cache_dir=str(tmp_path / "memo"),
             execute=gated,
             batch_window=0.0,
             max_workers=1,
@@ -229,7 +260,9 @@ class TestGates:
             )
             blocked.start()
             assert started.wait(timeout=10)  # the pool is now saturated
+            store_calls.update(get=0, put=0, put_if_absent=0)
             report = service.predict(PredictRequest("BT", "S", 4, seed=7))
+            assert store_calls == {"get": 1, "put": 0, "put_if_absent": 0}
             with pytest.raises(ServiceSaturatedError):
                 service.predict(PredictRequest("BT", "S", 9))
             gate.set()
@@ -243,37 +276,132 @@ class TestGates:
         assert stats["rejected"] == 1
 
 
+class TestFirstWriterWins:
+    def test_concurrent_batches_leave_one_archive_record(self, tmp_path):
+        # Two batches at different seeds simulate the same cell at the same
+        # time; both archive, one record survives and answers everyone.
+        cache = tmp_path / "memo"
+        both_running = threading.Barrier(2, timeout=30)
+
+        def together(spec):
+            both_running.wait()
+            return simulate_cell(spec)
+
+        with make_service(
+            cache_dir=str(cache),
+            execute=together,
+            batch_window=0.05,
+            max_workers=2,
+        ) as service:
+            racing = service.predict_many(
+                [PredictRequest("BT", "S", 4, seed=s) for s in (1, 2)],
+                timeout=120,
+            )
+            stats = service.stats()
+            (archived,) = records(cache, "archive")
+            assert len(records(cache, "cell")) == 2
+            later = [
+                service.predict(PredictRequest("BT", "S", 4, seed=s))
+                for s in (0, 3, 4)
+            ]
+        assert stats["batches"] == 2 and stats["misses"] == 2
+        assert {r.actual for r in racing + later} == {archived["actual"]}
+        assert all(r == racing[0] for r in racing + later)
+        with make_service(
+            cache_dir=str(cache), batch_window=30.0
+        ) as service:
+            assert service.predict(
+                PredictRequest("BT", "S", 4, seed=99), timeout=5
+            ) == racing[0]
+
+
+class TestStaleArchive:
+    """A store answers only the machine and protocol that wrote it."""
+
+    def serve(self, args, tmp_path, capsys, monkeypatch):
+        line = '{"benchmark": "BT", "problem_class": "S", "nprocs": 4}\n'
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        assert main(
+            ["serve", "--executor", "inline", "--batch-window", "0", *args]
+        ) == 0
+        (answer, *_) = capsys.readouterr().out.splitlines()
+        return json.loads(answer)
+
+    def test_repetition_count_is_part_of_the_archive(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Old command lines keep passing --db; it must not share answers
+        # across protocols either.
+        shared = ["--db", str(tmp_path / "perf.sqlite"),
+                  "--cache-dir", str(tmp_path / "memo")]
+        self.serve([*shared, "--repetitions", "4"], tmp_path, capsys,
+                   monkeypatch)
+        second = self.serve([*shared, "--repetitions", "6"], tmp_path,
+                            capsys, monkeypatch)
+        fresh = self.serve(["--repetitions", "6"], tmp_path, capsys,
+                           monkeypatch)
+        assert second["tier"] == "simulation"
+        assert (second["actual"], second["predictions"]) == (
+            fresh["actual"], fresh["predictions"]
+        )
+
+    def test_repetitions_in_process(self, tmp_path):
+        cache = tmp_path / "memo"
+        archive(cache, measurement=MeasurementConfig(repetitions=4))
+        with make_service(
+            cache_dir=str(cache),
+            measurement=MeasurementConfig(repetitions=6),
+            batch_window=0.0,
+        ) as service:
+            second = service.predict(PredictRequest("BT", "S", 4))
+            simulations = service.stats()["simulations"]
+        with make_service(
+            measurement=MeasurementConfig(repetitions=6), batch_window=0.0
+        ) as service:
+            fresh = service.predict(PredictRequest("BT", "S", 4))
+        assert simulations > 0
+        assert second == fresh
+
+    def test_machine_is_part_of_the_archive(self, tmp_path):
+        cache = tmp_path / "memo"
+        archive(
+            cache,
+            machine=ibm_sp_argonne(),
+            measurement=MeasurementConfig(repetitions=4),
+        )
+        linear = dict(
+            machine=linear_test_machine(),
+            measurement=MeasurementConfig(repetitions=4),
+            batch_window=0.0,
+        )
+        with make_service(cache_dir=str(cache), **linear) as service:
+            second = service.predict(PredictRequest("BT", "S", 4))
+            simulations = service.stats()["simulations"]
+        with make_service(**linear) as service:
+            fresh = service.predict(PredictRequest("BT", "S", 4))
+        assert simulations > 0
+        assert second.tier == "simulation"
+        assert second == fresh
+
+
 #: Archived chain length per corruption-test cell (class S, 4 ranks).
 ARCHIVED_CHAINS = {"BT": 2, "LU": 3}
 
 
 @pytest.fixture(scope="module")
 def archives(tmp_path_factory):
-    """``benchmark -> (db path, seed-0 report)`` of each archived cell."""
+    """``benchmark -> (memo dir, seed-0 report)`` of each archived cell."""
     root = tmp_path_factory.mktemp("archives")
     return {
         bench: (
-            root / f"{bench}.sqlite",
+            root / bench,
             archive(
-                root / f"{bench}.sqlite",
+                root / bench,
                 PredictRequest(bench, "S", 4, chain_length=length),
             ),
         )
         for bench, length in ARCHIVED_CHAINS.items()
     }
-
-
-def replayed_rows(bench):
-    """Every row a replay of the archived cell reads, in reading order."""
-    rows = []
-
-    def record(kernels):
-        rows.append(kernels)
-        return 1.0
-
-    cell_inputs(make_benchmark(bench, "S", 4), (ARCHIVED_CHAINS[bench],),
-                record)
-    return rows + [ACTUAL_KEY]
 
 
 def corrupt_every(nth):
@@ -282,110 +410,81 @@ def corrupt_every(nth):
     )
 
 
-def assert_falls_through(tmp_path, archives, bench, row):
-    """One corrupt read of ``row`` in a replay: purged, re-measured alone."""
-    rows = replayed_rows(bench)
-    target = {
-        "loop": rows[0],
-        "window": next(kernels for kernels in rows if len(kernels) > 1),
-        "actual": ACTUAL_KEY,
-    }[row]
-    db_path = tmp_path / "measurements.sqlite"
-    shutil.copyfile(archives[bench][0], db_path)
-    seed0 = archives[bench][1]
-    with make_service(
-        db_path=str(db_path), executor="inline", batch_window=0.0
-    ) as service:
-        stored = len(service.database)
-        with faults.active(corrupt_every(rows.index(target) + 1)):
-            report = service.predict(PredictRequest(
-                bench, "S", 4, chain_length=ARCHIVED_CHAINS[bench], seed=7
-            ))
-        stats = service.stats()
-        assert len(service.database) == stored
-    assert corruptions() == 1
-    # The purged row alone was re-measured, through the batcher.
-    assert report.tier == "simulation"
-    assert stats["simulations"] == 1
-    assert stats["batches"] == 1
-    assert stats["requests"] == 1
-    assert stats["misses"] == 1
-    assert stats["l2_hits"] == 0
-    assert stats["errors"] == 0
-    assert report.actual == seed0.actual
-    for name, value in seed0.predictions.items():
-        assert report.predictions[name] == pytest.approx(value, rel=0.5)
+def copy_store(source, target):
+    for path in source.rglob("*.json"):
+        destination = target / path.relative_to(source)
+        destination.parent.mkdir(parents=True, exist_ok=True)
+        destination.write_bytes(path.read_bytes())
+    return target
 
 
 class TestCorruption:
     @pytest.mark.parametrize("bench", sorted(ARCHIVED_CHAINS))
     def test_one_check_per_replayed_row(self, tmp_path, archives, bench):
-        db_path = tmp_path / "measurements.sqlite"
-        shutil.copyfile(archives[bench][0], db_path)
+        # A replay now reads one archive record: one fault checkpoint.
+        cache = copy_store(archives[bench][0], tmp_path / "memo")
         request = PredictRequest(
             bench, "S", 4, chain_length=ARCHIVED_CHAINS[bench], seed=7
         )
-        with make_service(db_path=str(db_path), batch_window=30.0) as service:
+        with make_service(cache_dir=str(cache), batch_window=30.0) as service:
             with faults.active(corrupt_every(10**9)) as injector:
                 report = service.predict(request, timeout=5)
         assert report.tier == "memo"
-        assert injector.hits()["db.read.corrupt"] == len(replayed_rows(bench))
+        assert injector.hits()["db.read.corrupt"] == 1
 
     def test_corrupt_row_falls_through_to_one_answer(self, tmp_path, archives):
-        assert_falls_through(tmp_path, archives, "BT", "loop")
+        bench = "BT"
+        cache = copy_store(archives[bench][0], tmp_path / "memo")
+        seed0 = archives[bench][1]
+        request = PredictRequest(
+            bench, "S", 4, chain_length=ARCHIVED_CHAINS[bench], seed=7
+        )
+        with make_service(
+            cache_dir=str(cache), executor="inline", batch_window=0.0
+        ) as service:
+            with faults.active(corrupt_every(1)):
+                report = service.predict(request)
+            stats = service.stats()
+            # The batch re-archived the cell: the next read is a hit.
+            again = service.predict(
+                PredictRequest(bench, "S", 4,
+                               chain_length=ARCHIVED_CHAINS[bench], seed=8)
+            )
+        assert corruptions() == 1
+        assert stats["memo"]["corruptions"] == 1
+        # The purged record fell through to the batcher: one answer,
+        # simulated at the request's own seed.
+        assert report.tier == "simulation"
+        assert stats["simulations"] > 0
+        assert stats["batches"] == 1
+        assert stats["requests"] == 1
+        assert stats["misses"] == 1
+        assert stats["l2_hits"] == 0
+        assert stats["errors"] == 0
+        assert report.actual == seed0.actual
+        for name, value in seed0.predictions.items():
+            assert report.predictions[name] == pytest.approx(value, rel=0.5)
+        assert again.tier == "memo" and again == report
+        assert len(records(cache, "archive")) == 1
 
-    @pytest.mark.parametrize("bench,row", [
-        ("BT", "window"), ("BT", "actual"),
-        ("LU", "loop"), ("LU", "window"), ("LU", "actual"),
-    ])
-    def test_corrupt_row_at_each_site_falls_through(
-        self, tmp_path, archives, bench, row
-    ):
-        assert_falls_through(tmp_path, archives, bench, row)
-
-
-def open_handles(path: Path) -> int:
-    """File descriptors of this process open on ``path``."""
-    count = 0
-    for fd in Path("/proc/self/fd").iterdir():
-        try:
-            count += os.readlink(fd) == str(path)
-        except OSError:
-            pass
-    return count
-
-
-@pytest.mark.skipif(
-    not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd"
-)
-def test_client_connections_share_one_sqlite_handle(tmp_path):
-    db_path = tmp_path / "measurements.sqlite"
-    archive(db_path)
-    service = make_service(db_path=str(db_path))
-    ready = threading.Event()
-    bound: list = []
-    control: list = []
-    server = threading.Thread(
-        target=serve_socket,
-        args=(service,),
-        kwargs={"ready": ready, "bound": bound, "control": control},
-        daemon=True,
-    )
-    server.start()
-    assert ready.wait(timeout=10)
-    try:
-        for seed in range(1, 51):
-            request = {
-                "benchmark": "BT", "problem_class": "S", "nprocs": 4,
-                "seed": seed,
-            }
-            with socket.create_connection(bound[0], timeout=10) as conn:
-                conn.sendall(json.dumps(request).encode() + b"\n")
-                reply = json.loads(conn.makefile().readline())
-            assert reply["ok"] and reply["tier"] == "memo"
-        assert service.stats()["l2_hits"] == 50
-        assert open_handles(db_path) == 1
-    finally:
-        control[0].shutdown()
-        server.join(timeout=10)
-        service.close()
+    def test_written_corruption_is_caught_by_the_next_read(self, tmp_path):
+        cache = tmp_path / "memo"
+        with make_service(
+            cache_dir=str(cache), executor="inline", batch_window=0.0
+        ) as service:
+            with faults.active(FaultPlan(specs=(
+                FaultSpec(site="db.write.corrupt", every_nth=1),
+            ))):
+                first = service.predict(PredictRequest("BT", "S", 4))
+            assert corruptions() == 0
+            second = service.predict(PredictRequest("BT", "S", 4, seed=1))
+            stats = service.stats()
+        assert all(
+            abs(value) < 666333.0
+            for report in (first, second)
+            for value in [report.actual, *report.predictions.values()]
+        )
+        # The corrupt archive record was purged once and re-archived.
+        assert corruptions() >= 1
+        assert second.tier == "simulation"
+        assert stats["errors"] == 0

@@ -9,62 +9,45 @@ from repro.errors import (
     ServiceError,
     ServiceSaturatedError,
 )
-from repro.instrument import MeasurementConfig, PerformanceDatabase
-from repro.instrument.sweeps import CampaignPlan
-from repro.service.cache import ACTUAL_KEY
-from repro.service.workers import CellTask, WorkerPool, execute_cell
+from repro.instrument import MeasurementConfig
+from repro.parallel.memo import SimulationMemoStore
+from repro.parallel.worker import CellSpec
+from repro.service.workers import WorkerPool, simulate_cell
 from repro.simmachine import ibm_sp_argonne
 
 
-def cell_task(chain_lengths=(2,), nprocs=4):
-    return CellTask(
-        plan=CampaignPlan.for_cell("BT", "S", nprocs, chain_lengths),
+def cell_spec(cache_dir, chain_lengths=(2,), nprocs=4):
+    return CellSpec(
+        benchmark="BT",
+        problem_class="S",
+        nprocs=nprocs,
+        chain_lengths=chain_lengths,
         machine=ibm_sp_argonne(),
         measurement=MeasurementConfig(repetitions=2, warmup=1),
+        cache_dir=str(cache_dir),
     )
 
 
-class TestCellTask:
-    def test_rejects_multi_cell_plans(self):
-        plan = CampaignPlan("BT", ("S",), (1, 4), (2,))
-        with pytest.raises(ServiceError, match="single-cell"):
-            CellTask(
-                plan=plan,
-                machine=ibm_sp_argonne(),
-                measurement=MeasurementConfig(repetitions=2),
-            )
-
-    def test_for_cell_sorts_and_dedupes_chain_lengths(self):
-        plan = CampaignPlan.for_cell("BT", "S", 4, (3, 2, 3))
-        assert plan.chain_lengths == (2, 3)
-
-
 class TestExecuteCell:
-    def test_runs_and_archives_everything(self):
-        with PerformanceDatabase() as db:
-            outcome = execute_cell(cell_task(), database=db)
-            assert outcome.actual > 0
-            assert outcome.simulations > 0
-            assert outcome.reused == 0
-            # 5 isolated + 2 one-shots + 5 pairs + the application total.
-            assert len(db) == 13
-            assert db.get("BT", "S", 4, ACTUAL_KEY) is not None
+    def test_runs_and_archives_everything(self, tmp_path):
+        outcome = simulate_cell(cell_spec(tmp_path))
+        assert outcome.actual > 0
+        # The overhead, 5 isolated + 2 one-shots + 5 pairs, the application.
+        assert outcome.simulations == 14
+        assert len(SimulationMemoStore(tmp_path)) == 14
 
-    def test_warm_database_runs_zero_simulations(self):
-        with PerformanceDatabase() as db:
-            first = execute_cell(cell_task(), database=db)
-            second = execute_cell(cell_task(), database=db)
-            assert second.simulations == 0
-            assert second.reused == first.simulations
-            assert second.actual == pytest.approx(first.actual)
-            assert second.inputs == first.inputs
+    def test_warm_database_runs_zero_simulations(self, tmp_path):
+        first = simulate_cell(cell_spec(tmp_path))
+        second = simulate_cell(cell_spec(tmp_path))
+        assert second.simulations == 0
+        assert second.actual == first.actual
+        assert second.inputs == first.inputs
 
-    def test_shared_empty_database_is_used_not_replaced(self):
-        # Regression: PerformanceDatabase.__len__ makes empty stores falsy;
-        # execute_cell must adopt the shared store by identity.
-        with PerformanceDatabase() as db:
-            execute_cell(cell_task(), database=db)
-            assert len(db) > 0
+    def test_shared_empty_database_is_used_not_replaced(self, tmp_path):
+        store = SimulationMemoStore(tmp_path)
+        assert len(store) == 0
+        simulate_cell(cell_spec(tmp_path))
+        assert len(store) > 0
 
 
 class TestWorkerPool:
