@@ -10,10 +10,8 @@ Two promises, each asserted directly:
 
 2. **Enabled overhead is measured, not guessed.** A real campaign cell is
    timed with the profiler off and on (thread backend, default interval);
-   the relative slowdown is recorded to ``BENCH_profile.json`` — written
-   directly in the perf-ledger entry schema — and appended to
-   ``PERF_LEDGER.json`` as the ``profile`` series so ``repro bench
-   check`` gates on its trajectory.
+   the relative slowdown is printed as one JSON line (``pytest -rP``
+   keeps it in the log) and bounded below 2x. No file is written.
 """
 
 from __future__ import annotations
@@ -21,11 +19,9 @@ from __future__ import annotations
 import json
 import time
 
-from benchmarks._ledger import REPO_ROOT, _commit, record_metrics
 from repro import obs
 from repro.experiments import ExperimentPipeline, ExperimentSettings
 from repro.instrument import MeasurementConfig
-from repro.obs import ledger as ledger_mod
 from repro.obs import profile
 
 PROFILE_MEASUREMENT = MeasurementConfig(repetitions=3, warmup=1, seed=0)
@@ -89,7 +85,7 @@ def test_disabled_guard_under_5_percent():
 
 
 def test_profile_overhead_recorded():
-    """Time a real cell off/on and persist the overhead to the ledger."""
+    """Time a real cell off/on and bound the profiler's overhead."""
     assert profile.active() is None
     off_seconds = _best_of(_workload, trials=3)
 
@@ -101,46 +97,17 @@ def test_profile_overhead_recorded():
 
     overhead = on_seconds / off_seconds - 1.0
     samples = sum(data.samples.values())
-    print(
-        f"\nprofiler off: {off_seconds:.3f}s, on: {on_seconds:.3f}s -> "
-        f"{100 * overhead:+.1f}% overhead, {samples} samples"
-    )
+    record = {
+        "overhead_frac": round(max(overhead, 0.0), 4),
+        "workload_seconds": round(off_seconds, 4),
+        "profiled_seconds": round(on_seconds, 4),
+        "samples": samples,
+        "samples_per_sec": round(samples / max(on_seconds, 1e-9), 1),
+        "backend": "thread",
+        "interval": data.interval,
+    }
+    print(json.dumps(record, sort_keys=True))
     # The sampler actually saw the workload, and didn't distort it: the
     # thread backend at the default interval must stay well under 2x.
-    assert samples > 0
-    assert overhead < 1.0
-
-    metrics = {
-        "overhead_frac": {
-            "value": round(max(overhead, 0.0), 4),
-            "unit": "frac",
-            "direction": ledger_mod.LOWER,
-        },
-        "workload_seconds": {
-            "value": round(off_seconds, 4),
-            "unit": "s",
-            "direction": ledger_mod.LOWER,
-        },
-        "samples_per_sec": {
-            "value": round(samples / max(on_seconds, 1e-9), 1),
-            "unit": "samples/s",
-            "direction": ledger_mod.HIGHER,
-        },
-    }
-    entry = ledger_mod.make_entry(
-        "profile",
-        metrics,
-        timestamp=time.time(),
-        commit=_commit(),
-        samples=3,
-        meta={"backend": "thread", "interval": data.interval},
-    )
-    (REPO_ROOT / "BENCH_profile.json").write_text(
-        json.dumps(entry, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    record_metrics(
-        "profile",
-        metrics,
-        samples=3,
-        meta={"backend": "thread", "interval": data.interval},
-    )
+    assert samples > 0, record
+    assert overhead < 1.0, record

@@ -17,10 +17,6 @@ REP009    observability discipline: no spans/logging in the engine hot path
 REP010    transitive determinism: prediction tiers must not *reach* wall
           clocks / global RNG / env reads through project calls (graph
           rule; findings carry a witness call path)
-REP011    async safety: no await while holding a synchronous lock
-REP012    async safety: no blocking calls inside ``async def`` outside an
-          executor handoff
-REP013    async safety: create_task/ensure_future results must be retained
 ========  ==================================================================
 
 Analysis runs in two phases: phase 1 walks each file's AST once for the

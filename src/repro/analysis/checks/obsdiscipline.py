@@ -7,9 +7,10 @@ whole run (one pointer check), the instrument layer opens spans around
 measurements, and the sampling profiler attributes time statistically
 from outside.  A span opened inside the event loop, or a direct import of
 :mod:`repro.obs.profile`, would put dictionary writes and clock reads on
-the per-event path and silently sink the throughput budget the
-``BENCH_engine`` series guards — so the boundary is enforced
-structurally, like REP008's tier purity.
+the per-event path and silently sink the throughput budget that
+``benchmarks/test_microbench_simulator.py`` and perfbench's
+``sim-cells`` guard — so the boundary is enforced structurally, like
+REP008's tier purity.
 """
 
 from __future__ import annotations

@@ -64,8 +64,9 @@ __all__ = [
 #: tables (``ibm_sp_argonne``; classes S/W/A; the tables' process counts)
 #: per-kernel ``E_k``, chain times and the application total stay within
 #: this relative error of the simulation ground truth. Cross-validated by
-#: ``tests/analytic/test_cross_validation.py`` and recorded per run in
-#: ``BENCH_tiers.json``; observed errors are typically under 0.05.
+#: ``tests/analytic/test_cross_validation.py`` (class W) and
+#: ``benchmarks/test_tier_ladder.py`` (class A); observed errors are
+#: typically under 0.05.
 ANALYTIC_REL_ERROR_BOUND = 0.10
 
 # Confidence-model constants (see AnalyticModel.expected_rel_error).

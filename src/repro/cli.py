@@ -13,7 +13,7 @@ Examples::
         --cache-dir .repro-cache    # parallel sweep with simulation memo
     repro metrics --port 7101       # scrape a running server's metrics
     repro trace BT S 4 -o t.json    # Chrome/Perfetto timeline of one run
-    repro lint src                  # AST invariant checks (REP001-REP006)
+    repro lint src                  # AST invariant checks (REP001-REP010)
 """
 
 from __future__ import annotations
@@ -306,45 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(flamegraph stacks of the span tree, self-time weighted)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="inspect/gate the performance ledger (PERF_LEDGER.json)",
-    )
-    bench.add_argument(
-        "action", choices=["check", "show", "migrate"],
-        help="check = regression gate (exit 1 on regression), "
-        "show = print series history, migrate = fold legacy BENCH_*.json in",
-    )
-    bench.add_argument(
-        "--ledger", default="PERF_LEDGER.json", metavar="PATH",
-        help="ledger file (default: ./PERF_LEDGER.json)",
-    )
-    bench.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="directory holding legacy BENCH_*.json files (migrate)",
-    )
-    bench.add_argument(
-        "--series", default=None,
-        help="restrict to one series (e.g. engine, campaign, tiers)",
-    )
-    bench.add_argument(
-        "--min-history", type=int, default=3,
-        help="same-host entries required before the gate arms "
-        "(fewer = cold, warn-only)",
-    )
-    bench.add_argument(
-        "--mads", type=float, default=4.0,
-        help="tolerance in median-absolute-deviations",
-    )
-    bench.add_argument(
-        "--rel-floor", type=float, default=0.10,
-        help="minimum relative tolerance band",
-    )
-    bench.add_argument(
-        "--strict-cold", action="store_true",
-        help="treat cold history as a failure instead of a warning",
-    )
-
     slo = sub.add_parser(
         "slo",
         help="rolling SLO report from a running 'repro serve --port N' "
@@ -386,7 +347,7 @@ def _cmd_run(experiment: str, repetitions: Optional[int], seed: int) -> int:
     from repro.experiments import ExperimentPipeline, ExperimentSettings, run_experiment
     from repro.instrument import MeasurementConfig
 
-    obs.configure_logging(stream=sys.stderr)
+    obs.configure_logging()
     measurement = MeasurementConfig(
         repetitions=repetitions if repetitions is not None else 8,
         warmup=2,
@@ -474,7 +435,7 @@ def _cmd_report(output: str, repetitions: int, seed: int) -> int:
     from repro.experiments.reportgen import generate_markdown
     from repro.instrument import MeasurementConfig
 
-    obs.configure_logging(stream=sys.stderr)
+    obs.configure_logging()
     pipeline = ExperimentPipeline(
         ExperimentSettings(
             measurement=MeasurementConfig(
@@ -498,7 +459,7 @@ def _cmd_campaign(args) -> int:
     from repro.experiments import ExperimentPipeline, ExperimentSettings
     from repro.instrument import MeasurementConfig
 
-    obs.configure_logging(stream=sys.stderr)
+    obs.configure_logging()
     chain_lengths = tuple(int(c) for c in args.chains.split(","))
     pipeline = ExperimentPipeline(
         ExperimentSettings(
@@ -616,7 +577,7 @@ def _cmd_profile_run(args) -> int:
         nprocs = int(shifted[2])
     except ValueError:
         raise ReproError(f"nprocs must be an integer, got {shifted[2]!r}")
-    obs.configure_logging(stream=sys.stderr)
+    obs.configure_logging()
     chain_lengths = tuple(int(c) for c in args.chains.split(","))
     pipeline = ExperimentPipeline(
         ExperimentSettings(
@@ -723,7 +684,7 @@ def _cmd_serve(args) -> int:
         serve_socket,
     )
 
-    obs.configure_logging(stream=sys.stderr)
+    obs.configure_logging()
     if args.db is not None:
         # Accepted for old command lines; the memo directory (--cache-dir)
         # is the one persistent tier.
@@ -823,105 +784,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _git_commit() -> Optional[str]:
-    """The current short commit hash, or None outside a git checkout."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10.0,
-            check=False,
-        )
-    except OSError:
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
-
-
-def _cmd_bench(args) -> int:
-    import time
-
-    from repro.obs.ledger import PerfLedger, check_entries, migrate_legacy
-
-    ledger = PerfLedger(args.ledger)
-    if args.action == "migrate":
-        migrated = migrate_legacy(
-            ledger, args.root, timestamp=time.time(), commit=_git_commit()
-        )
-        if migrated:
-            print(
-                f"migrated {', '.join(sorted(migrated))} into {args.ledger}"
-            )
-        else:
-            print("nothing to migrate (no legacy files, or already done)")
-        return 0
-
-    entries = ledger.entries
-    if args.series is not None:
-        entries = [e for e in entries if e.get("series") == args.series]
-        if not entries:
-            raise ReproError(
-                f"no entries for series {args.series!r} in {args.ledger}; "
-                f"known: {ledger.series_names() or '(none)'}"
-            )
-
-    if args.action == "show":
-        for entry in entries:
-            meta = entry.get("meta", {})
-            origin = (
-                f" (migrated from {meta['migrated_from']})"
-                if meta.get("migrated_from")
-                else ""
-            )
-            print(
-                f"{entry['series']}: commit={entry.get('commit') or '?'} "
-                f"samples={entry.get('samples', 1)}{origin}"
-            )
-            for name, metric in sorted(entry.get("metrics", {}).items()):
-                print(
-                    f"  {name} = {metric['value']:g} {metric['unit']} "
-                    f"({metric['direction']} is better)"
-                )
-        if not entries:
-            print(f"{args.ledger}: empty")
-        return 0
-
-    # action == "check": the regression gate.
-    findings = check_entries(
-        entries,
-        min_history=args.min_history,
-        mads=args.mads,
-        rel_floor=args.rel_floor,
-    )
-    regressions = 0
-    cold = 0
-    for finding in findings:
-        label = f"{finding.metric.series}/{finding.metric.name}"
-        if finding.status == "regression":
-            regressions += 1
-            print(f"REGRESSION {label}: {finding.detail}")
-        elif finding.status == "cold":
-            cold += 1
-            print(f"cold       {label}: {finding.detail}")
-        elif finding.status == "improved":
-            print(f"improved   {label}: {finding.detail}")
-        else:
-            print(f"ok         {label}: {finding.detail}")
-    if not findings:
-        print(f"{args.ledger}: no entries to check")
-    summary = (
-        f"{len(findings)} metrics: {regressions} regressions, {cold} cold"
-    )
-    print(summary)
-    if regressions:
-        return 1
-    if cold and args.strict_cold:
-        return 1
-    return 0
-
-
 def _cmd_slo(args) -> int:
     import json
     import socket
@@ -979,7 +841,7 @@ def _cmd_trace(args) -> int:
     from repro.npb import make_benchmark
     from repro.simmachine import ibm_sp_argonne
 
-    obs.configure_logging(stream=sys.stderr)
+    obs.configure_logging()
     bench = make_benchmark(args.benchmark, args.problem_class, args.nprocs)
     runner = ApplicationRunner(
         bench, ibm_sp_argonne(), seed=args.seed, trace=args.max_records
@@ -1069,8 +931,6 @@ def _dispatch(args) -> int:
         return run_lint(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "slo":
         return _cmd_slo(args)
     if args.command == "trace":

@@ -57,7 +57,7 @@ chain times, and application totals are cross-validated against these
 tables and stay within a **10 % relative-error bound**
 (`repro.analytic.model.ANALYTIC_REL_ERROR_BOUND`) — enforced by
 `tests/analytic/test_cross_validation.py` (class W) and the
-`bench-tiers` CI job (class A, recorded in `BENCH_tiers.json`).
+`bench-tiers` CI job (class A, `benchmarks/test_tier_ladder.py`).
 """
 
 

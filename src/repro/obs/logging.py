@@ -27,6 +27,19 @@ _LEVELS = {
 _configured = False
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted.
+
+    Binding the object current at configure time would keep writing to it
+    after it is replaced and closed (as test harnesses do with their
+    capture streams), and every later record would fail.
+    """
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.stream = sys.stderr
+        super().emit(record)
+
+
 def get_logger(name: str = "repro") -> logging.Logger:
     """The library logger (configure handlers via :func:`configure_logging`)."""
     return logging.getLogger(name)
@@ -37,14 +50,19 @@ def configure_logging(
 ) -> logging.Logger:
     """Attach a plain line handler to the ``repro`` logger (idempotent).
 
-    Library code never calls this implicitly with handlers attached —
-    applications embedding :mod:`repro` keep full control of routing; the
-    CLI front-ends call it so operators see the structured lines on stderr.
+    Without ``stream`` the handler writes to the ``sys.stderr`` current at
+    each record, not the one current at this call. Library code never
+    calls this implicitly with handlers attached — applications embedding
+    :mod:`repro` keep full control of routing; the CLI front-ends call it
+    so operators see the structured lines on stderr.
     """
     global _configured
     logger = get_logger()
     if not _configured:
-        handler = logging.StreamHandler(stream or sys.stderr)
+        handler: logging.Handler = (
+            _StderrHandler() if stream is None
+            else logging.StreamHandler(stream)
+        )
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
         logger.setLevel(level)

@@ -16,8 +16,7 @@ class TestRegistry:
         ids = [cls.rule_id for cls in all_rules()]
         assert ids == sorted(ids)
         for expected in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                         "REP006", "REP007", "REP008", "REP009", "REP010",
-                         "REP011", "REP012", "REP013"):
+                         "REP006", "REP007", "REP008", "REP009", "REP010"):
             assert expected in ids
 
     def test_every_rule_documented(self):
@@ -681,238 +680,3 @@ class TestObsDisciplineREP009:
             [pkg_dir], rules=select_rules(["REP009"]), root=src_root
         )
         assert findings == []
-
-
-class TestAwaitUnderSyncLockREP011:
-    def test_await_under_sync_lock_fires(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                async def handler(self):
-                    with self._lock:
-                        await self.flush()
-                """
-            },
-            select=["REP011"],
-        )
-        assert rule_ids(findings) == ["REP011"]
-
-    def test_async_with_asyncio_lock_is_fine(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                async def handler(self):
-                    async with self._lock:
-                        await self.flush()
-                """
-            },
-            select=["REP011"],
-        )
-        assert findings == []
-
-    def test_threading_lock_constructor_in_with_fires(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import threading
-
-                async def handler(self):
-                    with threading.Lock():
-                        await self.flush()
-                """
-            },
-            select=["REP011"],
-        )
-        assert rule_ids(findings) == ["REP011"]
-
-    def test_non_lock_context_manager_is_fine(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                async def handler(self, path):
-                    with self.session() as s:
-                        await s.flush()
-                """
-            },
-            select=["REP011"],
-        )
-        assert findings == []
-
-    def test_with_in_nested_sync_def_does_not_span_await(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                def outer(self):
-                    with self._lock:
-                        async def inner():
-                            await flush()
-                        return inner
-                """
-            },
-            select=["REP011"],
-        )
-        # The `with` belongs to the sync outer function; by the time
-        # `inner` awaits, outer has returned and the lock is released.
-        assert findings == []
-
-    def test_outside_service_is_ignored(self, lint):
-        findings = lint(
-            {
-                "parallel/pool.py": """\
-                async def handler(self):
-                    with self._lock:
-                        await self.flush()
-                """
-            },
-            select=["REP011"],
-        )
-        assert findings == []
-
-
-class TestBlockingInAsyncREP012:
-    def test_time_sleep_in_async_def_fires(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import time
-
-                async def handler(self):
-                    time.sleep(0.1)
-                """
-            },
-            select=["REP012"],
-        )
-        assert rule_ids(findings) == ["REP012"]
-
-    def test_socket_and_sqlite_and_open_fire(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import socket
-                import sqlite3
-
-                async def handler(self, path):
-                    sock = socket.create_connection(("h", 1))
-                    db = sqlite3.connect(path)
-                    with open(path) as fh:
-                        return fh.read()
-                """
-            },
-            select=["REP012"],
-        )
-        assert rule_ids(findings) == ["REP012"] * 3
-
-    def test_run_in_executor_handoff_is_fine(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import asyncio
-
-                async def handler(self, loop, shard_id):
-                    await loop.run_in_executor(None, self.respawn, shard_id)
-                    await asyncio.to_thread(self.manager.respawn, shard_id)
-                """
-            },
-            select=["REP012"],
-        )
-        assert findings == []
-
-    def test_sync_def_in_service_is_fine(self, lint):
-        findings = lint(
-            {
-                "service/client.py": """\
-                import time
-
-                def retry(self):
-                    time.sleep(0.5)
-                """
-            },
-            select=["REP012"],
-        )
-        assert findings == []
-
-    def test_asyncio_sleep_is_fine(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import asyncio
-
-                async def handler(self):
-                    await asyncio.sleep(0.1)
-                """
-            },
-            select=["REP012"],
-        )
-        assert findings == []
-
-
-class TestUnretainedTaskREP013:
-    def test_discarded_create_task_fires(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import asyncio
-
-                async def handler(self):
-                    asyncio.create_task(self.flush())
-                """
-            },
-            select=["REP013"],
-        )
-        assert rule_ids(findings) == ["REP013"]
-
-    def test_discarded_ensure_future_fires(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import asyncio
-
-                async def handler(self):
-                    asyncio.ensure_future(self.flush())
-                """
-            },
-            select=["REP013"],
-        )
-        assert rule_ids(findings) == ["REP013"]
-
-    def test_retained_task_is_fine(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import asyncio
-
-                async def handler(self):
-                    task = asyncio.create_task(self.flush())
-                    self._tasks.add(task)
-                    await task
-                """
-            },
-            select=["REP013"],
-        )
-        assert findings == []
-
-    def test_awaited_inline_is_fine(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                import asyncio
-
-                async def handler(self):
-                    await asyncio.create_task(self.flush())
-                """
-            },
-            select=["REP013"],
-        )
-        assert findings == []
-
-    def test_loop_method_spelling_fires(self, lint):
-        findings = lint(
-            {
-                "service/front.py": """\
-                async def handler(self, loop):
-                    loop.create_task(self.flush())
-                """
-            },
-            select=["REP013"],
-        )
-        assert rule_ids(findings) == ["REP013"]

@@ -298,74 +298,6 @@ class TestTraceCollapsedFormat:
             assert path and weight.isdigit()
 
 
-class TestBenchCommand:
-    @staticmethod
-    def _seed_ledger(path, values, series="engine"):
-        import time as _time
-
-        from repro.obs.ledger import PerfLedger, make_entry
-
-        ledger = PerfLedger(path)
-        for index, value in enumerate(values):
-            ledger.append(make_entry(
-                series,
-                {"events_per_sec": {
-                    "value": value, "unit": "ev/s", "direction": "higher",
-                }},
-                timestamp=1_000_000.0 + index,
-                commit=f"c{index}",
-            ))
-        return ledger
-
-    def test_check_passes_on_stable_history(self, capsys, tmp_path):
-        path = tmp_path / "PERF_LEDGER.json"
-        self._seed_ledger(path, [100.0, 101.0, 99.0, 100.5])
-        assert main(["bench", "check", "--ledger", str(path)]) == 0
-        assert "0 regressions" in capsys.readouterr().out
-
-    def test_check_fails_on_injected_regression(self, capsys, tmp_path):
-        path = tmp_path / "PERF_LEDGER.json"
-        self._seed_ledger(path, [100.0, 101.0, 99.0, 100.5, 55.0])
-        assert main(["bench", "check", "--ledger", str(path)]) == 1
-        printed = capsys.readouterr().out
-        assert "REGRESSION" in printed
-        assert "events_per_sec" in printed
-
-    def test_check_cold_history_warns_by_default(self, capsys, tmp_path):
-        path = tmp_path / "PERF_LEDGER.json"
-        self._seed_ledger(path, [100.0])
-        assert main(["bench", "check", "--ledger", str(path)]) == 0
-        assert "cold" in capsys.readouterr().out
-        assert main([
-            "bench", "check", "--ledger", str(path), "--strict-cold",
-        ]) == 1
-
-    def test_show_renders_series(self, capsys, tmp_path):
-        path = tmp_path / "PERF_LEDGER.json"
-        self._seed_ledger(path, [100.0, 101.0])
-        assert main([
-            "bench", "show", "--ledger", str(path), "--series", "engine",
-        ]) == 0
-        assert "events_per_sec" in capsys.readouterr().out
-
-    def test_migrate_then_check_on_real_artifacts(self, capsys, tmp_path):
-        import shutil
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parents[2]
-        legacy = repo_root / "BENCH_engine.json"
-        if not legacy.exists():
-            pytest.skip("no BENCH_engine.json artifact in this checkout")
-        shutil.copy(legacy, tmp_path / "BENCH_engine.json")
-        path = tmp_path / "PERF_LEDGER.json"
-        assert main([
-            "bench", "migrate", "--ledger", str(path),
-            "--root", str(tmp_path),
-        ]) == 0
-        assert main(["bench", "check", "--ledger", str(path)]) == 0
-        assert "cold" in capsys.readouterr().out
-
-
 class TestSloCommand:
     def test_slo_against_a_live_server(self, capsys):
         import threading

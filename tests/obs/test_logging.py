@@ -1,8 +1,11 @@
 """Structured log lines and their correlation/span stamping."""
 
+import io
 import logging
+import sys
 
 from repro import obs
+from repro.obs import logging as obs_logging
 
 
 class _Capture(logging.Handler):
@@ -55,3 +58,23 @@ class TestLog:
             obs.enable()
             logger.removeHandler(handler)
         assert handler.lines == []
+
+
+class TestConfigureLogging:
+    def test_default_stream_follows_sys_stderr(self, monkeypatch):
+        """A stderr swapped out and closed after configuring is not written."""
+        logger = obs.get_logger()
+        monkeypatch.setattr(obs_logging, "_configured", False)
+        monkeypatch.setattr(logger, "handlers", [])
+        monkeypatch.setattr(logger, "level", logger.level)
+        first, current = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        obs.configure_logging()
+        monkeypatch.setattr(sys, "stderr", current)
+        first.close()
+
+        obs.log("after.close", n=1)
+
+        written = current.getvalue()
+        assert written.splitlines() == ["after.close n=1"]
+        assert "Logging error" not in written
