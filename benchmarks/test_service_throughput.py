@@ -151,7 +151,7 @@ def test_single_flight_under_concurrent_identical_load():
     """Eight threads asking the same question cost one simulation."""
     import threading
 
-    from repro.service.workers import simulate_cell
+    from repro.parallel.worker import run_cell
 
     calls = []
     lock = threading.Lock()
@@ -159,10 +159,13 @@ def test_single_flight_under_concurrent_identical_load():
     def counting(spec):
         with lock:
             calls.append(spec)
-        return simulate_cell(spec)
+        return run_cell(spec)
 
     with PredictionService(
-        measurement=MEASUREMENT, execute=counting, batch_window=0.02
+        measurement=MEASUREMENT,
+        execute=counting,
+        executor="inline",
+        batch_window=0.02,
     ) as service:
         request = PredictRequest("BT", "S", 4)
         results = [None] * 8

@@ -10,8 +10,8 @@ looking at.  This module builds the cross-file picture the dataflow rules
    with relative imports resolved against the module's own dotted name.
 2. **Link.**  Names are resolved through the import tables — including
    re-export chains through ``__init__`` modules — to the *defining*
-   function, so ``from repro.service import shard; shard.route_key(...)``
-   produces an edge to ``repro.service.shard.route_key`` no matter how many
+   function, so ``from repro.parallel import worker; worker.run_cell(...)``
+   produces an edge to ``repro.parallel.worker.run_cell`` no matter how many
    aliases the call travelled through.
 3. **Edges.**  Each indexed function body contributes call edges (with the
    call site for witness paths), external references (calls or attribute

@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ttl", type=float, default=None, help="L1 entry lifetime in seconds"
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="simulation worker count"
+        "--workers", type=int, default=2,
+        help="worker processes that simulate cold cells"
     )
     serve.add_argument(
         "--queue-depth", type=int, default=16,
@@ -227,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to coalesce a burst before dispatching",
     )
     serve.add_argument(
-        "--executor", choices=["thread", "inline"], default="thread"
+        "--executor", choices=["process", "inline"], default="process",
+        help="process: simulate on --workers worker processes; "
+        "inline: simulate on the batcher thread",
     )
     serve.add_argument(
         "--port", type=int, default=None,
@@ -250,16 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving-ladder policy: fast | balanced | exact "
         "(case-insensitive; fast/balanced answer from the analytic tier "
         "and escalate on low confidence)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="spawn N shared-nothing shard processes behind a router; "
-        "0 (default) keeps the single-process server",
-    )
-    serve.add_argument(
-        "--admission-limit", type=int, default=32,
-        help="in-flight requests per shard before the router sheds "
-        "with retry-after (sharded mode)",
     )
 
     lint = sub.add_parser(
@@ -675,14 +668,7 @@ def _cmd_serve(args) -> int:
 
     from repro import faults, obs
     from repro.instrument import MeasurementConfig
-    from repro.service import (
-        PredictionService,
-        ProcessShardManager,
-        ShardRouter,
-        make_shard_configs,
-        serve_jsonl,
-        serve_socket,
-    )
+    from repro.service import PredictionService, serve_jsonl, serve_socket
 
     obs.configure_logging()
     if args.db is not None:
@@ -699,43 +685,25 @@ def _cmd_serve(args) -> int:
             sites=[spec.site for spec in plan.specs],
             seed=plan.seed,
         )
-    service_kwargs = dict(
-        measurement=MeasurementConfig(
-            repetitions=args.repetitions, warmup=2, seed=args.seed
-        ),
-        cache_capacity=args.cache_size,
-        cache_ttl=args.ttl,
-        batch_window=args.batch_window,
-        max_workers=args.workers,
-        queue_depth=args.queue_depth,
-        executor=args.executor,
-        tier_policy=args.tier_policy,
-    )
     with contextlib.ExitStack() as stack:
-        if args.shards > 0:
-            # Shards install the fault plan in their own processes.
-            manager = stack.enter_context(
-                ProcessShardManager(
-                    make_shard_configs(
-                        args.shards,
-                        cache_dir=args.cache_dir,
-                        fault_plan=plan,
-                        **service_kwargs,
-                    )
-                )
+        stack.callback(faults.clear)
+        if plan is not None:
+            faults.install(plan)
+        service = stack.enter_context(
+            PredictionService(
+                measurement=MeasurementConfig(
+                    repetitions=args.repetitions, warmup=2, seed=args.seed
+                ),
+                cache_capacity=args.cache_size,
+                cache_ttl=args.ttl,
+                batch_window=args.batch_window,
+                max_workers=args.workers,
+                queue_depth=args.queue_depth,
+                executor=args.executor,
+                tier_policy=args.tier_policy,
+                cache_dir=args.cache_dir,
             )
-            served = stack.enter_context(
-                ShardRouter(manager, admission_limit=args.admission_limit)
-            )
-            handler = served.handle_line
-        else:
-            stack.callback(faults.clear)
-            if plan is not None:
-                faults.install(plan)
-            served = stack.enter_context(
-                PredictionService(cache_dir=args.cache_dir, **service_kwargs)
-            )
-            handler = None
+        )
         obs.log(
             "serve.configured",
             workers=args.workers,
@@ -743,14 +711,12 @@ def _cmd_serve(args) -> int:
             queue_depth=args.queue_depth,
             cache_dir=args.cache_dir,
             tier_policy=args.tier_policy,
-            shards=args.shards,
         )
         if args.port is not None:
-            stats = serve_socket(served, args.host, args.port, handler=handler)
+            stats = serve_socket(service, args.host, args.port)
         else:
-            stats = serve_jsonl(served, sys.stdin, sys.stdout, handler=handler)
-    # Sharded stats nest the router's own ledger under "frontend".
-    obs.log("serve.closed", requests=stats.get("frontend", stats)["requests"])
+            stats = serve_jsonl(service, sys.stdin, sys.stdout)
+    obs.log("serve.closed", requests=stats["requests"])
     print(json.dumps(stats, indent=2), file=sys.stderr)
     return 0
 

@@ -45,15 +45,20 @@ class ControlFlow:
         self.kernels: tuple[Kernel, ...] = tuple(
             k if isinstance(k, Kernel) else Kernel(k) for k in kernels
         )
-        names = [k.name for k in self.kernels]
+        names = tuple(k.name for k in self.kernels)
         if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate kernel names in flow: {names}")
+            raise ConfigurationError(
+                f"duplicate kernel names in flow: {list(names)}"
+            )
         self.cyclic = cyclic
+        self._names = names
+        #: Windows per chain length, built on first use.
+        self._windows: dict[int, tuple[tuple[str, ...], ...]] = {}
 
     @property
     def names(self) -> tuple[str, ...]:
         """Kernel names in control-flow order."""
-        return tuple(k.name for k in self.kernels)
+        return self._names
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ControlFlow):
@@ -87,19 +92,27 @@ class ControlFlow:
         For a cyclic flow of N kernels, the paper measures the ``N``
         windows of the chosen length — e.g. the "(N-1) pair-wise
         interactions" per unique control path plus the wrap-around pair.
+
+        Each length's windows are computed once; every call returns a
+        fresh list, so callers may change it without touching the flow.
         """
-        self._check_length(length)
-        names = self.names
-        n = len(names)
-        if self.cyclic:
-            return [
-                tuple(names[(start + j) % n] for j in range(length))
-                for start in range(n)
-            ]
-        return [
-            tuple(names[start + j] for j in range(length))
-            for start in range(n - length + 1)
-        ]
+        cached = self._windows.get(length)
+        if cached is None:
+            self._check_length(length)
+            names = self._names
+            n = len(names)
+            if self.cyclic:
+                cached = tuple(
+                    tuple(names[(start + j) % n] for j in range(length))
+                    for start in range(n)
+                )
+            else:
+                cached = tuple(
+                    tuple(names[start + j] for j in range(length))
+                    for start in range(n - length + 1)
+                )
+            self._windows[length] = cached
+        return list(cached)
 
     def windows_containing(self, kernel: str, length: int) -> list[tuple[str, ...]]:
         """The windows that include ``kernel`` (the coefficient inputs).

@@ -45,6 +45,7 @@ __all__ = [
     "install",
     "clear",
     "get_injector",
+    "reset_after_fork",
     "active",
     "check",
 ]
@@ -64,7 +65,6 @@ SITES: Mapping[str, str] = {
     "db.write.corrupt": "a memo-store payload is corrupted on write",
     "db.read.corrupt": "a memo-store payload bit-rots on read",
     "api.disconnect": "the wire client disconnects mid-request",
-    "shard.process.exit": "a serving shard process dies (hard exit) mid-line",
     "sim.run.error": "the discrete-event simulator crashes",
     "sim.run.noise": "event delays this run are scaled by `param`",
 }
@@ -288,6 +288,18 @@ def clear() -> None:
     global _active
     with _lock:
         _active = None
+
+
+def reset_after_fork() -> None:
+    """Forget the inherited plan and lock in a forked worker process.
+
+    A parent thread may have held the module lock at the moment of the
+    fork; the child gets a fresh one and no active plan, so it runs only
+    the plans it installs itself.
+    """
+    global _lock, _active
+    _lock = threading.Lock()
+    _active = None
 
 
 def get_injector() -> Optional[FaultInjector]:

@@ -43,7 +43,10 @@ from repro.obs.delta import (
     counter_deltas,
     counter_snapshot,
     deltas_between,
+    histogram_deltas,
+    histogram_snapshot,
     merge_counter_deltas,
+    merge_histogram_deltas,
 )
 from repro.obs.logging import configure_logging, get_logger, log
 from repro.obs.profile import (
@@ -53,6 +56,7 @@ from repro.obs.profile import (
     tag,
 )
 from repro.obs.profile import active as profiler_active
+from repro.obs.profile import reset_after_fork as _reset_profiler_after_fork
 from repro.obs.profile import start as start_profiler
 from repro.obs.profile import stop as stop_profiler
 from repro.obs.registry import (
@@ -95,7 +99,10 @@ __all__ = [
     "counter_snapshot",
     "current_context",
     "deltas_between",
+    "histogram_deltas",
+    "histogram_snapshot",
     "merge_counter_deltas",
+    "merge_histogram_deltas",
     "current_span",
     "default_buckets",
     "disable",
@@ -108,6 +115,7 @@ __all__ = [
     "merge_child_profile",
     "profiler_active",
     "reset",
+    "reset_after_fork",
     "span",
     "start_profiler",
     "stop_profiler",
@@ -164,3 +172,20 @@ def reset() -> None:
         _registry = MetricsRegistry()
         _tracer = Tracer()
         _enabled = True
+
+
+def reset_after_fork() -> None:
+    """Give a forked worker process observability state of its own.
+
+    Another parent thread may have held the registry's, an instrument's
+    or the tracer's lock at the moment of the fork, and such a lock stays
+    held forever in the child; the child therefore gets a fresh registry,
+    tracer and module lock and never touches the inherited ones. The
+    profiler slot is emptied too: the parent's sampler thread does not
+    exist in the child. Keeps the enabled/disabled switch.
+    """
+    global _lock, _registry, _tracer
+    _lock = threading.Lock()
+    _registry = MetricsRegistry()
+    _tracer = Tracer()
+    _reset_profiler_after_fork()

@@ -282,6 +282,13 @@ _active: Optional["SamplingProfiler"] = None
 _install_lock = threading.Lock()
 
 
+def reset_after_fork() -> None:
+    """Empty the profiler slot in a forked child (see obs.reset_after_fork)."""
+    global _active, _install_lock
+    _active = None
+    _install_lock = threading.Lock()
+
+
 def active() -> Optional["SamplingProfiler"]:
     """The currently installed profiler, if any."""
     return _active

@@ -172,6 +172,34 @@ class Histogram:
             if self._max is None or value > self._max:
                 self._max = value
 
+    def merge(
+        self,
+        counts: Sequence[int],
+        total: float,
+        low: Optional[float],
+        high: Optional[float],
+    ) -> None:
+        """Fold in observations recorded elsewhere on the same bounds.
+
+        ``counts`` has one slot per bound plus the overflow slot (the
+        :meth:`state` layout), ``total`` is their sum, and ``low``/``high``
+        are their extremes.
+        """
+        if len(counts) != len(self._counts):
+            raise ValueError(
+                f"histogram {self.name!r}: cannot merge {len(counts)} "
+                f"buckets into {len(self._counts)}"
+            )
+        with self._lock:
+            for index, n in enumerate(counts):
+                self._counts[index] += n
+            self._count += sum(counts)
+            self._sum += total
+            if low is not None and (self._min is None or low < self._min):
+                self._min = low
+            if high is not None and (self._max is None or high > self._max):
+                self._max = high
+
     @property
     def count(self) -> int:
         return self._count

@@ -8,8 +8,8 @@ thread handoffs when the parent context is captured explicitly:
 * :func:`current_context` captures ``(trace_id, span_id)`` where a request
   leaves one thread (e.g. when the service batcher registers a flight);
 * :func:`use_context` re-establishes it where the work resumes (the
-  dispatcher or worker thread), so the spans recorded there join the same
-  trace.
+  batcher's dispatcher thread), so the spans recorded there join the
+  same trace.
 
 Every finished span is (1) appended to the process tracer's bounded ring
 buffer (for the Chrome-trace exporter) and (2) recorded into the global

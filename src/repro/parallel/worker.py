@@ -13,10 +13,10 @@ The memo-aware measurement helpers here (:func:`measure_chain`,
 serial path in :class:`repro.experiments.pipeline.ExperimentPipeline`, so
 a cache hit replays the exact floats a fresh simulation would produce
 (REP001 determinism) and serial, parallel, and warm-cache runs stay
-bit-identical. The serving engine runs :func:`run_cell` itself on its
-worker threads (:func:`repro.service.workers.simulate_cell`), so served
-cells and campaign cells share one code path and one set of seed-keyed
-measurement records.
+bit-identical. The serving engine runs :func:`run_cell` on the same
+process pool as campaigns (:class:`repro.parallel.executor.CellPool`), so
+served cells and campaign cells share one code path and one set of
+seed-keyed measurement records.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 from repro import faults, obs
 from repro.core.kernel import ControlFlow
 from repro.core.predictor import PredictionInputs
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, WorkerCrashError
 from repro.instrument.runner import (
     ApplicationRunner,
     ChainRunner,
@@ -57,7 +57,8 @@ class CellSpec:
 
     Deliberately value-only: configs are frozen dataclasses, the memo store
     is referenced by its directory (each worker opens its own handle), and
-    the fault plan rides along as data so workers re-install it locally.
+    the fault plan rides along as data: a pool worker runs the cell under
+    exactly this plan (see :mod:`repro.parallel.executor`).
     """
 
     benchmark: str
@@ -78,9 +79,9 @@ class CellSpec:
 class CellResult:
     """One simulated cell, reduced to plain data for the trip home.
 
-    ``counters`` carries the worker's observability counter *deltas*
-    (name, label items, amount) so the parent can merge them into its own
-    registry; ``inputs`` round-trips through
+    ``counters`` and ``histograms`` carry the worker's observability
+    deltas (:mod:`repro.obs.delta`) so the parent can merge them into its
+    own registry; ``inputs`` round-trips through
     :meth:`PredictionInputs.from_dict`.
     """
 
@@ -96,6 +97,7 @@ class CellResult:
     #: ``ProfileData.to_dict()`` of the worker's sampler when the parent
     #: asked for profiling (``CellSpec.profile_interval``), else ``None``.
     profile: Optional[dict] = None
+    histograms: tuple = ()
 
 
 # -- memo-aware measurement helpers (shared with the serial pipeline) -----
@@ -223,14 +225,19 @@ def run_application(
 def run_cell(spec: CellSpec) -> CellResult:
     """Simulate one sweep cell; safe to call in a worker process.
 
-    Re-installs the spec's fault plan (process-global state does not cross
-    the pool boundary), opens the memo store by path, and measures exactly
-    what :meth:`ExperimentPipeline.config_result` would: isolated loop
-    kernels, one-shot pre/post kernels, every chain window of every
-    requested length, and the full application.
+    Opens the memo store by path and measures exactly what
+    :meth:`ExperimentPipeline.config_result` would: isolated loop kernels,
+    one-shot pre/post kernels, every chain window of every requested
+    length, and the full application. A cell whose measurements are all
+    stored runs zero simulations; every simulated measurement (and the
+    application run) is stored exactly once, so
+    ``memo_stats["stores"]`` is the cell's simulation count.
     """
-    if spec.fault_plan is not None and faults.get_injector() is None:
-        faults.install(spec.fault_plan)
+    stall = faults.check("worker.cell.stall")
+    if stall is not None:
+        time.sleep(stall.param)
+    if faults.check("worker.cell.crash") is not None:
+        raise WorkerCrashError("injected worker crash (worker.cell.crash)")
     store = (
         SimulationMemoStore(spec.cache_dir)
         if spec.cache_dir is not None
@@ -244,6 +251,7 @@ def run_cell(spec: CellSpec) -> CellResult:
             interval=spec.profile_interval, backend="thread"
         ).start()
     before = obs.counter_snapshot()
+    histograms_before = obs.histogram_snapshot()
     start = time.perf_counter()
     bench = make_benchmark(spec.benchmark, spec.problem_class, spec.nprocs)
     flow = ControlFlow(bench.loop_kernel_names)
@@ -290,4 +298,5 @@ def run_cell(spec: CellSpec) -> CellResult:
         profile=(
             profile_data.to_dict() if profile_data is not None else None
         ),
+        histograms=obs.histogram_deltas(histograms_before),
     )

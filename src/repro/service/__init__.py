@@ -14,18 +14,15 @@ time. This subsystem turns that into a long-lived service:
 * :mod:`~repro.service.batching` — single-flight deduplication of
   identical in-flight requests plus coalescing of distinct ones into
   per-cell batches;
-* :mod:`~repro.service.workers` — a bounded ``concurrent.futures`` thread
-  pool (or inline executor) running the simulations, with
-  reject-with-retry-after backpressure;
+* :mod:`~repro.service.workers` — a bounded pool of worker processes
+  (the :class:`~repro.parallel.executor.CellPool` campaigns use, or an
+  inline executor) running the simulations, with reject-with-retry-after
+  backpressure and typed worker-death accounting;
 * :mod:`~repro.service.metrics` — counters and latency histograms behind
   :meth:`~repro.service.engine.PredictionService.stats`;
 * :mod:`~repro.service.api` — the :class:`~repro.service.api.ServiceClient`
   facade, the :class:`~repro.service.api.LineClient` socket client, and
-  the JSON-lines / TCP front-ends behind ``repro serve``;
-* :mod:`~repro.service.shard` — the consistent-hash ring, the
-  shared-nothing shard process group behind ``repro serve --shards N``,
-  and the :class:`~repro.service.shard.ShardRouter` that the same TCP /
-  JSON-lines front-ends serve to route, admit, and fail over across it.
+  the JSON-lines / TCP front-ends behind ``repro serve``.
 
 Quickstart::
 
@@ -51,42 +48,24 @@ from repro.service.batching import RequestBatcher
 from repro.service.cache import LRUCache, TieredPredictionCache
 from repro.service.engine import PredictRequest, PredictionService
 from repro.service.metrics import ServiceMetrics, render_stats
-from repro.service.shard import (
-    HashRing,
-    InProcessShardManager,
-    ProcessShardManager,
-    ShardRouter,
-    ShardServiceConfig,
-    make_shard_configs,
-    route_key,
-)
-from repro.service.workers import CellOutcome, WorkerPool, simulate_cell
+from repro.service.workers import WorkerPool
 
 __all__ = [
-    "CellOutcome",
-    "HashRing",
-    "InProcessShardManager",
     "LRUCache",
     "LineClient",
     "PredictRequest",
     "PredictionService",
-    "ProcessShardManager",
     "RequestBatcher",
     "RetryPolicy",
     "ServiceClient",
     "ServiceMetrics",
-    "ShardRouter",
-    "ShardServiceConfig",
     "TieredPredictionCache",
     "WorkerPool",
     "counters_payload",
     "error_dict",
     "handle_line",
-    "make_shard_configs",
     "metrics_payload",
     "render_stats",
-    "route_key",
     "serve_jsonl",
     "serve_socket",
-    "simulate_cell",
 ]

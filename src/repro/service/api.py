@@ -10,10 +10,9 @@ Three ways in:
 * :func:`serve_socket` — the same line protocol over TCP
   (``repro serve --port N``), one thread per connection.
 
-Both loops serve a :class:`~repro.service.engine.PredictionService` by
-default, or any per-line ``handler`` — ``repro serve --shards N`` passes
-its :class:`~repro.service.shard.ShardRouter`. :class:`LineClient` is the
-socket twin of :class:`ServiceClient`.
+Both loops serve a :class:`~repro.service.engine.PredictionService`
+through :func:`handle_line`. :class:`LineClient` is the socket twin of
+:class:`ServiceClient`.
 
 The line protocol: each input line is either a request object
 (``{"benchmark": "BT", "problem_class": "W", "nprocs": 4, ...}``), an array
@@ -22,10 +21,9 @@ of request objects (answered as one batched response), or a command object
 analogue, answering a Prometheus text exposition plus a JSON snapshot of
 every registry — ``{"cmd": "slo"}``, answering a rolling SLO judgement
 with per-tier p50/p95/p99 and error-budget burn — or ``{"cmd":
-"counters"}``, the raw cumulative counters the shard router polls for
-its cross-process delta merge). Every line gets exactly one JSON
-response line with an ``"ok"`` field; saturation rejections carry
-``"retry_after"``.
+"counters"}``, the raw read of every cumulative counter). Every line
+gets exactly one JSON response line with an ``"ok"`` field; saturation
+rejections carry ``"retry_after"``.
 
 Correlation: any request object may carry an ``"id"`` field. It is echoed
 verbatim in the response, bound as the obs correlation ID for the
@@ -35,7 +33,6 @@ ties a wire request to its dispatch, worker cell, and simulator runs.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import socket
@@ -44,7 +41,6 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
@@ -65,9 +61,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.service.engine import PredictRequest, PredictionService
-
-if TYPE_CHECKING:
-    from repro.service.shard import ShardRouter
 
 __all__ = [
     "RetryPolicy",
@@ -110,12 +103,7 @@ def report_to_dict(
 
 
 def error_dict(exc: Exception) -> dict[str, Any]:
-    """Wire form of one failed exchange (the error taxonomy on the wire).
-
-    Shared by every front-end — including the shard router, which
-    synthesizes these for requests it sheds or loses to a dead shard — so
-    clients see one error shape regardless of topology.
-    """
+    """Wire form of one failed exchange (the error taxonomy on the wire)."""
     payload: dict[str, Any] = {
         "ok": False,
         "error": str(exc),
@@ -282,7 +270,7 @@ class LineClient:
     """Synchronous JSONL/TCP client with the service's retry semantics.
 
     The socket twin of :class:`ServiceClient`: ``predict`` retries
-    transient wire errors (saturation sheds, shard deaths) under a
+    transient wire errors (saturation sheds, worker deaths) under a
     :class:`RetryPolicy`, honouring ``retry_after`` hints, and
     transparently reconnects if the server dropped the connection in
     between. ``sleep`` is injectable so tests can assert on the honoured
@@ -349,7 +337,7 @@ class LineClient:
                 response = self.request(payload)
             except (ConnectionError, OSError, ServiceError):
                 # The server itself vanished mid-exchange: retry on the
-                # same schedule as a shard loss.
+                # same schedule as a worker loss.
                 response = None
             if (
                 response is not None
@@ -416,12 +404,10 @@ def slo_payload(service: PredictionService) -> dict[str, Any]:
 def counters_payload(service: PredictionService) -> dict[str, Any]:
     """The ``counters`` command's body: raw cumulative counter values.
 
-    The shard router polls this from each shard process and folds the
-    movement into its own registry via the counter-delta pattern
-    (:mod:`repro.obs.delta`) — the same mechanism campaign pool workers
-    use, except shards are long-lived so the router diffs successive
-    snapshots instead of shipping one delta home. Labels travel as item
-    lists (JSON has no tuples).
+    Every counter of the service's registry and the global one (which
+    holds the merged counters of the worker processes), unrendered, for
+    clients that diff two reads. Labels travel as item lists (JSON has no
+    tuples).
     """
     counters = []
     for registry in service.metrics_registries():
@@ -532,22 +518,14 @@ def _handle_batch(
 
 
 def serve_jsonl(
-    service: PredictionService | ShardRouter,
-    lines: Iterable[str],
-    out: TextIO,
-    handler: Optional[Callable[[str], Optional[str]]] = None,
+    service: PredictionService, lines: Iterable[str], out: TextIO
 ) -> dict:
-    """Serve a JSON-lines stream until EOF; returns ``service.stats()``.
-
-    ``handler`` (when given) replaces :func:`handle_line` per line, as in
-    :func:`serve_socket`.
-    """
-    handle = handler or functools.partial(handle_line, service)
+    """Serve a JSON-lines stream until EOF; returns ``service.stats()``."""
     obs.log("serve.jsonl.start")
     served = 0
     for line in lines:
         try:
-            response = handle(line)
+            response = handle_line(service, line)
         except ClientDisconnectError:
             # A stream "client" cannot really vanish, but the injected
             # disconnect still drops the response on the floor: count it
@@ -582,8 +560,8 @@ class _LineHandler(socketserver.StreamRequestHandler):
             for raw in self.rfile:
                 # Bytes that are not UTF-8 still owe a reply: decoded
                 # lossily they fail to parse and get the typed JSON error.
-                response = self.server.handle(
-                    raw.decode("utf-8", errors="replace")
+                response = handle_line(
+                    self.server.service, raw.decode("utf-8", errors="replace")
                 )
                 if response is not None:
                     self.wfile.write(response.encode("utf-8") + b"\n")
@@ -600,10 +578,9 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, handle: Callable[[str], Optional[str]]):
+    def __init__(self, address, service: PredictionService):
         super().__init__(address, _LineHandler)
-        #: One exchange: a request line in, a response line (or None) out.
-        self.handle = handle
+        self.service = service
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
 
@@ -629,30 +606,23 @@ class _ServiceServer(socketserver.ThreadingTCPServer):
 
 
 def serve_socket(
-    service: PredictionService | ShardRouter,
+    service: PredictionService,
     host: str = "127.0.0.1",
     port: int = 0,
     ready: Optional[threading.Event] = None,
     bound: Optional[list] = None,
     control: Optional[list] = None,
-    announce: Optional[Callable[[tuple], None]] = None,
-    handler: Optional[Callable[[str], Optional[str]]] = None,
 ) -> dict:
     """Serve the line protocol over TCP until interrupted; returns
     ``service.stats()``.
 
     ``port=0`` binds an ephemeral port; the bound ``(host, port)`` is
     logged as ``serve.listening host= port=``, then appended to ``bound``
-    (when given) and passed to ``announce`` (when given), and ``ready`` is
-    set once accepting. ``control`` (when given) receives the server
-    object so a supervisor — or a test — can call its ``shutdown()`` from
-    another thread. ``handler`` (when given) replaces :func:`handle_line`
-    per line — shards wrap the default with their death checkpoint
-    (``shard.process.exit``), and the sharded front serves its
-    :class:`~repro.service.shard.ShardRouter`.
+    (when given), and ``ready`` is set once accepting. ``control`` (when
+    given) receives the server object so a supervisor — or a test — can
+    call its ``shutdown()`` from another thread.
     """
-    handle = handler or functools.partial(handle_line, service)
-    with _ServiceServer((host, port), handle) as server:
+    with _ServiceServer((host, port), service) as server:
         obs.log(
             "serve.listening",
             host=server.server_address[0],
@@ -662,8 +632,6 @@ def serve_socket(
             bound.append(server.server_address)
         if control is not None:
             control.append(server)
-        if announce is not None:
-            announce(server.server_address)
         if ready is not None:
             ready.set()
         try:

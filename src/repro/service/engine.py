@@ -12,8 +12,9 @@ layer:
    worker, no write;
 3. the rest must simulate: they are single-flight deduplicated,
    coalesced into per-cell batches (:mod:`repro.service.batching`) and
-   run on a bounded worker pool (:mod:`repro.service.workers`) through
-   the same memo store, which then archives each chain length's answer;
+   run as :func:`~repro.parallel.worker.run_cell` on a bounded pool of
+   worker processes (:mod:`repro.service.workers`) through the same memo
+   store, which then archives each chain length's answer;
 4. every step is measured (:mod:`repro.service.metrics`).
 
 **Seeds.** A request's seed selects its measurement-noise stream, but an
@@ -61,12 +62,12 @@ from repro.errors import (
 from repro.instrument.runner import MeasurementConfig
 from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
 from repro.parallel.keys import archive_key, cell_key
-from repro.parallel.worker import CellSpec
+from repro.parallel.worker import CellResult, CellSpec, run_cell
 from repro.service.batching import Flight, RequestBatcher
 from repro.service.cache import TieredPredictionCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
-from repro.service.workers import CellOutcome, WorkerPool, simulate_cell
+from repro.service.workers import WorkerPool
 from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 
 __all__ = ["PredictRequest", "PredictionService"]
@@ -163,10 +164,13 @@ class PredictionService:
     ``queue_depth`` / ``executor``), and the measurement protocol shared by
     every cell (``machine`` / ``measurement`` / ``application_seed``).
 
-    ``execute`` swaps the cell executor, a callable from
-    :class:`~repro.parallel.worker.CellSpec` to
-    :class:`~repro.service.workers.CellOutcome` (tests inject
-    counting/blocking stubs); ``executor`` is ``"thread"`` or
+    ``executor`` is ``"process"`` (default: cells run on a long-lived
+    pool of ``max_workers`` worker processes) or ``"inline"`` (cells run
+    on the batcher thread). ``execute`` swaps the cell function, a
+    callable from :class:`~repro.parallel.worker.CellSpec` to
+    :class:`~repro.parallel.worker.CellResult` (default
+    :func:`~repro.parallel.worker.run_cell`); under ``"process"`` it must
+    be a module-level function, and tests that inject closures use
     ``"inline"``.
 
     Robustness knobs: ``default_timeout`` is the per-request deadline when
@@ -212,9 +216,9 @@ class PredictionService:
         max_batch: Optional[int] = None,
         max_workers: int = 2,
         queue_depth: int = 16,
-        executor: str = "thread",
+        executor: str = "process",
         application_seed: int = 7,
-        execute: Optional[Callable[..., Any]] = None,
+        execute: Callable[[CellSpec], CellResult] = run_cell,
         clock: Callable[[], float] = time.monotonic,
         default_timeout: Optional[float] = None,
         crash_threshold: int = 3,
@@ -223,12 +227,8 @@ class PredictionService:
         tier_policy: "str | TierPolicy" = "exact",
         slo_objectives: Optional[Sequence[SLOObjective]] = None,
         slo_window: int = 60,
-        shard_id: Optional[int] = None,
     ):
         self.machine = machine or ibm_sp_argonne()
-        #: Ring position when this service is one shard of a sharded
-        #: deployment (``repro serve --shards N``); None when standalone.
-        self.shard_id = shard_id
         self.tier_policy = resolve_tier_policy(tier_policy)
         self.measurement = measurement or MeasurementConfig()
         self.application_seed = application_seed
@@ -248,7 +248,7 @@ class PredictionService:
             raise ServiceError(
                 f"degraded_probe_every must be >= 1, got {degraded_probe_every}"
             )
-        self._execute = execute or simulate_cell
+        self._execute = execute
         self.default_timeout = default_timeout
         self._pool = WorkerPool(
             max_workers=max_workers,
@@ -554,6 +554,7 @@ class PredictionService:
         flights = viable
         if not flights:
             return
+        injector = faults.get_injector()
         spec = CellSpec(
             benchmark=first.benchmark,
             problem_class=first.problem_class,
@@ -565,6 +566,7 @@ class PredictionService:
             measurement=replace(self.measurement, seed=first.seed),
             application_seed=self.application_seed,
             cache_dir=str(self._memo.root),
+            fault_plan=injector.plan if injector else None,
         )
         record_key = cell_key(
             spec.machine,
@@ -580,17 +582,13 @@ class PredictionService:
             self.metrics.cell_seconds.observe(0.0)
             self._finish(
                 flights,
-                CellOutcome(
-                    inputs=PredictionInputs.from_dict(record["inputs"]),
-                    actual=record["actual"],
-                    simulations=0,
-                ),
+                PredictionInputs.from_dict(record["inputs"]),
+                record["actual"],
+                simulations=0,
             )
             return
         try:
-            pool_future = self._pool.submit(
-                self._traced_cell, obs.current_context(), spec
-            )
+            pool_future = self._pool.submit(self._execute, spec)
         except ServiceError as exc:
             self._fail(flights, exc)
             return
@@ -605,48 +603,50 @@ class PredictionService:
             self.metrics.cell_seconds.observe(self._clock() - started)
             try:
                 # repro: ignore[REP003] — done-callback: fut already resolved
-                outcome = fut.result()
+                result = fut.result()
                 self._memo.put(
                     record_key,
-                    {"inputs": outcome.inputs.to_dict(), "actual": outcome.actual},
+                    {"inputs": result.inputs, "actual": result.actual},
                 )
             except BaseException as exc:  # noqa: BLE001 — relay to waiters
                 self._fail(flights, exc)
                 return
-            self._finish(flights, outcome)
+            self._finish(
+                flights,
+                PredictionInputs.from_dict(result.inputs),
+                result.actual,
+                simulations=result.memo_stats.get("stores", 0),
+            )
 
         pool_future.add_done_callback(_done)
 
-    def _traced_cell(self, context, spec: CellSpec) -> CellOutcome:
-        """Run one cell on a worker thread under the request's trace."""
-        with obs.use_context(context), obs.span(
-            "service.cell",
-            benchmark=spec.benchmark,
-            cls=spec.problem_class,
-            nprocs=spec.nprocs,
-        ):
-            return self._execute(spec)
-
-    def _finish(self, flights: list[Flight], outcome: CellOutcome) -> None:
+    def _finish(
+        self,
+        flights: list[Flight],
+        inputs: PredictionInputs,
+        actual: float,
+        simulations: int,
+    ) -> None:
         """Archive the batch's answer per chain length, then answer waiters.
 
         Each chain length's record is created only if absent, so when an
         earlier batch (at any seed) archived it first, this batch's
         waiters get that record's numbers like every later request.
         """
-        self.metrics.simulations.inc(outcome.simulations)
-        self._record_analytic_error(flights[0].request, outcome.actual)
-        warm = outcome.simulations == 0
+        self.metrics.simulations.inc(simulations)
+        self._record_analytic_error(flights[0].request, actual)
+        warm = simulations == 0
         answers: dict[int, tuple[PredictionInputs, float]] = {}
         for flight in flights:
             request = flight.request
             try:
                 if request.chain_length not in answers:
                     answers[request.chain_length] = self._archive(
-                        request, outcome
+                        request, inputs, actual
                     )
-                inputs, actual = answers[request.chain_length]
-                report = self._report(request, inputs, actual, warm)
+                report = self._report(
+                    request, *answers[request.chain_length], warm
+                )
             except Exception as exc:  # noqa: BLE001 — relay to this waiter
                 self._fail([flight], exc)
                 continue
@@ -654,24 +654,24 @@ class PredictionService:
                 flight.future.set_result(report)
 
     def _archive(
-        self, request: PredictRequest, outcome: CellOutcome
+        self, request: PredictRequest, inputs: PredictionInputs, actual: float
     ) -> tuple[PredictionInputs, float]:
         """The archived ``(inputs, actual)`` of the request's chain length."""
         length = request.chain_length
-        inputs = replace(
-            outcome.inputs,
+        own_inputs = replace(
+            inputs,
             chain_times={
                 window: t
-                for window, t in outcome.inputs.chain_times.items()
+                for window, t in inputs.chain_times.items()
                 if len(window) == length
             },
         )
-        own = {"inputs": inputs.to_dict(), "actual": outcome.actual}
+        own = {"inputs": own_inputs.to_dict(), "actual": actual}
         archived = self._memo.put_if_absent(
             self._archive_key(request, length), own
         )
         if archived is own:
-            return inputs, outcome.actual
+            return own_inputs, actual
         return PredictionInputs.from_dict(archived["inputs"]), archived["actual"]
 
     def _report(
@@ -758,8 +758,6 @@ class PredictionService:
         snapshot["degraded"] = self.degraded
         snapshot["worker_respawns"] = self._pool.respawns
         snapshot["worker_crashes"] = self._pool.crashes
-        if self.shard_id is not None:
-            snapshot["shard"] = self.shard_id
         return snapshot
 
     def slo_report(self) -> dict:

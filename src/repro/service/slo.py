@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.analytic.tiers import TIER_ANALYTIC, TIERS
 from repro.errors import ServiceError
@@ -47,7 +47,6 @@ __all__ = [
     "SLOMonitor",
     "DEFAULT_OBJECTIVES",
     "parse_objectives",
-    "merge_slo_reports",
 ]
 
 #: Burn-rate ceiling reported when the budget is zero but failures exist
@@ -375,94 +374,3 @@ class SLOMonitor:
             if not verdict["met"]:
                 registry.counter("slo_breaches", **labels).inc()
 
-
-def _merge_quantiles(docs: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Fleet view of per-shard quantile docs: sum requests, max quantiles.
-
-    Latency quantiles cannot be exactly merged from per-shard quantiles;
-    the conservative fleet judgement takes the worst shard's value — a
-    p99 SLO met by the max is met by every shard.
-    """
-    merged: dict[str, Any] = {"requests": sum(d["requests"] for d in docs)}
-    for q in SLOMonitor.QUANTILES:
-        key = f"p{int(q * 100)}"
-        merged[key] = max((d.get(key, 0.0) for d in docs), default=0.0)
-    return merged
-
-
-def merge_slo_reports(
-    reports: Mapping[str, dict[str, Any]],
-) -> dict[str, Any]:
-    """One fleet SLO judgement from per-shard :meth:`slo_report` docs.
-
-    Window counters and objective good/bad totals sum across shards;
-    quantiles take the per-shard maximum (conservative — see
-    :func:`_merge_quantiles`); each merged objective is re-judged from
-    the summed totals, so one overloaded shard can breach the fleet even
-    while its siblings are healthy. The per-shard reports ride along
-    under ``"shards"`` for drill-down.
-    """
-    if not reports:
-        return {
-            "window": {},
-            "overall": {"requests": 0},
-            "tiers": {},
-            "objectives": [],
-            "breaches": 0,
-            "shards": {},
-        }
-    docs = list(reports.values())
-    window: dict[str, Any] = {}
-    for doc in docs:
-        for key, value in doc["window"].items():
-            window[key] = window.get(key, 0) + value
-    tiers: dict[str, list] = {}
-    for doc in docs:
-        for tier, qdoc in doc["tiers"].items():
-            tiers.setdefault(tier, []).append(qdoc)
-    merged_objectives = []
-    breaches = 0
-    by_name: dict[str, list[dict[str, Any]]] = {}
-    for doc in docs:
-        for verdict in doc["objectives"]:
-            by_name.setdefault(verdict["name"], []).append(verdict)
-    for name, verdicts in by_name.items():
-        first = verdicts[0]
-        total = sum(v["total"] for v in verdicts)
-        bad = sum(v["bad"] for v in verdicts)
-        good = max(0.0, total - bad)
-        compliance = (good / total) if total else 1.0
-        budget = 1.0 - first["target"]
-        bad_fraction = (bad / total) if total else 0.0
-        burn = (
-            min(bad_fraction / budget, BURN_CAP)
-            if budget > 0
-            else (0.0 if bad == 0 else BURN_CAP)
-        )
-        met = compliance >= first["target"]
-        if not met:
-            breaches += 1
-        merged_objectives.append(
-            {
-                "name": name,
-                "kind": first["kind"],
-                "target": first["target"],
-                "threshold": first["threshold"],
-                "tier": first["tier"],
-                "total": total,
-                "bad": round(bad, 3),
-                "compliance": compliance,
-                "burn_rate": burn,
-                "met": met,
-            }
-        )
-    return {
-        "window": window,
-        "overall": _merge_quantiles([d["overall"] for d in docs]),
-        "tiers": {
-            tier: _merge_quantiles(qdocs) for tier, qdocs in tiers.items()
-        },
-        "objectives": merged_objectives,
-        "breaches": breaches,
-        "shards": dict(reports),
-    }

@@ -1,100 +1,71 @@
-"""Worker pool and the cell task the workers execute.
+"""The service's worker pool: admission, crash accounting, health.
 
-The expensive part of a prediction is the discrete-event simulation of the
-measurement protocol (isolated kernels, chain windows, one-shots) plus the
-full application run. :func:`simulate_cell` runs exactly that work for one
-(benchmark, class, nprocs) cell through
-:func:`repro.parallel.worker.run_cell`, the function campaign workers run,
-so the server and campaigns simulate through one code path and share the
-memo store's seed-keyed measurement records. :class:`WorkerPool` runs
-cells in parallel on a bounded ``concurrent.futures`` pool, rejecting new
-work with a retry-after hint once the queue is full (backpressure instead
-of unbounded buffering).
+The expensive part of a prediction is the discrete-event simulation of
+one cell's measurement protocol (isolated kernels, chain windows,
+one-shots) plus the full application run,
+:func:`repro.parallel.worker.run_cell`. :class:`WorkerPool` runs those
+cells on the process pool campaigns use
+(:class:`repro.parallel.executor.CellPool`), so one server simulates on
+``max_workers`` CPUs, or inline in the calling thread. Workers share the
+service's memo directory; its atomic writes make concurrent writers
+safe.
 
-Workers share the service's memo directory; its atomic writes make
-concurrent writers safe. Process parallelism for serving comes from
-``repro serve --shards N`` (:mod:`repro.service.shard`), not from this
-pool.
+The pool itself lives on the server's threads: it rejects new work with a
+retry-after hint once the queue is full (backpressure instead of
+unbounded buffering), turns a worker process that died mid-cell into a
+typed :class:`~repro.errors.WorkerCrashError`, and tracks the
+consecutive deaths behind the engine's degraded mode.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Union
 
 from repro import faults, obs
-from repro.core.predictor import PredictionInputs
 from repro.errors import (
     ServiceClosedError,
     ServiceError,
     ServiceSaturatedError,
     WorkerCrashError,
 )
-from repro.parallel.worker import CellSpec, run_cell
+from repro.parallel.executor import CellPool
+from repro.parallel.worker import CellResult, CellSpec
 
-__all__ = [
-    "CellOutcome",
-    "simulate_cell",
-    "WorkerPool",
-]
-
-
-@dataclass(frozen=True)
-class CellOutcome:
-    """What a worker hands back: inputs + actual + work accounting."""
-
-    inputs: PredictionInputs
-    actual: float
-    simulations: int
-
-
-def simulate_cell(spec: CellSpec) -> CellOutcome:
-    """Measure one cell through the memo store at ``spec.cache_dir``.
-
-    A cell whose measurements are all stored runs zero simulations. Every
-    simulated measurement (and the application run) is stored exactly
-    once, so the cell's store count is its simulation count.
-    """
-    stall = faults.check("worker.cell.stall")
-    if stall is not None:
-        time.sleep(stall.param)
-    if faults.check("worker.cell.crash") is not None:
-        raise WorkerCrashError("injected worker crash (worker.cell.crash)")
-    result = run_cell(spec)
-    return CellOutcome(
-        inputs=PredictionInputs.from_dict(result.inputs),
-        actual=result.actual,
-        simulations=result.memo_stats["stores"],
-    )
+__all__ = ["WorkerPool"]
 
 
 class WorkerPool:
-    """Bounded ``concurrent.futures`` pool with reject-on-saturation.
+    """Bounded cell pool with reject-on-saturation.
 
     ``queue_depth`` caps *outstanding* (queued + running) cells; a submit
     beyond that raises
     :class:`~repro.errors.ServiceSaturatedError` carrying a retry-after
     estimate instead of queueing unboundedly. ``kind`` selects
-    ``"thread"`` (default — shares the in-process memo store) or
-    ``"inline"`` (synchronous, for debugging and deterministic tests).
+    ``"process"`` (default: a long-lived pool of ``max_workers`` worker
+    processes, started by the first submit) or ``"inline"`` (the cell
+    runs synchronously in the calling thread, for debugging and for
+    tests that observe the cell in-process).
 
-    **Worker death.** A task failing with
-    :class:`~repro.errors.WorkerCrashError` counts as a worker death: the
-    pool records a respawn (thread workers survive the exception, so only
-    the accounting applies), and after ``crash_threshold`` *consecutive*
-    deaths declares itself
-    unhealthy (:attr:`healthy` — the engine's degraded-mode signal). Any
-    successfully completed task restores health.
+    **Worker death.** A worker process that dies mid-cell breaks the
+    process pool: every cell then in flight fails with
+    :class:`~repro.errors.WorkerCrashError`, the pool is rebuilt once and
+    counted in ``worker_respawns``, and the next cell runs on fresh
+    workers. A cell that raises ``WorkerCrashError`` itself (the
+    ``worker.cell.crash`` fault site) counts as a death and a respawn
+    too, though its worker survives. After ``crash_threshold``
+    *consecutive* deaths the pool declares itself unhealthy
+    (:attr:`healthy` — the engine's degraded-mode signal). Any
+    successfully completed cell restores health.
     """
 
     def __init__(
         self,
         max_workers: int = 2,
         queue_depth: int = 8,
-        kind: str = "thread",
+        kind: str = "process",
         retry_after: Union[float, Callable[[], float]] = 1.0,
         crash_threshold: int = 3,
     ):
@@ -102,9 +73,9 @@ class WorkerPool:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
         if queue_depth < 1:
             raise ServiceError(f"queue_depth must be >= 1, got {queue_depth}")
-        if kind not in ("thread", "inline"):
+        if kind not in ("process", "inline"):
             raise ServiceError(
-                f"worker kind must be thread/inline, got {kind!r}"
+                f"worker kind must be process/inline, got {kind!r}"
             )
         if crash_threshold < 1:
             raise ServiceError(
@@ -120,12 +91,10 @@ class WorkerPool:
         self._closed = False
         self._consecutive_crashes = 0
         self._crashes = 0
-        self._respawns = 0
-        self._executor = (
-            ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-service"
-            )
-            if kind == "thread"
+        self._in_band_respawns = 0
+        self._cells = (
+            CellPool(max_workers, respawn_metric="worker_respawns")
+            if kind == "process"
             else None
         )
 
@@ -146,7 +115,8 @@ class WorkerPool:
     @property
     def respawns(self) -> int:
         """Workers replaced after dying (also ``worker_respawns`` in obs)."""
-        return self._respawns
+        rebuilt = self._cells.respawns if self._cells is not None else 0
+        return self._in_band_respawns + rebuilt
 
     @property
     def crashes(self) -> int:
@@ -157,27 +127,26 @@ class WorkerPool:
     def consecutive_crashes(self) -> int:
         return self._consecutive_crashes
 
-    def _note_outcome(self, future: Future) -> None:
-        """Health bookkeeping from a finished task (runs in _release)."""
-        if future.cancelled():
-            return
-        exc = future.exception()
-        if isinstance(exc, WorkerCrashError):
-            self._record_crash()
-        elif exc is None:
+    def _note_outcome(self, exc: BaseException | None, broken: bool) -> None:
+        """Health bookkeeping from a finished cell."""
+        if exc is None:
             with self._lock:
                 self._consecutive_crashes = 0
-
-    def _record_crash(self) -> None:
-        """One worker died: respawn it and update the health state."""
+            return
+        if not isinstance(exc, WorkerCrashError):
+            return
         with self._lock:
             self._crashes += 1
             self._consecutive_crashes += 1
-            self._respawns += 1
+            if not broken:
+                # The worker survived its in-band death: only the
+                # accounting of a respawn applies.
+                self._in_band_respawns += 1
             unhealthy = self._consecutive_crashes >= self.crash_threshold
-        obs.get_registry().counter("worker_respawns").inc()
+        if not broken:
+            obs.get_registry().counter("worker_respawns").inc()
         obs.log(
-            "pool.worker_respawn",
+            "pool.worker_death",
             consecutive=self._consecutive_crashes,
             healthy=not unhealthy,
         )
@@ -187,8 +156,14 @@ class WorkerPool:
         hint = self._retry_after
         return float(hint() if callable(hint) else hint)
 
-    def submit(self, fn: Callable, *args) -> Future:
-        """Run ``fn(*args)`` on the pool; reject when saturated/closed."""
+    def submit(
+        self, run: Callable[[CellSpec], CellResult], spec: CellSpec
+    ) -> Future:
+        """Run ``run(spec)`` on the pool; reject when saturated/closed.
+
+        Under the process kind ``run`` must be a module-level function
+        (it is pickled into the worker).
+        """
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("worker pool is shut down")
@@ -198,13 +173,25 @@ class WorkerPool:
                     f"depth {self.queue_depth})",
                     retry_after=self.retry_after_hint(),
                 )
-            executor = self._executor
             self._outstanding += 1
+        future: Future = Future()
 
-        def _release(fut: Future) -> None:
+        def _land(outcome: Future) -> None:
+            # Health is settled before the waiter sees the outcome.
+            exc = outcome.exception()
+            broken = isinstance(exc, BrokenProcessPool)
+            if broken:
+                exc = WorkerCrashError(
+                    "a worker process died while simulating the cell"
+                )
             with self._lock:
                 self._outstanding -= 1
-            self._note_outcome(fut)
+            self._note_outcome(exc, broken)
+            if exc is None:
+                # repro: ignore[REP003] — done-callback: outcome resolved
+                future.set_result(outcome.result())
+            else:
+                future.set_exception(exc)
 
         try:
             if faults.check("pool.submit.reject") is not None:
@@ -212,20 +199,19 @@ class WorkerPool:
                     "injected queue-full rejection (pool.submit.reject)",
                     retry_after=self.retry_after_hint(),
                 )
-            if executor is None:  # inline
-                future: Future = Future()
+            if self._cells is None:  # inline
+                outcome: Future = Future()
                 try:
-                    future.set_result(fn(*args))
+                    outcome.set_result(run(spec))
                 except BaseException as exc:  # noqa: BLE001 — via future
-                    future.set_exception(exc)
-                _release(future)
-                return future
-            future = executor.submit(fn, *args)
+                    outcome.set_exception(exc)
+            else:
+                outcome = self._cells.submit(run, spec)
         except BaseException:  # noqa: BLE001 — undo the reservation, re-raise
             with self._lock:
                 self._outstanding -= 1
             raise
-        future.add_done_callback(_release)
+        outcome.add_done_callback(_land)
         return future
 
     def shutdown(self, wait: bool = True) -> None:
@@ -234,5 +220,5 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait)
+        if self._cells is not None:
+            self._cells.shutdown(wait=wait)

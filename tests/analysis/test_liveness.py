@@ -10,24 +10,46 @@ requires exactly one finding of that rule.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
-from repro import simmachine
+import repro
 from repro.analysis import analyze_paths, select_rules
 
-SIMMACHINE = Path(simmachine.__file__).parent
+PACKAGE = Path(repro.__file__).parent
 
 
-def _lint_copy(root, module, rule, injected=""):
-    """Lint a copy of ``simmachine/<module>`` with ``injected`` appended."""
-    target = root / "repro" / "simmachine" / module
-    target.parent.mkdir(parents=True)
-    source = (SIMMACHINE / module).read_text(encoding="utf-8")
-    target.write_text(source + injected, encoding="utf-8")
+def _lint(root, rule):
     findings = analyze_paths(
         [str(root)], rules=select_rules([rule]), root=str(root)
     )
     return [f.rule for f in findings]
+
+
+def _lint_copy(root, module, rule, injected=""):
+    """Lint a copy of ``repro/<module>`` with ``injected`` appended."""
+    target = root / "repro" / module
+    target.parent.mkdir(parents=True)
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    target.write_text(source + injected, encoding="utf-8")
+    return _lint(root, rule)
+
+
+def _lint_package_copy(root, module, rule, injected=""):
+    """Lint a copy of the whole package, ``injected`` appended to one module.
+
+    For cross-file rules that reconcile the whole tree.
+    """
+    shutil.copytree(
+        PACKAGE,
+        root / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    target = root / "repro" / module
+    target.write_text(
+        target.read_text(encoding="utf-8") + injected, encoding="utf-8"
+    )
+    return _lint(root, rule)
 
 
 def test_rep001_fires_on_a_clock_in_noise(tmp_path):
@@ -36,15 +58,41 @@ def test_rep001_fires_on_a_clock_in_noise(tmp_path):
         "def _stamp() -> float:\n"
         "    return time.perf_counter()\n"
     )
-    assert _lint_copy(tmp_path / "clean", "noise.py", "REP001") == []
+    module = "simmachine/noise.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP001") == []
     assert _lint_copy(
-        tmp_path / "injected", "noise.py", "REP001", clock
+        tmp_path / "injected", module, "REP001", clock
     ) == ["REP001"]
 
 
 def test_rep009_fires_on_a_profiler_import_in_engine(tmp_path):
     profiler = "\nfrom repro.obs import profile\n"
-    assert _lint_copy(tmp_path / "clean", "engine.py", "REP009") == []
+    module = "simmachine/engine.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP009") == []
     assert _lint_copy(
-        tmp_path / "injected", "engine.py", "REP009", profiler
+        tmp_path / "injected", module, "REP009", profiler
     ) == ["REP009"]
+
+
+def test_rep007_fires_on_a_lambda_submitted_to_the_cell_pool(tmp_path):
+    lambda_task = (
+        "\n\ndef _submit_lambda(pool: CellPool, spec: CellSpec) -> Future:\n"
+        "    return pool.submit(lambda cell: run_cell(cell), spec)\n"
+    )
+    module = "parallel/executor.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP007") == []
+    assert _lint_copy(
+        tmp_path / "injected", module, "REP007", lambda_task
+    ) == ["REP007"]
+
+
+def test_rep004_fires_on_an_unregistered_site_in_the_worker_pool(tmp_path):
+    unregistered = (
+        "\n\ndef _vanish() -> bool:\n"
+        '    return faults.check("worker.cell.vanish") is not None\n'
+    )
+    module = "service/workers.py"
+    assert _lint_package_copy(tmp_path / "clean", module, "REP004") == []
+    assert _lint_package_copy(
+        tmp_path / "injected", module, "REP004", unregistered
+    ) == ["REP004"]

@@ -4,9 +4,11 @@ Drives the *real* service — L1 cache, single-flight batcher, worker pool,
 persistent memo store, wire protocol — from many client threads while a
 seeded :class:`~repro.faults.FaultPlan` fires faults at every layer. The
 cell *simulation* is replaced by :func:`synthetic_execute`, which mirrors
-``simulate_cell``'s fault checkpoints and memo-store round-trip but
-builds its measurements arithmetically, so a soak of thousands of
-requests runs in seconds while still exercising every robustness path.
+``run_cell``'s fault checkpoints and memo-store round-trip but builds
+its measurements arithmetically, so a soak of thousands of requests runs
+in seconds while still exercising every robustness path. Cells run
+inline, so every fault site is checked against the one injector this
+process installs and the fire counts reconcile exactly.
 
 The harness's contract (asserted by ``tests/chaos/test_chaos.py``):
 
@@ -40,13 +42,9 @@ from repro.errors import (
 )
 from repro.npb import make_benchmark
 from repro.parallel.memo import TAMPER, SimulationMemoStore
-from repro.service import (
-    PredictionService,
-    ShardRouter,
-    handle_line,
-    serve_socket,
-)
-from repro.service.workers import CellOutcome
+from repro.parallel.worker import CellResult
+from repro.instrument import MeasurementConfig
+from repro.service import PredictionService, handle_line, serve_socket
 
 #: Sentinel planted by the ``db.*.corrupt`` tamper; if it ever shows up in
 #: a served value, corrupted data escaped detection.
@@ -61,8 +59,8 @@ def _stable_time(*parts) -> float:
     return 1e-4 + (digest % 9999) * 1e-6
 
 
-def synthetic_execute(spec) -> CellOutcome:
-    """A fast, deterministic stand-in for ``simulate_cell``.
+def synthetic_execute(spec) -> CellResult:
+    """A fast, deterministic stand-in for ``run_cell``.
 
     Honours the same fault checkpoints (``worker.cell.stall``,
     ``worker.cell.crash``) and performs a real memo-store round-trip
@@ -123,11 +121,49 @@ def synthetic_execute(spec) -> CellOutcome:
                 "failed integrity verification after retry"
             )
 
-    return CellOutcome(
-        inputs=inputs,
+    return CellResult(
+        benchmark=benchmark,
+        problem_class=problem_class,
+        nprocs=nprocs,
+        chain_lengths=tuple(spec.chain_lengths),
         actual=actual,
-        simulations=1,
+        inputs=inputs.to_dict(),
+        memo_stats={"stores": 1},
+        counters=(),
+        duration=0.0,
     )
+
+
+@contextlib.contextmanager
+def serving(**kwargs):
+    """A service behind ``serve_socket`` on an ephemeral port.
+
+    Unlike :func:`run_chaos`, cells run on the service's worker processes
+    unless ``executor="inline"`` is passed.
+    """
+    defaults = dict(
+        measurement=MeasurementConfig(repetitions=2, warmup=1),
+        execute=synthetic_execute,
+        batch_window=0.001,
+    )
+    defaults.update(kwargs)
+    with PredictionService(**defaults) as service:
+        ready = threading.Event()
+        bound: list = []
+        control: list = []
+        thread = threading.Thread(
+            target=serve_socket,
+            args=(service,),
+            kwargs={"ready": ready, "bound": bound, "control": control},
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(timeout=30)
+        try:
+            yield service, tuple(bound[0])
+        finally:
+            control[0].shutdown()
+            thread.join(timeout=30)
 
 
 @dataclass
@@ -216,8 +252,7 @@ def run_chaos(
     deadlocked client thread (everything else is data for the caller).
     """
     defaults = dict(
-        executor="thread",
-        max_workers=4,
+        executor="inline",
         queue_depth=32,
         batch_window=0.002,
         max_batch=8,
@@ -290,36 +325,3 @@ def run_chaos(
     }
     return result
 
-
-@contextlib.contextmanager
-def serve_router(manager, **router_kwargs):
-    """Serve a :class:`ShardRouter` over a started shard manager on an
-    ephemeral TCP port, as ``repro serve --shards N --port 0`` does.
-
-    Yields ``(router, (host, port))``; on exit the server shuts down and
-    the router closes. The manager stays the caller's to stop.
-    """
-    with ShardRouter(manager, **router_kwargs) as router:
-        ready = threading.Event()
-        bound: list = []
-        control: list = []
-        thread = threading.Thread(
-            target=serve_socket,
-            args=(router,),
-            kwargs={
-                "port": 0,
-                "ready": ready,
-                "bound": bound,
-                "control": control,
-                "handler": router.handle_line,
-            },
-            daemon=True,
-            name="repro-shard-router",
-        )
-        thread.start()
-        assert ready.wait(30.0), "router server never bound"
-        try:
-            yield router, tuple(bound[0])
-        finally:
-            control[0].shutdown()
-            thread.join(30.0)

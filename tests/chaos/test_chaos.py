@@ -4,14 +4,30 @@
 triggers so every site demonstrably fires). ``test_soak`` is the
 ``slow``-marked headline soak: thousands of requests, probabilistic
 triggers, stalls long enough to force deadline expiries. Both share the
-same invariants, checked by :func:`reconcile`.
+same invariants, checked by :func:`reconcile`. A separate soak runs
+over a socket while a worker process holding an in-flight cell is
+SIGKILLed.
 """
+
+import functools
+import json
+import os
+import signal
+import threading
+import time
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
+from repro.service import LineClient, RetryPolicy
 
-from .harness import TAMPER_MARKER, run_chaos
+from .harness import (
+    TAMPER_MARKER,
+    request_stream,
+    run_chaos,
+    serving,
+    synthetic_execute,
+)
 
 pytestmark = pytest.mark.chaos
 
@@ -169,15 +185,12 @@ def test_slo_counters_move_under_faults():
     from repro.service import PredictionService, handle_line
     from repro.service.slo import SLOObjective
 
-    from .harness import request_stream, synthetic_execute
-
     chaos_plan = plan(
         FaultSpec(site="batch.dispatch.error", every_nth=3),
         seed=7,
     )
     service = PredictionService(
-        executor="thread",
-        max_workers=2,
+        executor="inline",
         batch_window=0.0,
         execute=synthetic_execute,
         slo_objectives=(
@@ -204,3 +217,126 @@ def test_slo_counters_move_under_faults():
     snapshot = service.metrics.registry.snapshot()
     assert snapshot["slo_breaches{objective=availability}"] >= 1
     assert snapshot["slo_burn_rate{objective=availability}"] > 1.0
+
+
+#: The cell the SIGKILL victim holds in flight; the soak never asks it.
+PARKED_NPROCS = 25
+
+
+def park_until_killed(pidfile, spec):
+    """Hold the first parked cell in its worker, pid published, to be killed.
+
+    Any later run of the cell (the retry on the rebuilt pool) finds the
+    pid file and runs normally.
+    """
+    if spec.nprocs == PARKED_NPROCS and not os.path.exists(pidfile):
+        with open(pidfile + ".tmp", "w") as f:
+            f.write(str(os.getpid()))
+        os.replace(pidfile + ".tmp", pidfile)
+        time.sleep(60.0)
+    return synthetic_execute(spec)
+
+
+def _soak(address, lines, n_threads=6, max_attempts=20):
+    """Drive ``lines`` from threaded retrying clients: ``{id: response}``."""
+    responses: dict = {}
+    duplicates: list = []
+    lock = threading.Lock()
+    cursor = {"next": 0}
+
+    def client():
+        with LineClient(
+            *address,
+            retry=RetryPolicy(max_attempts=max_attempts, base_delay=0.05),
+        ) as c:
+            while True:
+                with lock:
+                    i = cursor["next"]
+                    if i >= len(lines):
+                        return
+                    cursor["next"] = i + 1
+                payload = json.loads(lines[i])
+                response = c.predict(payload)
+                with lock:
+                    if payload["id"] in responses:
+                        duplicates.append(payload["id"])
+                    responses[payload["id"]] = response
+
+    threads = [
+        threading.Thread(target=client, name=f"soak-{t}", daemon=True)
+        for t in range(n_threads)
+    ]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + 120.0
+    for t in threads:
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    stuck = [t.name for t in threads if t.is_alive()]
+    assert not stuck, f"deadlocked soak clients: {stuck}"
+    assert not duplicates, f"duplicated responses: {duplicates}"
+    return responses
+
+
+@pytest.mark.timeout(200)
+def test_sigkill_mid_soak_respawns_and_answers_every_request(tmp_path):
+    """SIGKILL the worker process holding an in-flight cell, then soak.
+
+    The in-flight request fails with a typed, retryable error that its
+    client's retry absorbs on the rebuilt pool; every soak request is
+    answered exactly once, and the death is counted, not degrading.
+    """
+    pidfile = str(tmp_path / "parked.pid")
+    parked_request = {
+        "benchmark": "BT",
+        "problem_class": "S",
+        "nprocs": PARKED_NPROCS,
+        "chain_length": 3,
+        "seed": 5,
+        "id": "parked",
+    }
+    with serving(
+        execute=functools.partial(park_until_killed, pidfile),
+        max_workers=2,
+        queue_depth=16,
+    ) as (service, address):
+        parked_result = {}
+
+        def parked_client():
+            with LineClient(
+                *address, retry=RetryPolicy(max_attempts=10, base_delay=0.05)
+            ) as c:
+                parked_result["response"] = c.predict(parked_request)
+
+        parked = threading.Thread(target=parked_client, daemon=True)
+        parked.start()
+        deadline = time.monotonic() + 60
+        while not os.path.exists(pidfile):
+            assert time.monotonic() < deadline, "the cell never parked"
+            time.sleep(0.01)
+        with open(pidfile) as f:
+            os.kill(int(f.read()), signal.SIGKILL)
+        # The soak starts once the death has landed, on the rebuilt pool.
+        while service.stats()["worker_crashes"] < 1:
+            assert time.monotonic() < deadline, "the death never landed"
+            time.sleep(0.01)
+
+        lines = request_stream(seed=4242, n_requests=48)
+        responses = _soak(address, lines)
+        parked.join(timeout=60.0)
+        assert not parked.is_alive()
+
+        assert sorted(responses) == sorted(
+            json.loads(line)["id"] for line in lines
+        )
+        for request_id, response in responses.items():
+            assert response["ok"], (request_id, response)
+            assert response["actual"] != TAMPER_MARKER
+        assert parked_result["response"]["ok"]
+        with LineClient(*address) as monitor:
+            after = monitor.predict(dict(parked_request, id="after"))
+        assert after["ok"]
+        assert after["actual"] == parked_result["response"]["actual"]
+        stats = service.stats()
+        assert not service.degraded
+    assert stats["worker_crashes"] == 1
+    assert stats["worker_respawns"] == 1

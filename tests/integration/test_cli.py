@@ -33,6 +33,15 @@ class TestParser:
         args = build_parser().parse_args(["campaign", "cg", "--classes", "s,w"])
         assert args.benchmark == "CG"
 
+    @pytest.mark.parametrize(
+        "option", [["--shards", "2"], ["--admission-limit", "1"]]
+    )
+    def test_serve_has_one_server_mode(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *option])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_mixed_case_rejected_only_when_invalid(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["predict", "xx", "S", "4"])

@@ -174,7 +174,17 @@ class TestMetricsCommand:
 
     def test_snapshot_covers_every_layer(self):
         with make_service() as service:
-            response = self._metrics(service)
+            self._assert_every_layer(self._metrics(service))
+
+    def test_snapshot_covers_every_layer_from_worker_processes(self):
+        # The simulator runs in worker processes: its counters and span
+        # histograms arrive as merged deltas.
+        with PredictionService(
+            measurement=MEASUREMENT, batch_window=0.0
+        ) as service:
+            self._assert_every_layer(self._metrics(service))
+
+    def _assert_every_layer(self, response):
         assert response["ok"] is True
         snap = response["metrics"]
         assert snap["service.requests"] == 1  # request counts

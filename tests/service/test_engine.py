@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ServiceError, ServiceSaturatedError
 from repro.instrument import MeasurementConfig
 from repro.service import PredictRequest, PredictionService
-from repro.service.workers import simulate_cell
+from repro.parallel.worker import run_cell
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
@@ -155,10 +155,10 @@ class TestSingleFlight:
         def counting(spec):
             with lock:
                 calls.append(spec)
-            return simulate_cell(spec)
+            return run_cell(spec)
 
         with make_service(
-            execute=counting, batch_window=0.05, max_workers=2
+            execute=counting, executor="inline", batch_window=0.05
         ) as service:
             request = PredictRequest("BT", "S", 4)
             results = [None] * 8
@@ -188,10 +188,11 @@ class TestBackpressure:
         def blocking(spec):
             started.set()
             assert release.wait(timeout=30)
-            return simulate_cell(spec)
+            return run_cell(spec)
 
         service = make_service(
             execute=blocking,
+            executor="inline",
             batch_window=0.0,
             max_workers=1,
             queue_depth=1,

@@ -32,7 +32,7 @@ from repro.service import (
     handle_line,
     serve_jsonl,
 )
-from repro.service.workers import simulate_cell
+from repro.parallel.worker import run_cell
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
@@ -240,6 +240,20 @@ class TestDegradedMode:
             assert item["ok"] and item["degraded"] is True
             assert item["actual"] == single["actual"]
 
+    def test_worker_processes_run_the_installed_plan(self):
+        # The engine ships the installed plan with each cell spec, and a
+        # worker process runs the cell under it.
+        with make_service(batch_window=0.0) as service:
+            with faults.active(
+                plan(FaultSpec(site="worker.cell.crash", every_nth=1))
+            ):
+                with pytest.raises(WorkerCrashError):
+                    service.predict(PredictRequest("BT", "S", 4), timeout=60)
+            report = service.predict(PredictRequest("BT", "S", 4), timeout=60)
+            stats = service.stats()
+        assert report.actual > 0
+        assert stats["worker_crashes"] == 1
+
     def test_success_resets_consecutive_crash_count(self):
         with self.crash_service() as service:
             with faults.active(
@@ -259,10 +273,13 @@ class TestTimeouts:
 
         def blocking(spec):
             assert release.wait(timeout=30)
-            return simulate_cell(spec)
+            return run_cell(spec)
 
         service = make_service(
-            execute=blocking, batch_window=0.0, default_timeout=0.05
+            execute=blocking,
+            executor="inline",
+            batch_window=0.0,
+            default_timeout=0.05,
         )
         try:
             with pytest.raises(ServiceTimeoutError) as excinfo:
@@ -279,10 +296,13 @@ class TestTimeouts:
 
         def blocking(spec):
             assert release.wait(timeout=30)
-            return simulate_cell(spec)
+            return run_cell(spec)
 
         service = make_service(
-            execute=blocking, batch_window=0.0, default_timeout=300.0
+            execute=blocking,
+            executor="inline",
+            batch_window=0.0,
+            default_timeout=300.0,
         )
         try:
             with pytest.raises(ServiceTimeoutError):

@@ -7,10 +7,13 @@ else falls through to the batcher, whose batch then archives its answer
 with a create-if-absent write.
 """
 
+import functools
 import io
 import json
+import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -28,7 +31,7 @@ from repro.instrument.runner import ApplicationRunner, ChainRunner
 from repro.npb import make_benchmark
 from repro.parallel.memo import SimulationMemoStore
 from repro.service import PredictRequest, PredictionService
-from repro.service.workers import simulate_cell
+from repro.parallel.worker import run_cell
 from repro.simmachine import ibm_sp_argonne, linear_test_machine
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
@@ -111,7 +114,9 @@ class TestArchivedCells:
 
         monkeypatch.setattr(ChainRunner, "measure", spy)
         monkeypatch.setattr(ApplicationRunner, "run", no_application)
-        with make_service(cache_dir=str(cache), batch_window=0.0) as service:
+        with make_service(
+            cache_dir=str(cache), executor="inline", batch_window=0.0
+        ) as service:
             report = service.predict(
                 PredictRequest("BT", "S", 4, chain_length=3), timeout=120
             )
@@ -240,11 +245,12 @@ class TestGates:
         def gated(spec):
             started.set()
             assert gate.wait(timeout=30)
-            return simulate_cell(spec)
+            return run_cell(spec)
 
         service = make_service(
             cache_dir=str(tmp_path / "memo"),
             execute=gated,
+            executor="inline",
             batch_window=0.0,
             max_workers=1,
             queue_depth=1,
@@ -276,20 +282,26 @@ class TestGates:
         assert stats["rejected"] == 1
 
 
+def run_cell_together(rendezvous, spec):
+    """``run_cell`` once two worker processes have both started a cell."""
+    open(os.path.join(rendezvous, str(spec.measurement.seed)), "w").close()
+    deadline = time.monotonic() + 30
+    while len(os.listdir(rendezvous)) < 2:
+        assert time.monotonic() < deadline, "the other cell never started"
+        time.sleep(0.01)
+    return run_cell(spec)
+
+
 class TestFirstWriterWins:
     def test_concurrent_batches_leave_one_archive_record(self, tmp_path):
         # Two batches at different seeds simulate the same cell at the same
         # time; both archive, one record survives and answers everyone.
         cache = tmp_path / "memo"
-        both_running = threading.Barrier(2, timeout=30)
-
-        def together(spec):
-            both_running.wait()
-            return simulate_cell(spec)
-
+        rendezvous = tmp_path / "rendezvous"
+        rendezvous.mkdir()
         with make_service(
             cache_dir=str(cache),
-            execute=together,
+            execute=functools.partial(run_cell_together, str(rendezvous)),
             batch_window=0.05,
             max_workers=2,
         ) as service:

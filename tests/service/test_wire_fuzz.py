@@ -2,14 +2,13 @@
 
 Hypothesis-generated lines — JSON and not, objects, arrays, and numeric
 literals ``json.dumps`` never writes (``1e400``, ``NaN``, 400-digit
-integers) — go to :func:`repro.service.api.handle_line`, to a
-:class:`~repro.service.ShardRouter` over in-process shards, and through
-one :func:`~repro.service.serve_socket` connection. Every non-blank line
+integers) — go to :func:`repro.service.api.handle_line` and through one
+:func:`~repro.service.serve_socket` connection. Every non-blank line
 must get one JSON reply carrying ``ok`` (and ``error_type`` when ``ok``
 is false), and a valid request afterwards must still be answered. The
 socket also gets one line of bytes that are not UTF-8.
-Shards run the synthetic cell executor, so generated valid requests
-never simulate.
+The service runs the synthetic cell function on its worker processes,
+so generated valid requests never simulate.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.instrument import MeasurementConfig
-from repro.service import (
-    InProcessShardManager,
-    PredictionService,
-    ShardRouter,
-    serve_socket,
-)
+from repro.service import PredictionService, serve_socket
 from repro.service.api import handle_line
 from tests.chaos.harness import synthetic_execute
 
@@ -149,26 +143,6 @@ def test_handle_line_answers_every_line():
 
         exchange()
         assert_valid_answered(handle_line(service, VALID))
-
-
-def test_shard_router_answers_every_line():
-    manager = InProcessShardManager(
-        [lambda i=i: make_service(shard_id=i) for i in range(2)]
-    )
-    manager.start()
-    try:
-        with ShardRouter(manager) as router:
-
-            @settings(**SETTINGS)
-            @given(lines)
-            def exchange(line):
-                assert_one_reply(line, router.handle_line(line))
-
-            exchange()
-            assert_valid_answered(router.handle_line(VALID))
-            assert router.stats()["frontend"]["shard_deaths"] == 0
-    finally:
-        manager.stop()
 
 
 def test_one_socket_connection_answers_every_line():
