@@ -278,44 +278,40 @@ _LU_TOUCHES = {
 }
 
 
-def _bt_phases(bench, kernel: str) -> tuple:
-    table: dict[str, tuple] = {
+def _bt_phases(bench) -> dict[str, tuple]:
+    return {
         "INITIALIZATION": (_barrier(bench),),
         "COPY_FACES": (_halo(bench, w.BT_FACE_BYTES, depth=2),),
         "X_SOLVE": (_ring(bench, 0, w.BT_SOLVE_BOUNDARY_BYTES),),
         "Y_SOLVE": (_ring(bench, 1, w.BT_SOLVE_BOUNDARY_BYTES),),
         "FINAL": (_allreduce(bench, 5 * w.DOUBLE),),
     }
-    return table.get(kernel, ())
 
 
-def _sp_phases(bench, kernel: str) -> tuple:
-    table: dict[str, tuple] = {
+def _sp_phases(bench) -> dict[str, tuple]:
+    return {
         "INITIALIZATION": (_barrier(bench),),
         "COPY_FACES": (_halo(bench, w.SP_FACE_BYTES, depth=2),),
         "X_SOLVE": (_ring(bench, 0, w.SP_SOLVE_BOUNDARY_BYTES),),
         "Y_SOLVE": (_ring(bench, 1, w.SP_SOLVE_BOUNDARY_BYTES),),
         "FINAL": (_allreduce(bench, 5 * w.DOUBLE),),
     }
-    return table.get(kernel, ())
 
 
-def _lu_phases(bench, kernel: str) -> tuple:
-    table: dict[str, tuple] = {
-        "INITIALIZATION": (_barrier(bench),),
-        "ERHS": (_halo(bench, w.LU_FACE_BYTES, depth=1),),
-        "SSOR_INIT": (_barrier(bench),),
+def _lu_phases(bench) -> dict[str, tuple]:
+    halo = _halo(bench, w.LU_FACE_BYTES, depth=1)
+    barrier = _barrier(bench)
+    return {
+        "INITIALIZATION": (barrier,),
+        "ERHS": (halo,),
+        "SSOR_INIT": (barrier,),
         "SSOR_LT": (_wavefront(bench, lower=True),),
         "SSOR_UT": (_wavefront(bench, lower=False),),
-        "SSOR_RS": (
-            _halo(bench, w.LU_FACE_BYTES, depth=1),
-            _allreduce(bench, 5 * w.DOUBLE),
-        ),
+        "SSOR_RS": (halo, _allreduce(bench, 5 * w.DOUBLE)),
         "ERROR": (_allreduce(bench, 5 * w.DOUBLE),),
         "PINTGR": (_allreduce(bench, 3 * w.DOUBLE),),
-        "FINAL": (_barrier(bench),),
+        "FINAL": (barrier,),
     }
-    return table.get(kernel, ())
 
 
 def _bt_sp_work_calls(bench, kernel: str) -> int:
@@ -352,10 +348,13 @@ def describe(bench) -> BenchmarkDescriptors:
             f"supported: {SUPPORTED_BENCHMARKS}"
         )
     flops_per_point, touch_table, phase_fn, work_calls_fn = spec
+    phase_table = phase_fn(bench)
     kernels: dict[str, KernelDescriptor] = {}
+    local_points = [bench.layout.local_points(r) for r in bench.ranks()]
     for name in bench.kernel_names():
+        work_calls = work_calls_fn(bench, name)
         ranks = []
-        for r in bench.ranks():
+        for r, points in enumerate(local_points):
             touches = []
             for entry in touch_table[name]:
                 field, write = entry[0], entry[1]
@@ -364,12 +363,14 @@ def describe(bench) -> BenchmarkDescriptors:
                 touches.append((region, nbytes, write))
             ranks.append(
                 RankWork(
-                    flops=flops_per_point[name] * bench.layout.local_points(r),
-                    work_calls=work_calls_fn(bench, name),
+                    flops=flops_per_point[name] * points,
+                    work_calls=work_calls,
                     touches=tuple(touches),
                 )
             )
-        phases = tuple(p for p in phase_fn(bench, name) if p is not None)
+        phases = tuple(
+            p for p in phase_table.get(name, ()) if p is not None
+        )
         kernels[name] = KernelDescriptor(
             name=name, ranks=tuple(ranks), phases=phases
         )

@@ -9,19 +9,28 @@ description:
 
 Each file wraps the payload with the schema version, the full key (so a
 digest collision or stale file is detected by comparison, not trusted),
-and a CRC-32 checksum of the canonical payload JSON. :meth:`put` writes a
-unique temp file and :func:`os.replace`\\ s it into place (atomic on POSIX;
-equal keys carry equal payloads by REP001 determinism, so racing writers
-last-write-win with identical bytes). :meth:`put_if_absent` links the temp
-file onto the final path instead, which fails if the path exists: the
-first writer wins and every later writer gets the winner's payload back.
-Any unreadable, mismatched, or checksum-failing entry is deleted on sight,
-counted once in ``cache_corruption_detected`` and reported as a miss —
-the next simulation heals it.
+and a CRC-32 checksum of the stored payload bytes, as the canonical JSON
+object ``{"checksum","key","payload","schema"}``. :func:`_record` is that
+layout for both sides: a write renders the key and the payload once each,
+and a read verifies the file's raw text against the query key's canonical
+text, so the schema, the key and the checksum are compared byte for byte
+and only the payload is parsed. A record reformatted by hand (whitespace,
+key order) is therefore a miss, purged like any corrupt entry.
+
+:meth:`put` writes a unique temp file and :func:`os.replace`\\ s it into
+place (atomic on POSIX; equal keys carry equal payloads by REP001
+determinism, so racing writers last-write-win with identical bytes).
+:meth:`put_if_absent` links the temp file onto the final path instead,
+which fails if the path exists: the first writer wins and every later
+writer gets the winner's payload back. Any unreadable, mismatched, or
+checksum-failing entry is deleted on sight, counted once in
+``cache_corruption_detected`` and reported as a miss — the next
+simulation heals it.
 
 The ``db.read.corrupt`` and ``db.write.corrupt`` fault sites corrupt a
-payload on its way off or onto disk while the pristine checksum stays,
-so injected corruption is always caught by the read that meets it.
+payload on its way off or onto disk while the pristine checksum stays
+(a read re-renders the tampered payload before taking its checksum), so
+injected corruption is always caught by the read that meets it.
 """
 
 from __future__ import annotations
@@ -46,9 +55,23 @@ __all__ = ["SimulationMemoStore", "TAMPER"]
 #: served value carrying it means corruption escaped detection.
 TAMPER = 666333.0
 
+_KEY_FIELD = b',"key":'
+_PAYLOAD_FIELD = b',"payload":'
+_SCHEMA_FIELD = b',"schema":%d}' % SCHEMA_VERSION
 
-def _payload_checksum(payload: Any) -> int:
-    return zlib.crc32(canonical_json(payload).encode("utf-8"))
+
+def _record(canonical_key: bytes, checksum: int, payload: bytes) -> bytes:
+    """A memo file's bytes: the one record layout, for reads and writes.
+
+    ``canonical_key`` and ``payload`` are already canonical JSON (ASCII,
+    since ``canonical_json`` escapes everything else), so this equals
+    ``canonical_json({"checksum": checksum, "key": key, "payload": ...,
+    "schema": SCHEMA_VERSION})`` without rendering either of them again.
+    """
+    return b'{"checksum":%d%s%s%s%s%s' % (
+        checksum, _KEY_FIELD, canonical_key, _PAYLOAD_FIELD, payload,
+        _SCHEMA_FIELD,
+    )
 
 
 def _tamper(value: Any) -> Any:
@@ -62,6 +85,10 @@ def _tamper(value: Any) -> Any:
     return value
 
 
+def _rendered(value: Any) -> bytes:
+    return canonical_json(value).encode("ascii")
+
+
 class SimulationMemoStore:
     """Sharded-JSON memo store keyed by content digests.
 
@@ -73,6 +100,7 @@ class SimulationMemoStore:
     def __init__(self, root: str | os.PathLike[str]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -82,11 +110,11 @@ class SimulationMemoStore:
     # -- paths ------------------------------------------------------------
 
     def path_for(self, key: Mapping[str, Any]) -> Path:
-        return self._path(canonical_json(dict(key)))
+        return Path(self._path(canonical_json(dict(key))))
 
-    def _path(self, canonical_key: str) -> Path:
+    def _path(self, canonical_key: str) -> str:
         d = digest_canonical(canonical_key)
-        return self.root / d[:2] / f"{d}.json"
+        return os.path.join(self._root, d[:2], f"{d}.json")
 
     # -- read -------------------------------------------------------------
 
@@ -95,49 +123,54 @@ class SimulationMemoStore:
 
         Every failure mode — missing file, unparsable JSON, schema or key
         mismatch, checksum failure — is a miss; corrupt files are removed
-        so the store self-heals on the next write. The query key is
-        serialised once: its canonical JSON names the file and is what the
-        stored key must match.
+        so the store self-heals on the next write. A hit serialises the
+        query key once (its canonical JSON names the file and must appear
+        in it verbatim), reads the file once and parses only the payload.
         """
         canonical_key = canonical_json(dict(key))
         path = self._path(canonical_key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(path, "rb") as f:
+                raw = f.read()
         except FileNotFoundError:
             self._miss()
             return None
         except OSError:
             self._purge(path, "unreadable")
             return None
+        encoded_key = canonical_key.encode("ascii")
+        # The payload lies between the query key and the schema; in a file
+        # laid out any other way the slice is wrong and the comparison
+        # with the record rebuilt from it fails.
+        start = (
+            raw.find(_KEY_FIELD) + len(_KEY_FIELD) + len(encoded_key)
+            + len(_PAYLOAD_FIELD)
+        )
+        payload = raw[start:len(raw) - len(_SCHEMA_FIELD)]
         try:
-            wrapper = json.loads(raw)
-            payload = wrapper["payload"]
             if faults.check("db.read.corrupt") is not None:
-                payload = _tamper(payload)
-            # Compare keys as canonical JSON: the stored key went through a
-            # JSON round-trip (tuples became lists), the queried one didn't.
-            ok = (
-                wrapper["schema"] == SCHEMA_VERSION
-                and canonical_json(wrapper["key"]) == canonical_key
-                and wrapper["checksum"] == _payload_checksum(payload)
-            )
-        except (json.JSONDecodeError, KeyError, TypeError):
+                payload = _rendered(_tamper(json.loads(payload)))
+            checksum = zlib.crc32(payload)
+            if raw != _record(encoded_key, checksum, payload):
+                self._purge(path, "verification failed")
+                return None
+            value = json.loads(payload)
+        except ValueError:
             self._purge(path, "unparsable")
-            return None
-        if not ok:
-            self._purge(path, "verification failed")
             return None
         with self._lock:
             self._hits += 1
         obs.get_registry().counter("parallel_memo_hits").inc()
-        return payload
+        return value
 
     # -- write ------------------------------------------------------------
 
     def put(self, key: Mapping[str, Any], payload: Any) -> None:
         """Store ``payload`` under ``key`` atomically (last write wins)."""
-        path = self.path_for(key)
-        os.replace(self._staged(path, key, payload), path)
+        canonical_key = canonical_json(dict(key))
+        path = self._path(canonical_key)
+        staged = self._staged(path, canonical_key, payload, _rendered(payload))
+        os.replace(staged, path)
         self._stored()
 
     def put_if_absent(self, key: Mapping[str, Any], payload: Any) -> Any:
@@ -150,9 +183,11 @@ class SimulationMemoStore:
         and the link retried; should every attempt meet a fresh corrupt
         record, the caller's own payload is returned unstored.
         """
-        path = self.path_for(key)
+        canonical_key = canonical_json(dict(key))
+        path = self._path(canonical_key)
+        rendered = _rendered(payload)
         for _attempt in range(3):
-            staged = self._staged(path, key, payload)
+            staged = self._staged(path, canonical_key, payload, rendered)
             try:
                 os.link(staged, path)
             except FileExistsError:
@@ -161,34 +196,30 @@ class SimulationMemoStore:
                 self._stored()
                 return payload
             finally:
-                staged.unlink()
+                os.unlink(staged)
             stored = self.get(key)
             if stored is not None:
                 return stored
         return payload
 
-    def _staged(self, path: Path, key: Mapping[str, Any], payload: Any) -> Path:
+    def _staged(
+        self, path: str, canonical_key: str, payload: Any, rendered: bytes
+    ) -> str:
         """A temp file beside ``path`` holding the record for ``payload``."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        checksum = _payload_checksum(payload)
+        directory, name = os.path.split(path)
+        os.makedirs(directory, exist_ok=True)
+        checksum = zlib.crc32(rendered)
         # Write-corruption fault: the payload rots on its way to disk while
         # the checksum (computed from the pristine data) stays honest, so
         # the corruption is detectable on the next read.
         if faults.check("db.write.corrupt") is not None:
-            payload = _tamper(payload)
-        wrapper = {
-            "schema": SCHEMA_VERSION,
-            "key": dict(key),
-            "checksum": checksum,
-            "payload": payload,
-        }
-        staged = path.with_name(
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+            rendered = _rendered(_tamper(payload))
+        staged = os.path.join(
+            directory, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
-        staged.write_text(
-            json.dumps(wrapper, sort_keys=True, separators=(",", ":")),
-            encoding="utf-8",
-        )
+        record = _record(canonical_key.encode("ascii"), checksum, rendered)
+        with open(staged, "wb") as f:
+            f.write(record)
         return staged
 
     # -- stats ------------------------------------------------------------
@@ -217,9 +248,9 @@ class SimulationMemoStore:
             self._misses += 1
         obs.get_registry().counter("parallel_memo_misses").inc()
 
-    def _purge(self, path: Path, reason: str) -> None:
+    def _purge(self, path: str, reason: str) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
         with self._lock:
@@ -227,4 +258,4 @@ class SimulationMemoStore:
             self._misses += 1
         obs.get_registry().counter("cache_corruption_detected").inc()
         obs.get_registry().counter("parallel_memo_misses").inc()
-        obs.log("memo.corruption_detected", path=str(path), reason=reason)
+        obs.log("memo.corruption_detected", path=path, reason=reason)

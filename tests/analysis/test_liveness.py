@@ -96,3 +96,12 @@ def test_rep004_fires_on_an_unregistered_site_in_the_worker_pool(tmp_path):
     assert _lint_package_copy(
         tmp_path / "injected", module, "REP004", unregistered
     ) == ["REP004"]
+
+
+def test_rep008_fires_on_an_engine_import_in_the_analytic_model(tmp_path):
+    engine = "\nfrom repro.simmachine import engine\n"
+    module = "analytic/model.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP008") == []
+    assert _lint_copy(
+        tmp_path / "injected", module, "REP008", engine
+    ) == ["REP008"]

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
+from repro import obs
 from repro.instrument import MeasurementConfig
 from repro.parallel import SimulationMemoStore, measurement_key
+from repro.parallel import memo as memo_module
+from repro.parallel.keys import SCHEMA_VERSION
 from repro.simmachine import ibm_sp_argonne
 
 
@@ -20,6 +24,36 @@ def key_for(kernels=("solve_x",), nprocs=4):
     return measurement_key(
         ibm_sp_argonne(), MeasurementConfig(), "BT", "S", nprocs, kernels
     )
+
+
+PAYLOAD = {"samples": [0.1 + 0.2, 1e-17], "overhead": 0.002, "tag": "x"}
+
+
+def canonical(value, **dumps_kwargs):
+    options = {"sort_keys": True, "separators": (",", ":"), **dumps_kwargs}
+    return json.dumps(value, **options)
+
+
+def record_text(key, payload, key_text=None, payload_text=None):
+    """A record in the layout every earlier store wrote: ``json.dumps`` of
+    the whole wrapper, the checksum over the canonical payload JSON.
+    ``key_text`` / ``payload_text`` splice in a re-encoded field."""
+    wrapper = {
+        "schema": SCHEMA_VERSION,
+        "key": dict(key),
+        "checksum": zlib.crc32(canonical(payload).encode("utf-8")),
+        "payload": payload,
+    }
+    text = canonical(wrapper)
+    if key_text is not None:
+        text = text.replace(canonical(dict(key)), key_text, 1)
+    if payload_text is not None:
+        text = text.replace(canonical(payload), payload_text, 1)
+    return text
+
+
+def corruptions_detected():
+    return obs.counter_snapshot().get(("cache_corruption_detected", ()), 0)
 
 
 class TestRoundTrip:
@@ -102,3 +136,59 @@ class TestSelfHeal:
         assert store.get(key_for()) is None
         store.put(key_for(), {"overhead": 1.0})
         assert store.get(key_for()) == {"overhead": 1.0}
+
+
+class TestRecordBytes:
+    def test_record_in_the_established_layout_is_a_hit(self, store):
+        path = store.path_for(key_for())
+        path.parent.mkdir(parents=True)
+        path.write_text(record_text(key_for(), PAYLOAD), encoding="utf-8")
+        assert store.get(key_for()) == PAYLOAD
+        assert store.stats()["hits"] == 1
+        assert store.stats()["corruptions"] == 0
+
+    @pytest.mark.parametrize("write", ["put", "put_if_absent"])
+    def test_writes_are_byte_identical_to_that_layout(self, store, write):
+        getattr(store, write)(key_for(), PAYLOAD)
+        written = store.path_for(key_for()).read_bytes()
+        assert written == record_text(key_for(), PAYLOAD).encode("utf-8")
+
+    @pytest.mark.parametrize("field", ["key", "payload"])
+    def test_field_reencoded_with_whitespace_is_purged(self, store, field):
+        spaced = {
+            "key": {"key_text": canonical(dict(key_for()), separators=None)},
+            "payload": {"payload_text": canonical(PAYLOAD, indent=1)},
+        }[field]
+        text = record_text(key_for(), PAYLOAD, **spaced)
+        assert json.loads(text) == json.loads(record_text(key_for(), PAYLOAD))
+        path = store.path_for(key_for())
+        path.parent.mkdir(parents=True)
+        path.write_text(text, encoding="utf-8")
+        assert store.get(key_for()) is None
+        assert not path.exists()
+        assert store.stats()["corruptions"] == 1
+        assert corruptions_detected() == 1
+
+
+class TestHitCost:
+    def test_a_hit_renders_the_key_once_and_parses_the_payload_once(
+        self, store, monkeypatch
+    ):
+        key = key_for()
+        store.put(key, PAYLOAD)
+        calls = {"canonical_json": 0, "dumps": 0, "loads": 0}
+
+        def counted(original, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            memo_module, "canonical_json",
+            counted(memo_module.canonical_json, "canonical_json"),
+        )
+        monkeypatch.setattr(json, "dumps", counted(json.dumps, "dumps"))
+        monkeypatch.setattr(json, "loads", counted(json.loads, "loads"))
+        assert store.get(key) == PAYLOAD
+        assert calls == {"canonical_json": 1, "dumps": 1, "loads": 1}
