@@ -22,7 +22,7 @@ from repro.instrument.runner import (
 )
 from repro.npb import make_benchmark
 from repro.parallel.executor import execute_cells
-from repro.parallel.keys import cell_key
+from repro.parallel.keys import MemoKey, cell_key
 from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import (
     CellSpec,
@@ -33,6 +33,8 @@ from repro.parallel.worker import (
 from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 
 __all__ = ["ExperimentSettings", "ConfigResult", "ExperimentPipeline"]
+
+_CONFIGS_MEASURED = obs.DefaultCounter("pipeline_configs_measured")
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ class ExperimentPipeline:
             inputs=inputs,
         )
         self._results[key] = result
-        obs.get_registry().counter("pipeline_configs_measured").inc()
+        _CONFIGS_MEASURED.inc()
         return result, runner
 
     def _analytic_result(
@@ -282,29 +284,34 @@ class ExperimentPipeline:
             if analytic is not None:
                 return analytic
         result, runner = self._base_result(benchmark, problem_class, nprocs)
+        for length in chain_lengths:
+            if not 2 <= length <= len(result.flow):
+                raise ExperimentError(
+                    f"chain length {length} invalid for {benchmark} "
+                    f"(flow of {len(result.flow)})"
+                )
         chains: dict = dict(result.inputs.chain_times)
-        added = False
-        with obs.span(
-            "pipeline.chains", benchmark=benchmark, cls=problem_class,
-            nprocs=nprocs,
-        ):
-            for length in chain_lengths:
-                if not 2 <= length <= len(result.flow):
-                    raise ExperimentError(
-                        f"chain length {length} invalid for {benchmark} "
-                        f"(flow of {len(result.flow)})"
+        # An adopted cell record already holds every window it was asked
+        # for; only a missing window is worth a span.
+        missing = dict.fromkeys(
+            window
+            for length in chain_lengths
+            for window in result.flow.windows(length)
+            if window not in chains
+        )
+        if missing:
+            with obs.span(
+                "pipeline.chains", benchmark=benchmark, cls=problem_class,
+                nprocs=nprocs,
+            ):
+                if runner is None:
+                    runner = self._runner_for(
+                        (benchmark, problem_class, nprocs)
                     )
-                for window in result.flow.windows(length):
-                    if window not in chains:
-                        if runner is None:
-                            runner = self._runner_for(
-                                (benchmark, problem_class, nprocs)
-                            )
-                        chains[window] = measure_chain(
-                            runner, window, self.memo
-                        ).mean
-                        added = True
-        if added:
+                for window in missing:
+                    chains[window] = measure_chain(
+                        runner, window, self.memo
+                    ).mean
             result.inputs = PredictionInputs(
                 flow=result.flow,
                 iterations=result.inputs.iterations,
@@ -335,7 +342,7 @@ class ExperimentPipeline:
             inputs=prediction_inputs,
         )
         self._results[(benchmark, problem_class, nprocs)] = result
-        obs.get_registry().counter("pipeline_configs_measured").inc()
+        _CONFIGS_MEASURED.inc()
         return result
 
     def sweep(
@@ -374,7 +381,7 @@ class ExperimentPipeline:
                 )
                 is None
             ]
-        record_keys: dict[int, dict] = {}
+        record_keys: dict[int, MemoKey] = {}
         if self.memo is not None:
             probed, missing = missing, []
             for p in probed:

@@ -81,6 +81,7 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter",
+    "DefaultCounter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -136,6 +137,28 @@ _enabled = True
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (simulator, pipeline, spans)."""
     return _registry
+
+
+class DefaultCounter:
+    """A counter of the default registry, looked up once per registry.
+
+    ``inc`` lands in whichever registry :func:`get_registry` returns at
+    the call, so :func:`reset` and :func:`reset_after_fork` take effect,
+    but the by-name lookup runs only when that registry changes.
+    """
+
+    __slots__ = ("name", "_bound")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._bound: tuple[MetricsRegistry, Counter] | None = None
+
+    def inc(self, amount: int = 1) -> None:
+        registry = _registry
+        bound = self._bound
+        if bound is None or bound[0] is not registry:
+            bound = self._bound = (registry, registry.counter(self.name))
+        bound[1].inc(amount)
 
 
 def get_tracer() -> Tracer:

@@ -27,7 +27,6 @@ from repro.parallel.keys import (
     archive_key,
     canonical_json,
     cell_key,
-    config_fingerprint,
     digest,
     measurement_key,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "archive_key",
     "canonical_json",
     "cell_key",
-    "config_fingerprint",
     "digest",
     "execute_cells",
     "measure_chain",

@@ -24,6 +24,14 @@ Four key kinds exist:
   and every request for that machine, protocol, cell and chain length, at
   any seed, is answered from it.
 
+Each builder returns a :class:`MemoKey`, which carries its canonical JSON
+text. The text is rendered once per distinct set of builder arguments:
+the members are spliced around each config's cached fingerprint text, so
+no fingerprint is ever parsed back out of JSON, and ``archive_key``
+renders its seed-free protocol directly rather than editing a cell key.
+The store names and verifies records by that text (:func:`key_text`); a
+plain mapping is rendered through the same function once per call.
+
 Bumping :data:`SCHEMA_VERSION` invalidates every existing entry at once —
 do that whenever the simulator's numeric behaviour changes.
 """
@@ -34,15 +42,16 @@ import dataclasses
 import functools
 import hashlib
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from repro.instrument.runner import MeasurementConfig
 from repro.simmachine.machine import MachineConfig
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MemoKey",
     "canonical_json",
-    "config_fingerprint",
+    "key_text",
     "measurement_key",
     "application_key",
     "cell_key",
@@ -56,25 +65,81 @@ __all__ = [
 #: never shadow simulation ground truth under the same address.
 SCHEMA_VERSION = 2
 
+#: Rendered key texts kept per key kind (a warm campaign needs one per
+#: cell; the bound caps a server's footprint under fresh seeds).
+_TEXTS = 1024
+
 
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, plain floats."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=64)
-def _fingerprint_json(config: Any) -> str:
-    return canonical_json(dataclasses.asdict(config))
+class MemoKey(Mapping[str, Any]):
+    """A key description that carries its canonical JSON text.
 
-
-def config_fingerprint(config: Any) -> dict:
-    """A frozen dataclass (MachineConfig/MeasurementConfig) as plain JSON.
-
-    The configs are frozen and hashable, so the expensive ``asdict`` walk
-    runs once per distinct config; every caller still gets its own fresh
-    dict (tuples already turned into lists, as after a JSON round-trip).
+    ``canonical`` is what the store hashes into a path and finds verbatim
+    in the record. The mapping is a read-only view of the same fields,
+    parsed from that text on first read: nothing on the hit path reads
+    it, and what one key hands out is its own, so mutating it changes
+    neither this key's text nor any other key.
     """
-    return json.loads(_fingerprint_json(config))
+
+    __slots__ = ("canonical", "_fields")
+
+    def __init__(self, canonical: str) -> None:
+        self.canonical = canonical
+        self._fields: Optional[dict[str, Any]] = None
+
+    def _view(self) -> dict[str, Any]:
+        if self._fields is None:
+            self._fields = json.loads(self.canonical)
+        return self._fields
+
+    def __getitem__(self, name: str) -> Any:
+        return self._view()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._view())
+
+    def __len__(self) -> int:
+        return len(self._view())
+
+    def __repr__(self) -> str:
+        return f"MemoKey({self.canonical})"
+
+
+def key_text(key: Mapping[str, Any]) -> str:
+    """The canonical JSON text naming ``key``: carried, or rendered once."""
+    if isinstance(key, MemoKey):
+        return key.canonical
+    return canonical_json(dict(key))
+
+
+@functools.lru_cache(maxsize=64)
+def _fingerprint_json(config: Any, drop: tuple[str, ...] = ()) -> str:
+    """A frozen config dataclass as canonical JSON, less the ``drop`` fields.
+
+    The configs are frozen and hashable, so the ``asdict`` walk runs once
+    per distinct config.
+    """
+    fields = dataclasses.asdict(config)
+    for name in drop:
+        del fields[name]
+    return canonical_json(fields)
+
+
+def _render(fields: dict[str, Any], **fingerprints: str) -> str:
+    """Canonical JSON of ``fields`` plus already-rendered config members.
+
+    Equals ``canonical_json`` of the whole object: every member is
+    rendered canonically and the members are joined in sorted order.
+    """
+    members = {name: canonical_json(value) for name, value in fields.items()}
+    members.update(fingerprints)
+    return "{%s}" % ",".join(
+        f"{canonical_json(name)}:{members[name]}" for name in sorted(members)
+    )
 
 
 def measurement_key(
@@ -84,18 +149,37 @@ def measurement_key(
     problem_class: str,
     nprocs: int,
     kernels: Sequence[str],
-) -> dict:
+) -> MemoKey:
     """Identity of one chain (or isolated-kernel) measurement."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "measurement",
-        "machine": config_fingerprint(machine),
-        "measurement": config_fingerprint(measurement),
-        "benchmark": benchmark,
-        "problem_class": problem_class,
-        "nprocs": nprocs,
-        "kernels": list(kernels),
-    }
+    return MemoKey(
+        _measurement_text(
+            machine, measurement, benchmark, problem_class, nprocs,
+            tuple(kernels),
+        )
+    )
+
+
+@functools.lru_cache(maxsize=_TEXTS, typed=True)
+def _measurement_text(
+    machine: MachineConfig,
+    measurement: MeasurementConfig,
+    benchmark: str,
+    problem_class: str,
+    nprocs: int,
+    kernels: tuple[str, ...],
+) -> str:
+    return _render(
+        {
+            "schema": SCHEMA_VERSION,
+            "kind": "measurement",
+            "benchmark": benchmark,
+            "problem_class": problem_class,
+            "nprocs": nprocs,
+            "kernels": list(kernels),
+        },
+        machine=_fingerprint_json(machine),
+        measurement=_fingerprint_json(measurement),
+    )
 
 
 def application_key(
@@ -106,19 +190,39 @@ def application_key(
     seed: int,
     warmup_iterations: int = 2,
     measured_iterations: int = 6,
-) -> dict:
+) -> MemoKey:
     """Identity of one full application run (the tables' "Actual")."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "application",
-        "machine": config_fingerprint(machine),
-        "benchmark": benchmark,
-        "problem_class": problem_class,
-        "nprocs": nprocs,
-        "seed": seed,
-        "warmup_iterations": warmup_iterations,
-        "measured_iterations": measured_iterations,
-    }
+    return MemoKey(
+        _application_text(
+            machine, benchmark, problem_class, nprocs, seed,
+            warmup_iterations, measured_iterations,
+        )
+    )
+
+
+@functools.lru_cache(maxsize=_TEXTS, typed=True)
+def _application_text(
+    machine: MachineConfig,
+    benchmark: str,
+    problem_class: str,
+    nprocs: int,
+    seed: int,
+    warmup_iterations: int,
+    measured_iterations: int,
+) -> str:
+    return _render(
+        {
+            "schema": SCHEMA_VERSION,
+            "kind": "application",
+            "benchmark": benchmark,
+            "problem_class": problem_class,
+            "nprocs": nprocs,
+            "seed": seed,
+            "warmup_iterations": warmup_iterations,
+            "measured_iterations": measured_iterations,
+        },
+        machine=_fingerprint_json(machine),
+    )
 
 
 def cell_key(
@@ -130,7 +234,7 @@ def cell_key(
     chain_lengths: Sequence[int],
     application_seed: int,
     tier: str = "simulation",
-) -> dict:
+) -> MemoKey:
     """Identity of a whole sweep cell (inputs for every predictor + actual).
 
     ``tier`` names the serving-ladder rung that produced the numbers; it is
@@ -138,18 +242,13 @@ def cell_key(
     (analytic closed forms vs discrete-event simulation) occupy distinct
     addresses in the memo store.
     """
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "cell",
-        "machine": config_fingerprint(machine),
-        "measurement": config_fingerprint(measurement),
-        "benchmark": benchmark,
-        "problem_class": problem_class,
-        "nprocs": nprocs,
-        "chain_lengths": sorted(set(int(length) for length in chain_lengths)),
-        "application_seed": application_seed,
-        "tier": str(tier),
-    }
+    return MemoKey(
+        _cell_text(
+            "cell", machine, measurement, (), benchmark, problem_class,
+            nprocs, tuple(sorted(set(int(n) for n in chain_lengths))),
+            application_seed, str(tier),
+        )
+    )
 
 
 def archive_key(
@@ -160,30 +259,54 @@ def archive_key(
     nprocs: int,
     chain_length: int,
     application_seed: int,
-) -> dict:
+) -> MemoKey:
     """Identity of one archived answer: a cell key minus the noise seed.
 
     The serving engine's store rung reads exactly this one record per
     request, so a fresh seed is answered from whichever seed archived the
     (machine, protocol, cell, chain length) first.
     """
-    key = cell_key(
-        machine,
-        measurement,
-        benchmark,
-        problem_class,
-        nprocs,
-        (chain_length,),
-        application_seed,
+    return MemoKey(
+        _cell_text(
+            "archive", machine, measurement, ("seed",), benchmark,
+            problem_class, nprocs, (int(chain_length),), application_seed,
+            "simulation",
+        )
     )
-    key["kind"] = "archive"
-    del key["measurement"]["seed"]
-    return key
+
+
+@functools.lru_cache(maxsize=_TEXTS, typed=True)
+def _cell_text(
+    kind: str,
+    machine: MachineConfig,
+    measurement: MeasurementConfig,
+    dropped: tuple[str, ...],
+    benchmark: str,
+    problem_class: str,
+    nprocs: int,
+    chain_lengths: tuple[int, ...],
+    application_seed: int,
+    tier: str,
+) -> str:
+    return _render(
+        {
+            "schema": SCHEMA_VERSION,
+            "kind": kind,
+            "benchmark": benchmark,
+            "problem_class": problem_class,
+            "nprocs": nprocs,
+            "chain_lengths": list(chain_lengths),
+            "application_seed": application_seed,
+            "tier": tier,
+        },
+        machine=_fingerprint_json(machine),
+        measurement=_fingerprint_json(measurement, dropped),
+    )
 
 
 def digest(key: Mapping[str, Any]) -> str:
-    """The content address: SHA-256 over the canonical key JSON."""
-    return digest_canonical(canonical_json(dict(key)))
+    """The content address: SHA-256 over the key's canonical JSON."""
+    return digest_canonical(key_text(key))
 
 
 def digest_canonical(canonical: str) -> str:

@@ -11,11 +11,15 @@ Each file wraps the payload with the schema version, the full key (so a
 digest collision or stale file is detected by comparison, not trusted),
 and a CRC-32 checksum of the stored payload bytes, as the canonical JSON
 object ``{"checksum","key","payload","schema"}``. :func:`_record` is that
-layout for both sides: a write renders the key and the payload once each,
-and a read verifies the file's raw text against the query key's canonical
-text, so the schema, the key and the checksum are compared byte for byte
-and only the payload is parsed. A record reformatted by hand (whitespace,
-key order) is therefore a miss, purged like any corrupt entry.
+layout for both sides. Every method takes the key's canonical text from
+:func:`~repro.parallel.keys.key_text`: a builder-made
+:class:`~repro.parallel.keys.MemoKey` carries it, and a plain mapping is
+rendered there once. A write renders only the payload, and a read
+verifies the file's raw text against the key's text, so the schema, the
+key and the checksum are compared byte for byte and only the payload is
+parsed: a hit on a builder-made key is one file read and one
+``json.loads``. A record reformatted by hand (whitespace, key order) is
+therefore a miss, purged like any corrupt entry.
 
 :meth:`put` writes a unique temp file and :func:`os.replace`\\ s it into
 place (atomic on POSIX; equal keys carry equal payloads by REP001
@@ -47,6 +51,7 @@ from repro.parallel.keys import (
     SCHEMA_VERSION,
     canonical_json,
     digest_canonical,
+    key_text,
 )
 
 __all__ = ["SimulationMemoStore", "TAMPER"]
@@ -58,6 +63,11 @@ TAMPER = 666333.0
 _KEY_FIELD = b',"key":'
 _PAYLOAD_FIELD = b',"payload":'
 _SCHEMA_FIELD = b',"schema":%d}' % SCHEMA_VERSION
+
+_HITS = obs.DefaultCounter("parallel_memo_hits")
+_MISSES = obs.DefaultCounter("parallel_memo_misses")
+_STORES = obs.DefaultCounter("parallel_memo_stores")
+_CORRUPTIONS = obs.DefaultCounter("cache_corruption_detected")
 
 
 def _record(canonical_key: bytes, checksum: int, payload: bytes) -> bytes:
@@ -110,7 +120,7 @@ class SimulationMemoStore:
     # -- paths ------------------------------------------------------------
 
     def path_for(self, key: Mapping[str, Any]) -> Path:
-        return Path(self._path(canonical_json(dict(key))))
+        return Path(self._path(key_text(key)))
 
     def _path(self, canonical_key: str) -> str:
         d = digest_canonical(canonical_key)
@@ -123,11 +133,11 @@ class SimulationMemoStore:
 
         Every failure mode — missing file, unparsable JSON, schema or key
         mismatch, checksum failure — is a miss; corrupt files are removed
-        so the store self-heals on the next write. A hit serialises the
-        query key once (its canonical JSON names the file and must appear
-        in it verbatim), reads the file once and parses only the payload.
+        so the store self-heals on the next write. A hit takes the key's
+        canonical text (it names the file and must appear in it verbatim),
+        reads the file once and parses only the payload.
         """
-        canonical_key = canonical_json(dict(key))
+        canonical_key = key_text(key)
         path = self._path(canonical_key)
         try:
             with open(path, "rb") as f:
@@ -160,14 +170,14 @@ class SimulationMemoStore:
             return None
         with self._lock:
             self._hits += 1
-        obs.get_registry().counter("parallel_memo_hits").inc()
+        _HITS.inc()
         return value
 
     # -- write ------------------------------------------------------------
 
     def put(self, key: Mapping[str, Any], payload: Any) -> None:
         """Store ``payload`` under ``key`` atomically (last write wins)."""
-        canonical_key = canonical_json(dict(key))
+        canonical_key = key_text(key)
         path = self._path(canonical_key)
         staged = self._staged(path, canonical_key, payload, _rendered(payload))
         os.replace(staged, path)
@@ -183,7 +193,7 @@ class SimulationMemoStore:
         and the link retried; should every attempt meet a fresh corrupt
         record, the caller's own payload is returned unstored.
         """
-        canonical_key = canonical_json(dict(key))
+        canonical_key = key_text(key)
         path = self._path(canonical_key)
         rendered = _rendered(payload)
         for _attempt in range(3):
@@ -241,12 +251,12 @@ class SimulationMemoStore:
     def _stored(self) -> None:
         with self._lock:
             self._stores += 1
-        obs.get_registry().counter("parallel_memo_stores").inc()
+        _STORES.inc()
 
     def _miss(self) -> None:
         with self._lock:
             self._misses += 1
-        obs.get_registry().counter("parallel_memo_misses").inc()
+        _MISSES.inc()
 
     def _purge(self, path: str, reason: str) -> None:
         try:
@@ -256,6 +266,6 @@ class SimulationMemoStore:
         with self._lock:
             self._corruptions += 1
             self._misses += 1
-        obs.get_registry().counter("cache_corruption_detected").inc()
-        obs.get_registry().counter("parallel_memo_misses").inc()
+        _CORRUPTIONS.inc()
+        _MISSES.inc()
         obs.log("memo.corruption_detected", path=path, reason=reason)

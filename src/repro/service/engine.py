@@ -61,7 +61,7 @@ from repro.errors import (
 )
 from repro.instrument.runner import MeasurementConfig
 from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
-from repro.parallel.keys import archive_key, cell_key
+from repro.parallel.keys import MemoKey, archive_key, cell_key
 from repro.parallel.worker import CellResult, CellSpec, run_cell
 from repro.service.batching import Flight, RequestBatcher
 from repro.service.cache import TieredPredictionCache
@@ -457,7 +457,9 @@ class PredictionService:
         self.metrics.record_tier(report.tier, dt)
         return report
 
-    def _archive_key(self, request: PredictRequest, chain_length: int) -> dict:
+    def _archive_key(
+        self, request: PredictRequest, chain_length: int
+    ) -> MemoKey:
         """The seed-free archive key of one cell at one chain length."""
         return archive_key(
             self.machine,

@@ -105,3 +105,30 @@ def test_rep008_fires_on_an_engine_import_in_the_analytic_model(tmp_path):
     assert _lint_copy(
         tmp_path / "injected", module, "REP008", engine
     ) == ["REP008"]
+
+
+def test_rep005_fires_on_a_builtin_raise_in_the_wire_api(tmp_path):
+    untyped = (
+        "\n\ndef _reject(line: str) -> None:\n"
+        "    raise ValueError(line)\n"
+    )
+    module = "service/api.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP005") == []
+    assert _lint_copy(
+        tmp_path / "injected", module, "REP005", untyped
+    ) == ["REP005"]
+
+
+def test_rep006_fires_on_a_silent_broad_except_in_the_wire_api(tmp_path):
+    swallowed = (
+        "\n\ndef _quietly(service: PredictionService, line: str) -> None:\n"
+        "    try:\n"
+        "        handle_line(service, line)\n"
+        "    except Exception:\n"
+        "        pass\n"
+    )
+    module = "service/api.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP006") == []
+    assert _lint_copy(
+        tmp_path / "injected", module, "REP006", swallowed
+    ) == ["REP006"]

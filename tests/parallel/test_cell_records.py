@@ -14,6 +14,7 @@ from repro.instrument import MeasurementConfig
 from repro.instrument.runner import ApplicationRunner, ChainRunner
 from repro.npb import make_benchmark
 from repro.service import PredictRequest, PredictionService
+from tests.parallel.conftest import count_serialisation
 
 MEASUREMENT = MeasurementConfig(repetitions=3, warmup=1)
 SETTINGS = ExperimentSettings(measurement=MEASUREMENT)
@@ -111,6 +112,45 @@ class TestMemoFirstSweep:
         assert sorted(cell_records(cache)) == sorted(
             (p, chains) for p in PROCS for chains in [(2,), (2, 3)]
         )
+
+
+#: The cells a ``campaign-warm`` sweep reads, at a cheap protocol.
+CAMPAIGN = (
+    ("BT", "W", [4, 9, 16]), ("SP", "W", [4, 9, 16]), ("LU", "W", [2, 4, 8]),
+)
+CHEAP = ExperimentSettings(
+    measurement=MeasurementConfig(repetitions=1, warmup=0)
+)
+
+
+def campaign(cache, jobs):
+    pipeline = ExperimentPipeline(CHEAP, memo=cache, jobs=jobs)
+    for benchmark, problem_class, procs in CAMPAIGN:
+        pipeline.sweep(benchmark, problem_class, procs, chain_lengths=[2, 3])
+
+
+def chain_spans():
+    return obs.get_registry().histogram(
+        "span_seconds", labels={"name": "pipeline.chains"}
+    ).count
+
+
+class TestWarmSweepCost:
+    def test_a_repeat_warm_sweep_parses_one_record_per_cell(
+        self, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "memo"
+        campaign(cache, jobs=1)
+        assert chain_spans() > 0
+        runs = sim_runs()
+        campaign(cache, jobs=2)
+        assert sim_runs() == runs
+        obs.reset()
+        calls = count_serialisation(monkeypatch)
+        campaign(cache, jobs=2)
+        assert calls == {"canonical_json": 0, "dumps": 0, "loads": 9}
+        assert chain_spans() == 0
+        assert obs.counter_snapshot()[("parallel_memo_hits", ())] == 9
 
 
 @pytest.mark.timeout(180)

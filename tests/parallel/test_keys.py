@@ -5,13 +5,16 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.instrument import MeasurementConfig
 from repro.parallel import (
     SCHEMA_VERSION,
     application_key,
+    archive_key,
     canonical_json,
     cell_key,
-    config_fingerprint,
     digest,
     measurement_key,
 )
@@ -122,13 +125,171 @@ class TestPinnedAddresses:
         )
 
 
-class TestFingerprint:
+def _fingerprint(config, *dropped):
+    """A config as the keys spell it: ``asdict`` after a JSON round-trip."""
+    fields = json.loads(canonical_json(dataclasses.asdict(config)))
+    for name in dropped:
+        del fields[name]
+    return fields
+
+
+class TestMemoKey:
     def test_callers_get_independent_dicts(self):
         machine = ibm_sp_argonne()
-        first = config_fingerprint(machine)
-        first["processor"]["cache_levels"].clear()
-        first["name"] = "corrupted"
-        assert config_fingerprint(machine) == json.loads(
-            canonical_json(dataclasses.asdict(machine))
+        first = _mkey(machine=machine)
+        before = digest(first)
+        read = dict(first)
+        read["machine"]["processor"]["cache_levels"].clear()
+        read["machine"]["name"] = "corrupted"
+        first["kernels"].append("solve_z")
+        later = _mkey(machine=machine)
+        assert later["machine"] == _fingerprint(machine)
+        assert later["kernels"] == ["solve_x", "solve_y"]
+        assert digest(first) == digest(later) == before == digest(_mkey())
+
+    def test_a_key_is_a_read_only_mapping_over_its_fields(self):
+        key = _mkey()
+        assert key["schema"] == SCHEMA_VERSION
+        assert set(key) == {
+            "schema", "kind", "machine", "measurement", "benchmark",
+            "problem_class", "nprocs", "kernels",
+        }
+        assert key == dict(key)
+        assert digest(dict(key)) == digest(key)
+
+    def test_archive_key_drops_only_the_noise_seed(self):
+        machine, measurement = ibm_sp_argonne(), MeasurementConfig(seed=3)
+        archived = archive_key(machine, measurement, "BT", "S", 4, 2, 7)
+        cell = dict(cell_key(machine, measurement, "BT", "S", 4, (2,), 7))
+        cell["kind"] = "archive"
+        del cell["measurement"]["seed"]
+        assert dict(archived) == cell
+        other_seed = archive_key(
+            machine, MeasurementConfig(seed=4), "BT", "S", 4, 2, 7
         )
-        assert digest(_mkey(machine=machine)) == digest(_mkey())
+        assert digest(other_seed) == digest(archived)
+
+
+names = st.text(
+    st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcxyz"), min_size=1,
+    max_size=8,
+)
+seeds = st.integers(0, 2**31 - 1)
+machines = st.sampled_from([ibm_sp_argonne(), linear_test_machine()])
+measurements = st.builds(
+    MeasurementConfig,
+    repetitions=st.integers(1, 8),
+    warmup=st.integers(0, 3),
+    seed=seeds,
+)
+cells = st.tuples(
+    st.sampled_from(["BT", "SP", "LU"]) | names,
+    st.sampled_from(["S", "W", "A"]) | names,
+    st.integers(1, 1024),
+)
+
+
+class TestCarriedText:
+    """Every key carries exactly the canonical JSON of its fields."""
+
+    @staticmethod
+    def _carries_its_fields(key, expected):
+        assert dict(key) == expected
+        assert key.canonical == canonical_json(dict(key))
+        assert key.canonical == canonical_json(expected)
+        assert digest(key) == digest(expected)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(machines, measurements, cells, st.lists(names, max_size=4))
+    def test_measurement_key(self, machine, measurement, cell, kernels):
+        benchmark, problem_class, nprocs = cell
+        self._carries_its_fields(
+            measurement_key(
+                machine, measurement, benchmark, problem_class, nprocs,
+                kernels,
+            ),
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": "measurement",
+                "machine": _fingerprint(machine),
+                "measurement": _fingerprint(measurement),
+                "benchmark": benchmark,
+                "problem_class": problem_class,
+                "nprocs": nprocs,
+                "kernels": kernels,
+            },
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        machines, cells, seeds, st.integers(0, 4), st.integers(1, 8)
+    )
+    def test_application_key(self, machine, cell, seed, warmup, measured):
+        benchmark, problem_class, nprocs = cell
+        self._carries_its_fields(
+            application_key(
+                machine, benchmark, problem_class, nprocs, seed, warmup,
+                measured,
+            ),
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": "application",
+                "machine": _fingerprint(machine),
+                "benchmark": benchmark,
+                "problem_class": problem_class,
+                "nprocs": nprocs,
+                "seed": seed,
+                "warmup_iterations": warmup,
+                "measured_iterations": measured,
+            },
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        machines, measurements, cells,
+        st.lists(st.integers(2, 6), max_size=4), seeds,
+        st.sampled_from(["simulation", "analytic"]) | names,
+    )
+    def test_cell_key(self, machine, measurement, cell, lengths, seed, tier):
+        benchmark, problem_class, nprocs = cell
+        self._carries_its_fields(
+            cell_key(
+                machine, measurement, benchmark, problem_class, nprocs,
+                lengths, seed, tier,
+            ),
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": "cell",
+                "machine": _fingerprint(machine),
+                "measurement": _fingerprint(measurement),
+                "benchmark": benchmark,
+                "problem_class": problem_class,
+                "nprocs": nprocs,
+                "chain_lengths": sorted(set(lengths)),
+                "application_seed": seed,
+                "tier": tier,
+            },
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(machines, measurements, cells, st.integers(2, 6), seeds)
+    def test_archive_key(self, machine, measurement, cell, length, seed):
+        benchmark, problem_class, nprocs = cell
+        self._carries_its_fields(
+            archive_key(
+                machine, measurement, benchmark, problem_class, nprocs,
+                length, seed,
+            ),
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": "archive",
+                "machine": _fingerprint(machine),
+                "measurement": _fingerprint(measurement, "seed"),
+                "benchmark": benchmark,
+                "problem_class": problem_class,
+                "nprocs": nprocs,
+                "chain_lengths": [length],
+                "application_seed": seed,
+                "tier": "simulation",
+            },
+        )

@@ -9,10 +9,11 @@ import pytest
 
 from repro import obs
 from repro.instrument import MeasurementConfig
-from repro.parallel import SimulationMemoStore, measurement_key
-from repro.parallel import memo as memo_module
+from repro.parallel import CellSpec, SimulationMemoStore, measurement_key
+from repro.parallel.executor import execute_cells
 from repro.parallel.keys import SCHEMA_VERSION
 from repro.simmachine import ibm_sp_argonne
+from tests.parallel.conftest import count_serialisation
 
 
 @pytest.fixture
@@ -174,21 +175,59 @@ class TestHitCost:
     def test_a_hit_renders_the_key_once_and_parses_the_payload_once(
         self, store, monkeypatch
     ):
-        key = key_for()
+        # A plain mapping has no carried text: it is rendered once.
+        key = dict(key_for())
         store.put(key, PAYLOAD)
-        calls = {"canonical_json": 0, "dumps": 0, "loads": 0}
-
-        def counted(original, name):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(
-            memo_module, "canonical_json",
-            counted(memo_module.canonical_json, "canonical_json"),
-        )
-        monkeypatch.setattr(json, "dumps", counted(json.dumps, "dumps"))
-        monkeypatch.setattr(json, "loads", counted(json.loads, "loads"))
+        calls = count_serialisation(monkeypatch)
         assert store.get(key) == PAYLOAD
         assert calls == {"canonical_json": 1, "dumps": 1, "loads": 1}
+
+    def test_a_hit_on_a_built_key_renders_nothing(self, store, monkeypatch):
+        store.put(key_for(), PAYLOAD)
+        calls = count_serialisation(monkeypatch)
+        assert store.get(key_for()) == PAYLOAD
+        assert calls == {"canonical_json": 0, "dumps": 0, "loads": 1}
+
+
+def memo_hits():
+    return obs.counter_snapshot().get(("parallel_memo_hits", ()), 0)
+
+
+class TestCounters:
+    def test_hits_after_a_reset_land_in_the_new_registry(self, store):
+        store.put(key_for(), PAYLOAD)
+        store.get(key_for())
+        first = obs.get_registry()
+        assert memo_hits() == 1
+        obs.reset()
+        store.get(key_for())
+        store.get(key_for(("solve_y",)))
+        assert obs.get_registry() is not first
+        assert memo_hits() == 1
+        assert obs.counter_snapshot()[("parallel_memo_misses", ())] == 1
+        assert first.counter("parallel_memo_hits").value == 1
+
+    def test_pool_worker_hits_merge_once_per_cell(self, tmp_path):
+        specs = [
+            CellSpec(
+                benchmark="BT",
+                problem_class="S",
+                nprocs=nprocs,
+                chain_lengths=(2,),
+                machine=ibm_sp_argonne(),
+                measurement=MeasurementConfig(
+                    repetitions=1, warmup=0, seed=0
+                ),
+                cache_dir=str(tmp_path / "memo"),
+            )
+            for nprocs in (4, 9)
+        ]
+        cold = execute_cells(specs, jobs=1)
+        stored = sum(cell.memo_stats["stores"] for cell in cold)
+        assert stored > 0
+        obs.reset()
+        warm = execute_cells(specs, jobs=2)
+        assert [cell.memo_stats["hits"] for cell in warm] == [
+            cell.memo_stats["stores"] for cell in cold
+        ]
+        assert memo_hits() == stored
