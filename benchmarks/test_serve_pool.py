@@ -9,7 +9,7 @@ the log); no file is written.
 * **cold** — 18 distinct cells (BT and SP at classes S and W on 1, 4 and
   9 processes; LU at S and W on 2, 4 and 8), repetitions 4, sent by 4
   client threads to a fresh server, once with ``executor="inline"``
-  (every cell simulated on the batcher thread) and once with the default
+  (every cell simulated on one in-process cell thread) and once with the default
   executor at ``max_workers=2`` (cells simulated on two worker
   processes): the burst's wall time.
 
@@ -126,7 +126,7 @@ def _drive_cold(host, port) -> dict:
 
 def _measure_cold(**executor) -> tuple[dict, dict]:
     with PredictionService(
-        measurement=COLD_MEASUREMENT, batch_window=0.0, **executor
+        measurement=COLD_MEASUREMENT, **executor
     ) as service:
         cold = _serving(service, _drive_cold)
         return cold, service.stats()

@@ -28,8 +28,8 @@ from repro.service import PredictRequest, PredictionService
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1, seed=0)
 
 #: Four distinct questions, cycled 25 times = 100 requests. Two share a
-#: measurement cell (chain lengths 2 and 3 of BT/S/4) so batching has
-#: something to coalesce even on the cold pass.
+#: measurement cell (chain lengths 2 and 3 of BT/S/4), so a burst
+#: dispatches them as one cell even on the cold pass.
 DISTINCT = [
     PredictRequest("BT", "S", 4, chain_length=2),
     PredictRequest("BT", "S", 4, chain_length=3),
@@ -61,9 +61,7 @@ def test_warm_service_beats_cold_one_shots_10x():
     cold_seconds = time.perf_counter() - t0
 
     # Warm service: one process-lifetime service, bursts of requests.
-    with PredictionService(
-        measurement=MEASUREMENT, max_workers=2, batch_window=0.005
-    ) as service:
+    with PredictionService(measurement=MEASUREMENT, max_workers=2) as service:
         t0 = time.perf_counter()
         warm_reports = []
         for _ in range(CYCLES):
@@ -123,14 +121,14 @@ def test_observability_overhead_under_10_percent():
         return best
 
     with PredictionService(
-        measurement=MEASUREMENT, max_workers=2, batch_window=0.0
+        measurement=MEASUREMENT, max_workers=2
     ) as service:
         enabled_seconds = _drive(service)
 
     obs.disable()
     try:
         with PredictionService(
-            measurement=MEASUREMENT, max_workers=2, batch_window=0.0
+            measurement=MEASUREMENT, max_workers=2
         ) as service:
             disabled_seconds = _drive(service)
     finally:
@@ -165,7 +163,6 @@ def test_single_flight_under_concurrent_identical_load():
         measurement=MEASUREMENT,
         execute=counting,
         executor="inline",
-        batch_window=0.02,
     ) as service:
         request = PredictRequest("BT", "S", 4)
         results = [None] * 8

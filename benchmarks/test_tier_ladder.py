@@ -6,11 +6,19 @@ documented accuracy bound (:data:`ANALYTIC_REL_ERROR_BOUND`) of the
 simulated per-kernel ``E_k`` and application totals.  Per-tier latency,
 speedup, and signed relative error are printed as one JSON line
 (``pytest -rP`` keeps it in the log); no file is written.
+
+The claim is about a served request: a server's analytic rung builds a
+fresh predictor per request in a process that has already answered one.
+So the analytic side is the median of :data:`ANALYTIC_SAMPLES` fresh
+``for_config(...).report((2,))`` calls, each on a newly built predictor,
+after one first call that the claim does not count (its time is printed
+as ``analytic_first_call_seconds``).
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from repro.analytic.model import ANALYTIC_REL_ERROR_BOUND, AnalyticPredictor
@@ -27,6 +35,18 @@ GOLDEN_CELLS = [("BT", "A", 16), ("SP", "A", 16), ("LU", "A", 8)]
 
 MIN_SPEEDUP = 100.0
 
+#: Timed analytic reports per cell, after one warm-up call.
+ANALYTIC_SAMPLES = 25
+
+
+def _analytic_seconds(machine, bench, problem_class, nprocs):
+    """One fresh predictor's ``report((2,))``: its wall time and report."""
+    start = time.perf_counter()
+    report = AnalyticPredictor.for_config(
+        machine, bench, problem_class, nprocs
+    ).report((2,))
+    return time.perf_counter() - start, report
+
 
 def test_analytic_tier_speedup_and_accuracy():
     machine = ibm_sp_argonne()
@@ -39,11 +59,13 @@ def test_analytic_tier_speedup_and_accuracy():
         simulated = pipeline.config_result(bench, problem_class, nprocs, (2,))
         sim_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        analytic = AnalyticPredictor.for_config(
+        first_s, analytic = _analytic_seconds(
             machine, bench, problem_class, nprocs
-        ).report((2,))
-        ana_s = time.perf_counter() - start
+        )
+        ana_s = statistics.median(
+            _analytic_seconds(machine, bench, problem_class, nprocs)[0]
+            for _ in range(ANALYTIC_SAMPLES)
+        )
 
         speedup = sim_s / ana_s
         kernel_errors = {
@@ -58,6 +80,7 @@ def test_analytic_tier_speedup_and_accuracy():
                 "nprocs": nprocs,
                 "simulation_seconds": round(sim_s, 4),
                 "analytic_seconds": round(ana_s, 6),
+                "analytic_first_call_seconds": round(first_s, 6),
                 "speedup": round(speedup, 1),
                 "signed_app_rel_error": round(app_error, 4),
                 "signed_kernel_rel_errors": {
@@ -77,9 +100,10 @@ def test_analytic_tier_speedup_and_accuracy():
         "chain_length": 2,
         "note": (
             "speedup = wall-clock of one full simulated cell (isolated + "
-            "chains + application) over one full analytic report for the "
-            "same cell; errors are signed analytic-vs-simulation relative "
-            "errors"
+            "chains + application) over the median of "
+            f"{ANALYTIC_SAMPLES} fresh analytic reports for the same cell, "
+            "after one uncounted first call; errors are signed "
+            "analytic-vs-simulation relative errors"
         ),
     }
     print(json.dumps(record, sort_keys=True))

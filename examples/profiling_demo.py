@@ -60,7 +60,7 @@ def profile_campaign() -> None:
 def serve_and_report_slo() -> None:
     print("\n=== 2. serving SLOs for a short workload ===\n")
     with PredictionService(
-        measurement=MEASUREMENT, max_workers=2, batch_window=0.0
+        measurement=MEASUREMENT, max_workers=2
     ) as service:
         for nprocs in (4, 9, 4, 4, 9, 4):
             service.predict(

@@ -45,7 +45,6 @@ def main() -> None:
         cache_dir=cache_dir,
         measurement=MeasurementConfig(repetitions=4, warmup=2, seed=0),
         max_workers=2,
-        batch_window=0.01,
     ) as service:
         reports: list = []
         threads = [

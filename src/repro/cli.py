@@ -224,13 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="max outstanding cells before rejecting with retry-after",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.005,
-        help="seconds to coalesce a burst before dispatching",
-    )
-    serve.add_argument(
         "--executor", choices=["process", "inline"], default="process",
         help="process: simulate on --workers worker processes; "
-        "inline: simulate on the batcher thread",
+        "inline: simulate one cell at a time on an in-process thread",
     )
     serve.add_argument(
         "--port", type=int, default=None,
@@ -696,7 +692,6 @@ def _cmd_serve(args) -> int:
                 ),
                 cache_capacity=args.cache_size,
                 cache_ttl=args.ttl,
-                batch_window=args.batch_window,
                 max_workers=args.workers,
                 queue_depth=args.queue_depth,
                 executor=args.executor,

@@ -59,8 +59,7 @@ SITES: Mapping[str, str] = {
     "worker.cell.crash": "cell execution raises WorkerCrashError",
     "worker.cell.stall": "cell execution sleeps `param` wall seconds first",
     "pool.submit.reject": "worker pool pretends its queue is full",
-    "engine.dispatch.error": "dispatch fails the whole batch with a typed error",
-    "batch.dispatch.error": "the batcher's dispatch callable raises",
+    "engine.dispatch.error": "dispatch fails the whole cell with a typed error",
     "cache.l1.drop": "the L1 report entry evaporates (read corruption)",
     "db.write.corrupt": "a memo-store payload is corrupted on write",
     "db.read.corrupt": "a memo-store payload bit-rots on read",

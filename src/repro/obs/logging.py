@@ -4,7 +4,7 @@
 ``key=value`` line through the stdlib ``repro`` logger, automatically
 stamped with the current correlation ID and trace/span IDs when present —
 so a grep for one request's ID reconstructs its path through the client,
-batcher, workers, and simulator. This replaces bare ``print`` calls in
+dispatch, workers, and simulator. This replaces bare ``print`` calls in
 long-running code paths (the service front-ends, the experiment runner);
 one-shot CLI *output* stays on stdout.
 """

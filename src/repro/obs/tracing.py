@@ -6,10 +6,12 @@ so the current span follows the logical request even across ``await``-less
 thread handoffs when the parent context is captured explicitly:
 
 * :func:`current_context` captures ``(trace_id, span_id)`` where a request
-  leaves one thread (e.g. when the service batcher registers a flight);
-* :func:`use_context` re-establishes it where the work resumes (the
-  batcher's dispatcher thread), so the spans recorded there join the
-  same trace.
+  leaves one thread;
+* :func:`use_context` re-establishes it where the work resumes, so the
+  spans recorded there join the same trace.
+
+(:func:`contextvars.copy_context` does both at once for a task handed to
+an executor, as the service's inline cell thread does.)
 
 Every finished span is (1) appended to the process tracer's bounded ring
 buffer (for the Chrome-trace exporter) and (2) recorded into the global

@@ -1,4 +1,4 @@
-"""Prediction serving: batching, caching, single-flight, worker pool.
+"""Prediction serving: caching, single-flight, worker pool.
 
 The one-shot predictor stack answers "how long will BT class W on 9
 processors take?" by re-simulating the full measurement protocol every
@@ -6,17 +6,16 @@ time. This subsystem turns that into a long-lived service:
 
 * :class:`~repro.service.engine.PredictionService` — the engine: accepts
   :class:`~repro.service.engine.PredictRequest` objects, returns
-  :class:`~repro.core.predictor.PredictionReport` objects;
+  :class:`~repro.core.predictor.PredictionReport` objects; identical
+  requests in flight share one future (single-flight), and a request
+  that must simulate dispatches its cell from its own thread;
 * :mod:`~repro.service.cache` — two-tier cache: in-process report LRU
   (with TTL) over the one persistent store, the
   :class:`~repro.parallel.memo.SimulationMemoStore` directory that
   campaigns share;
-* :mod:`~repro.service.batching` — single-flight deduplication of
-  identical in-flight requests plus coalescing of distinct ones into
-  per-cell batches;
 * :mod:`~repro.service.workers` — a bounded pool of worker processes
-  (the :class:`~repro.parallel.executor.CellPool` campaigns use, or an
-  inline executor) running the simulations, with reject-with-retry-after
+  (the :class:`~repro.parallel.executor.CellPool` campaigns use, or one
+  in-process cell thread) running the simulations, with reject-with-retry-after
   backpressure and typed worker-death accounting;
 * :mod:`~repro.service.metrics` — counters and latency histograms behind
   :meth:`~repro.service.engine.PredictionService.stats`;
@@ -44,7 +43,6 @@ from repro.service.api import (
     serve_jsonl,
     serve_socket,
 )
-from repro.service.batching import RequestBatcher
 from repro.service.cache import LRUCache, TieredPredictionCache
 from repro.service.engine import PredictRequest, PredictionService
 from repro.service.metrics import ServiceMetrics, render_stats
@@ -55,7 +53,6 @@ __all__ = [
     "LineClient",
     "PredictRequest",
     "PredictionService",
-    "RequestBatcher",
     "RetryPolicy",
     "ServiceClient",
     "ServiceMetrics",

@@ -16,7 +16,7 @@ through :func:`handle_line`. :class:`LineClient` is the socket twin of
 
 The line protocol: each input line is either a request object
 (``{"benchmark": "BT", "problem_class": "W", "nprocs": 4, ...}``), an array
-of request objects (answered as one batched response), or a command object
+of request objects (answered as one response), or a command object
 (``{"cmd": "stats"}``, ``{"cmd": "metrics"}`` — the ``GET /metrics``
 analogue, answering a Prometheus text exposition plus a JSON snapshot of
 every registry — ``{"cmd": "slo"}``, answering a rolling SLO judgement
@@ -480,7 +480,7 @@ def handle_line(service: PredictionService, line: str) -> Optional[str]:
 def _handle_batch(
     service: PredictionService, items: list[Any]
 ) -> list[dict[str, Any]]:
-    """Answer an array line as one coalesced burst through the batcher."""
+    """Answer an array line as one burst: one cell per configuration."""
     requests: list[Optional[PredictRequest]] = []
     responses: list[Optional[dict[str, Any]]] = []
     ids: list[tuple[bool, Any]] = []

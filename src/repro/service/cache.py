@@ -14,7 +14,7 @@ re-running a single simulation.
 
 Only the L1 tier distinguishes seeds for an archived answer: the archive
 record of a (machine, protocol, cell, chain length) is written once, by
-the first batch to finish it, and answers every seed after.
+the first cell to finish it, and answers every seed after.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class TieredPredictionCache:
 
     The service consults :meth:`get_report` first; on a miss it reads the
     request's archive record from :attr:`memo` on the request thread, so
-    an archived cell is answered without the batcher or a worker. Only a
+    an archived cell is answered without a dispatch or a worker. Only a
     cell with no archive record goes on to a measuring run, which
     simulates through the same store and so measures only what it lacks.
 

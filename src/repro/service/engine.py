@@ -1,4 +1,4 @@
-"""The prediction service: requests in, cached/batched reports out.
+"""The prediction service: requests in, cached or simulated reports out.
 
 :class:`PredictionService` turns the one-shot predictor stack
 (:func:`repro.quick_prediction` and friends) into a long-lived serving
@@ -8,19 +8,21 @@ layer:
 2. the store rung answers archived cells on the request thread from one
    archive record of the memo store
    (:class:`~repro.parallel.memo.SimulationMemoStore`, keyed by
-   :func:`~repro.parallel.keys.archive_key`) — no batch window, no
-   worker, no write;
-3. the rest must simulate: they are single-flight deduplicated,
-   coalesced into per-cell batches (:mod:`repro.service.batching`) and
-   run as :func:`~repro.parallel.worker.run_cell` on a bounded pool of
-   worker processes (:mod:`repro.service.workers`) through the same memo
-   store, which then archives each chain length's answer;
+   :func:`~repro.parallel.keys.archive_key`) — no worker, no write;
+3. the rest must simulate: identical requests in flight share one
+   future (single-flight), and the request that opened it dispatches its
+   cell from its own thread as :func:`~repro.parallel.worker.run_cell` on
+   a bounded pool of worker processes (:mod:`repro.service.workers`)
+   through the same memo store, which then archives each chain length's
+   answer. :meth:`PredictionService.predict_many` (a wire array line)
+   dispatches one cell per configuration, so its chain lengths share one
+   measurement plan;
 4. every step is measured (:mod:`repro.service.metrics`).
 
 **Seeds.** A request's seed selects its measurement-noise stream, but an
-archived answer is seed-free: the first batch to finish a (machine,
+archived answer is seed-free: the first cell to finish a (machine,
 protocol, cell, chain length) archives its answer with a create-if-absent
-write, and every request for it — at any seed, that batch's own included
+write, and every request for it — at any seed, that cell's own included
 — is answered from that record.
 
 The public surface is thread-safe: any number of threads may call
@@ -63,7 +65,6 @@ from repro.instrument.runner import MeasurementConfig
 from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
 from repro.parallel.keys import MemoKey, archive_key, cell_key
 from repro.parallel.worker import CellResult, CellSpec, run_cell
-from repro.service.batching import Flight, RequestBatcher
 from repro.service.cache import TieredPredictionCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
@@ -77,7 +78,7 @@ __all__ = ["PredictRequest", "PredictionService"]
 class PredictRequest:
     """One prediction to serve.
 
-    ``seed`` selects the measurement-noise stream of a batch that
+    ``seed`` selects the measurement-noise stream of a cell that
     simulates (distinct seeds are distinct L1 cache entries); an archived
     answer serves every seed (see the module docstring).
     """
@@ -123,7 +124,7 @@ class PredictRequest:
 
     @property
     def config_key(self) -> tuple:
-        """Batching identity: requests sharing it share one measurement plan."""
+        """Cell identity: requests sharing it share one measurement plan."""
         return (self.benchmark, self.problem_class, self.nprocs, self.seed)
 
     def to_dict(self) -> dict[str, Any]:
@@ -156,18 +157,24 @@ class PredictRequest:
             raise ServiceError(f"malformed request: {exc}") from None
 
 
+#: One request waiting on a cell, and the future its waiters share.
+Flight = tuple[PredictRequest, Future]
+
+
 class PredictionService:
-    """Batched, cached, metered serving of prediction reports.
+    """Cached, single-flight, metered serving of prediction reports.
 
     Parameters mirror the subsystem layers: cache sizing (``cache_capacity``
-    / ``cache_ttl`` / the memo directory ``cache_dir``), batching (``batch_window``), the worker pool (``max_workers`` /
-    ``queue_depth`` / ``executor``), and the measurement protocol shared by
-    every cell (``machine`` / ``measurement`` / ``application_seed``).
+    / ``cache_ttl`` / the memo directory ``cache_dir``), the worker pool
+    (``max_workers`` / ``queue_depth`` / ``executor``), and the measurement
+    protocol shared by every cell (``machine`` / ``measurement`` /
+    ``application_seed``).
 
     ``executor`` is ``"process"`` (default: cells run on a long-lived
     pool of ``max_workers`` worker processes) or ``"inline"`` (cells run
-    on the batcher thread). ``execute`` swaps the cell function, a
-    callable from :class:`~repro.parallel.worker.CellSpec` to
+    one at a time on one in-process cell thread). ``execute`` swaps the
+    cell function, a callable from
+    :class:`~repro.parallel.worker.CellSpec` to
     :class:`~repro.parallel.worker.CellResult` (default
     :func:`~repro.parallel.worker.run_cell`); under ``"process"`` it must
     be a module-level function, and tests that inject closures use
@@ -175,14 +182,12 @@ class PredictionService:
 
     Robustness knobs: ``default_timeout`` is the per-request deadline when
     a :meth:`predict` call passes none (misses that exceed it raise
-    :class:`~repro.errors.ServiceTimeoutError`); ``max_batch`` flushes a
-    collection window early once that many requests are pending;
-    ``crash_threshold`` consecutive worker crashes flip the service into
-    cache-only *degraded mode* (L1 hits and archived cells are still
-    served, requests that would simulate raise
-    :class:`~repro.errors.ServiceDegradedError`, and every
-    ``degraded_probe_every``-th of those is let through as a recovery
-    probe — one probe succeeding restores normal service).
+    :class:`~repro.errors.ServiceTimeoutError`); ``crash_threshold``
+    consecutive worker crashes flip the service into cache-only *degraded
+    mode* (L1 hits and archived cells are still served, requests that
+    would simulate raise :class:`~repro.errors.ServiceDegradedError`, and
+    every ``degraded_probe_every``-th of those is let through as a
+    recovery probe — one probe succeeding restores normal service).
 
     ``cache_dir`` points at a :mod:`repro.parallel` simulation memo
     directory, the service's one persistent tier: archived answers,
@@ -212,8 +217,6 @@ class PredictionService:
         *,
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
-        batch_window: float = 0.005,
-        max_batch: Optional[int] = None,
         max_workers: int = 2,
         queue_depth: int = 16,
         executor: str = "process",
@@ -267,14 +270,12 @@ class PredictionService:
             ),
             window=slo_window,
         )
-        self._batcher = RequestBatcher(
-            self._dispatch_group, window=batch_window, max_batch=max_batch
-        )
         self._degraded_probe_every = degraded_probe_every
         self._degraded_misses = 0
-        # Guards the degraded-probe counter and the closed flag (the two
-        # pieces of service state mutated after construction).
-        self._state_lock = threading.Lock()
+        # Guards the single-flight registry, the degraded-probe counter and
+        # the closed flag (the service state mutated after construction).
+        self._lock = threading.Lock()
+        self._in_flight: dict[tuple, Future] = {}
         self._closed = False
 
     # -- serving --------------------------------------------------------------
@@ -293,13 +294,15 @@ class PredictionService:
         expires first; and :class:`~repro.errors.ServiceDegradedError` for
         requests no cache tier answers while the service is degraded.
         """
-        outcome, t0 = self._submit(request)
+        outcome, t0, lead = self._submit(request)
         if isinstance(outcome, PredictionReport):
             # L1 hit: the microsecond path. Deliberately span-free — the
             # hit is already measured (l1_hits + latency histogram), and
             # a span here would cost more than the lookup it times.
             return outcome
         with obs.span("service.predict", benchmark=request.benchmark):
+            if lead:
+                self._dispatch([(request, outcome)])
             return self._await(outcome, t0, timeout)
 
     def predict_many(
@@ -308,15 +311,34 @@ class PredictionService:
         timeout: Optional[float] = None,
         return_exceptions: bool = False,
     ) -> list:
-        """Serve a burst of requests through one batching window."""
+        """Serve a burst of requests, one cell per configuration.
+
+        Requests sharing a :attr:`PredictRequest.config_key` that must
+        simulate are dispatched as one cell, so their chain lengths share
+        one measurement plan.
+        """
         outcomes = []
-        for request in requests:
-            try:
-                outcomes.append(self._submit(request))
-            except ServiceError as exc:
-                if not return_exceptions:
-                    raise
-                outcomes.append((exc, None))
+        cells: dict[tuple, list[Flight]] = {}
+        try:
+            for request in requests:
+                try:
+                    outcome, t0, lead = self._submit(request)
+                except ServiceError as exc:
+                    if not return_exceptions:
+                        raise
+                    outcomes.append((exc, None))
+                    continue
+                if lead:
+                    cells.setdefault(request.config_key, []).append(
+                        (request, outcome)
+                    )
+                outcomes.append((outcome, t0))
+        finally:
+            # Every future this burst opened is dispatched, even when a
+            # later request raised: an undispatched one would hold its
+            # key in flight forever.
+            for flights in cells.values():
+                self._dispatch(flights)
         results = []
         for outcome, t0 in outcomes:
             if isinstance(outcome, (PredictionReport, Exception)):
@@ -331,38 +353,41 @@ class PredictionService:
         return results
 
     def _submit(self, request: PredictRequest):
-        """Tier ladder: L1, analytic rung, store rung, gates, batcher.
+        """Tier ladder: L1, analytic rung, store rung, gates, single-flight.
 
-        Returns ``(report_or_future, start_time)``.
+        Returns ``(report_or_future, start_time, lead)``. ``lead`` is True
+        when this request opened a new flight: its caller must
+        :meth:`_dispatch` it.
         """
         t0 = self._clock()
         self.metrics.requests.inc()
-        report = self._cache.get_report(request.key)
+        key = request.key
+        report = self._cache.get_report(key)
         if report is not None:
             self.metrics.l1_hits.inc()
             dt = self._clock() - t0
             self.metrics.latency.observe(dt)
             self.metrics.record_tier(report.tier, dt)
-            return report, t0
+            return report, t0, False
         if self.tier_policy.use_analytic:
             # The analytic rung sits *above* the degraded/saturation gates:
             # closed forms need no workers, so a degraded pool still serves
             # every request the policy's error budget accepts.
             report = self._serve_analytic(request, t0)
             if report is not None:
-                return report, t0
-        in_flight = self._batcher.in_flight(request.key)
+                return report, t0, False
+        in_flight = key in self._in_flight
         if not in_flight:
             # The store rung needs no workers either: an archived cell is
-            # answered here, ahead of the gates and the batch window. A
-            # request already in flight coalesces onto it instead.
+            # answered here, ahead of the gates. A request already in
+            # flight joins it instead.
             report = self._serve_archived(request, t0)
             if report is not None:
-                return report, t0
+                return report, t0, False
         if not self._pool.healthy and not in_flight:
             # Degraded mode: cache-only, except for a periodic probe that
             # tests whether the pool has recovered.
-            with self._state_lock:
+            with self._lock:
                 self._degraded_misses += 1
                 probe = self._degraded_misses % self._degraded_probe_every == 0
             if not probe:
@@ -377,10 +402,23 @@ class PredictionService:
                 "service saturated; retry later",
                 retry_after=self._pool.retry_after_hint(),
             )
-        future, coalesced = self._batcher.submit(request)
-        if coalesced:
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("service is shut down")
+            future = self._in_flight.get(key)
+            lead = future is None
+            if future is None:
+                future = self._in_flight[key] = Future()
+        if lead:
+            future.add_done_callback(lambda _f: self._forget(key))
+        else:
             self.metrics.coalesced.inc()
-        return future, t0
+        return future, t0, lead
+
+    def _forget(self, key: tuple) -> None:
+        """Close a resolved flight: the next request for it starts anew."""
+        with self._lock:
+            self._in_flight.pop(key, None)
 
     # -- the analytic rung ----------------------------------------------------
 
@@ -435,11 +473,11 @@ class PredictionService:
     def _serve_archived(
         self, request: PredictRequest, t0: float
     ) -> Optional[PredictionReport]:
-        """Answer an archived cell on the request thread, or None to batch.
+        """Answer an archived cell on the request thread, or None to simulate.
 
         One read of the request's archive record and no write: a miss (or
-        a corrupt record, purged by the read) sends the request on to the
-        batcher unchanged.
+        a corrupt record, purged by the read) sends the request on to
+        single-flight and dispatch unchanged.
         """
         if self._closed:
             raise ServiceClosedError("service is shut down")
@@ -499,29 +537,30 @@ class PredictionService:
         self.metrics.record_tier(report.tier, dt)
         return report
 
-    # -- dispatch (batcher thread) --------------------------------------------
+    # -- dispatch (calling thread) --------------------------------------------
 
-    def _dispatch_group(self, flights: list[Flight]) -> None:
-        """Turn one config-homogeneous group into a cell task on the pool.
+    def _dispatch(self, flights: list[Flight]) -> None:
+        """Turn one cell's flights into a cell task on the pool.
 
-        Runs on the batcher thread; adopting the first flight's captured
-        correlation ID and span context stitches the dispatch (and the
-        worker's cell span) into the submitting request's trace.
+        Runs on the thread of the request that opened the flights, so the
+        dispatch span (and the cell's) joins that request's trace. Any
+        failure is relayed to the flights' waiters.
         """
-        first = flights[0].request
-        with obs.correlation(flights[0].corr), obs.use_context(
-            flights[0].context
-        ), obs.span(
-            "service.dispatch",
-            benchmark=first.benchmark,
-            cls=first.problem_class,
-            nprocs=first.nprocs,
-            batch=len(flights),
-        ):
-            self._dispatch_batch(flights)
+        first = flights[0][0]
+        try:
+            with obs.span(
+                "service.dispatch",
+                benchmark=first.benchmark,
+                cls=first.problem_class,
+                nprocs=first.nprocs,
+                batch=len(flights),
+            ):
+                self._dispatch_cell(flights)
+        except BaseException as exc:  # noqa: BLE001 — relay to waiters
+            self._fail(flights, exc)
 
-    def _dispatch_batch(self, flights: list[Flight]) -> None:
-        first = flights[0].request
+    def _dispatch_cell(self, flights: list[Flight]) -> None:
+        first = flights[0][0]
         if faults.check("engine.dispatch.error") is not None:
             self._fail(
                 flights,
@@ -532,27 +571,21 @@ class PredictionService:
             return
         self.metrics.record_batch(len(flights))
         # Validate per-request chain lengths against the flow now, so one
-        # impossible request fails alone instead of poisoning its batch.
-        try:
-            bench = make_benchmark(
-                first.benchmark, first.problem_class, first.nprocs
-            )
-        except Exception as exc:  # noqa: BLE001 — relay to waiters
-            self._fail(flights, exc)
-            return
+        # impossible request fails alone instead of poisoning its cell.
+        bench = make_benchmark(first.benchmark, first.problem_class, first.nprocs)
         flow_length = len(bench.loop_kernel_names)
         viable = []
-        for flight in flights:
-            if flight.request.chain_length > flow_length:
+        for request, future in flights:
+            if request.chain_length > flow_length:
                 self._fail(
-                    [flight],
+                    [(request, future)],
                     PredictionError(
-                        f"chain_length {flight.request.chain_length} exceeds "
+                        f"chain_length {request.chain_length} exceeds "
                         f"the {first.benchmark} flow of {flow_length} kernels"
                     ),
                 )
             else:
-                viable.append(flight)
+                viable.append((request, future))
         flights = viable
         if not flights:
             return
@@ -562,7 +595,7 @@ class PredictionService:
             problem_class=first.problem_class,
             nprocs=first.nprocs,
             chain_lengths=tuple(
-                sorted({flight.request.chain_length for flight in flights})
+                sorted({request.chain_length for request, _ in flights})
             ),
             machine=self.machine,
             measurement=replace(self.measurement, seed=first.seed),
@@ -629,18 +662,17 @@ class PredictionService:
         actual: float,
         simulations: int,
     ) -> None:
-        """Archive the batch's answer per chain length, then answer waiters.
+        """Archive the cell's answer per chain length, then answer waiters.
 
         Each chain length's record is created only if absent, so when an
-        earlier batch (at any seed) archived it first, this batch's
-        waiters get that record's numbers like every later request.
+        earlier cell (at any seed) archived it first, this cell's waiters
+        get that record's numbers like every later request.
         """
         self.metrics.simulations.inc(simulations)
-        self._record_analytic_error(flights[0].request, actual)
+        self._record_analytic_error(flights[0][0], actual)
         warm = simulations == 0
         answers: dict[int, tuple[PredictionInputs, float]] = {}
-        for flight in flights:
-            request = flight.request
+        for request, future in flights:
             try:
                 if request.chain_length not in answers:
                     answers[request.chain_length] = self._archive(
@@ -650,10 +682,10 @@ class PredictionService:
                     request, *answers[request.chain_length], warm
                 )
             except Exception as exc:  # noqa: BLE001 — relay to this waiter
-                self._fail([flight], exc)
+                self._fail([(request, future)], exc)
                 continue
-            if not flight.future.done():
-                flight.future.set_result(report)
+            if not future.done():
+                future.set_result(report)
 
     def _archive(
         self, request: PredictRequest, inputs: PredictionInputs, actual: float
@@ -728,9 +760,9 @@ class PredictionService:
 
     @staticmethod
     def _fail(flights: list[Flight], exc: BaseException) -> None:
-        for flight in flights:
-            if not flight.future.done():
-                flight.future.set_exception(exc)
+        for _, future in flights:
+            if not future.done():
+                future.set_exception(exc)
 
     def _retry_after_estimate(self) -> float:
         """Expected drain time of the current queue, floored at 100 ms."""
@@ -783,12 +815,11 @@ class PredictionService:
         return (self.metrics.registry, obs.get_registry())
 
     def close(self) -> None:
-        """Stop batching, drain workers, release the cache tiers."""
-        with self._state_lock:
+        """Refuse new flights, drain workers, release the cache tiers."""
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self._batcher.close()
         self._pool.shutdown(wait=True)
         self._cache.close()
 

@@ -97,7 +97,7 @@ class ServiceMetrics:
         self.analytic_signed_rel_error.observe(error)
 
     def record_batch(self, size: int) -> None:
-        """One dispatched batch of ``size`` coalesced request groups."""
+        """One dispatched cell answering ``size`` requests."""
         self.batches.inc()
         self.batch_sizes.observe(float(size))
 

@@ -6,7 +6,7 @@ one-shots) plus the full application run,
 :func:`repro.parallel.worker.run_cell`. :class:`WorkerPool` runs those
 cells on the process pool campaigns use
 (:class:`repro.parallel.executor.CellPool`), so one server simulates on
-``max_workers`` CPUs, or inline in the calling thread. Workers share the
+``max_workers`` CPUs, or on one in-process cell thread. Workers share the
 service's memo directory; its atomic writes make concurrent writers
 safe.
 
@@ -19,8 +19,9 @@ consecutive deaths behind the engine's degraded mode.
 
 from __future__ import annotations
 
+import contextvars
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Union
 
@@ -45,9 +46,12 @@ class WorkerPool:
     :class:`~repro.errors.ServiceSaturatedError` carrying a retry-after
     estimate instead of queueing unboundedly. ``kind`` selects
     ``"process"`` (default: a long-lived pool of ``max_workers`` worker
-    processes, started by the first submit) or ``"inline"`` (the cell
-    runs synchronously in the calling thread, for debugging and for
-    tests that observe the cell in-process).
+    processes, started by the first submit) or ``"inline"`` (cells run one
+    at a time on one in-process cell thread, for debugging and for tests
+    that observe the cell in-process). An inline cell runs in a copy of
+    the submitter's context, so its spans join the submitter's trace; it
+    never runs on the submitting thread, so a caller's deadline still
+    bounds its wait.
 
     **Worker death.** A worker process that dies mid-cell breaks the
     process pool: every cell then in flight fails with
@@ -95,6 +99,11 @@ class WorkerPool:
         self._cells = (
             CellPool(max_workers, respawn_metric="worker_respawns")
             if kind == "process"
+            else None
+        )
+        self._inline = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-cell")
+            if kind == "inline"
             else None
         )
 
@@ -199,13 +208,12 @@ class WorkerPool:
                     "injected queue-full rejection (pool.submit.reject)",
                     retry_after=self.retry_after_hint(),
                 )
-            if self._cells is None:  # inline
-                outcome: Future = Future()
-                try:
-                    outcome.set_result(run(spec))
-                except BaseException as exc:  # noqa: BLE001 — via future
-                    outcome.set_exception(exc)
+            if self._inline is not None:
+                outcome = self._inline.submit(
+                    contextvars.copy_context().run, run, spec
+                )
             else:
+                assert self._cells is not None
                 outcome = self._cells.submit(run, spec)
         except BaseException:  # noqa: BLE001 — undo the reservation, re-raise
             with self._lock:
@@ -220,5 +228,7 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
+        if self._inline is not None:
+            self._inline.shutdown(wait=wait)
         if self._cells is not None:
             self._cells.shutdown(wait=wait)

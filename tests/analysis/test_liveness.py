@@ -35,20 +35,22 @@ def _lint_copy(root, module, rule, injected=""):
     return _lint(root, rule)
 
 
-def _lint_package_copy(root, module, rule, injected=""):
-    """Lint a copy of the whole package, ``injected`` appended to one module.
+def _lint_package_copy(root, rule, injected=None):
+    """Lint a copy of the whole package, each ``injected`` text appended.
 
-    For cross-file rules that reconcile the whole tree.
+    ``injected`` maps a module path to the text appended to it. For
+    cross-file rules that reconcile the whole tree or follow its calls.
     """
     shutil.copytree(
         PACKAGE,
         root / "repro",
         ignore=shutil.ignore_patterns("__pycache__"),
     )
-    target = root / "repro" / module
-    target.write_text(
-        target.read_text(encoding="utf-8") + injected, encoding="utf-8"
-    )
+    for module, text in (injected or {}).items():
+        target = root / "repro" / module
+        target.write_text(
+            target.read_text(encoding="utf-8") + text, encoding="utf-8"
+        )
     return _lint(root, rule)
 
 
@@ -91,10 +93,11 @@ def test_rep004_fires_on_an_unregistered_site_in_the_worker_pool(tmp_path):
         "\n\ndef _vanish() -> bool:\n"
         '    return faults.check("worker.cell.vanish") is not None\n'
     )
-    module = "service/workers.py"
-    assert _lint_package_copy(tmp_path / "clean", module, "REP004") == []
+    assert _lint_package_copy(tmp_path / "clean", "REP004") == []
     assert _lint_package_copy(
-        tmp_path / "injected", module, "REP004", unregistered
+        tmp_path / "injected",
+        "REP004",
+        {"service/workers.py": unregistered},
     ) == ["REP004"]
 
 
@@ -132,3 +135,48 @@ def test_rep006_fires_on_a_silent_broad_except_in_the_wire_api(tmp_path):
     assert _lint_copy(
         tmp_path / "injected", module, "REP006", swallowed
     ) == ["REP006"]
+
+
+def test_rep002_fires_on_an_unguarded_flag_in_the_worker_pool(tmp_path):
+    # WorkerPool is the module's last statement: the appended method
+    # lands in its body, outside any `with self._lock:`.
+    unguarded = (
+        "\n    def _probe(self) -> None:\n"
+        "        self._closed_probe = True\n"
+    )
+    module = "service/workers.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP002") == []
+    assert _lint_copy(
+        tmp_path / "injected", module, "REP002", unguarded
+    ) == ["REP002"]
+
+
+def test_rep003_fires_on_an_unbounded_get_in_the_worker_pool(tmp_path):
+    unbounded = "\n\ndef _drain(q):\n    return q.get()\n"
+    module = "service/workers.py"
+    assert _lint_copy(tmp_path / "clean", module, "REP003") == []
+    assert _lint_copy(
+        tmp_path / "injected", module, "REP003", unbounded
+    ) == ["REP003"]
+
+
+def test_rep010_fires_on_a_clock_two_hops_from_noise(tmp_path):
+    # noise._jitter_seed -> validation._stamp -> validation._wall_clock
+    # -> time.time: no clock is spelled in the tier, so REP001 is silent.
+    clock = (
+        "\n\nimport time\n\n\n"
+        "def _wall_clock() -> float:\n"
+        "    return time.time()\n\n\n"
+        "def _stamp() -> float:\n"
+        "    return _wall_clock()\n"
+    )
+    caller = (
+        "\n\nfrom repro.util.validation import _stamp\n\n\n"
+        "def _jitter_seed() -> float:\n"
+        "    return _stamp()\n"
+    )
+    injected = {"util/validation.py": clock, "simmachine/noise.py": caller}
+    assert _lint_package_copy(tmp_path / "clean", "REP010") == []
+    assert _lint_package_copy(
+        tmp_path / "injected", "REP010", injected
+    ) == ["REP010"]

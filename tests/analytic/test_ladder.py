@@ -25,7 +25,6 @@ def _service(**kwargs):
         "measurement", MeasurementConfig(repetitions=2, warmup=1)
     )
     kwargs.setdefault("executor", "inline")
-    kwargs.setdefault("batch_window", 0.0)
     return PredictionService(**kwargs)
 
 

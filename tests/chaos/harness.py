@@ -1,6 +1,6 @@
 """Deterministic chaos harness for the prediction serving stack.
 
-Drives the *real* service — L1 cache, single-flight batcher, worker pool,
+Drives the *real* service — L1 cache, single-flight, worker pool,
 persistent memo store, wire protocol — from many client threads while a
 seeded :class:`~repro.faults.FaultPlan` fires faults at every layer. The
 cell *simulation* is replaced by :func:`synthetic_execute`, which mirrors
@@ -144,7 +144,6 @@ def serving(**kwargs):
     defaults = dict(
         measurement=MeasurementConfig(repetitions=2, warmup=1),
         execute=synthetic_execute,
-        batch_window=0.001,
     )
     defaults.update(kwargs)
     with PredictionService(**defaults) as service:
@@ -254,8 +253,6 @@ def run_chaos(
     defaults = dict(
         executor="inline",
         queue_depth=32,
-        batch_window=0.002,
-        max_batch=8,
         default_timeout=2.0,
         crash_threshold=3,
         degraded_probe_every=4,

@@ -42,7 +42,7 @@ SMOKE_PLAN = plan(
     FaultSpec(site="worker.cell.crash", every_nth=5),
     FaultSpec(site="worker.cell.stall", every_nth=11, param=0.02),
     FaultSpec(site="pool.submit.reject", every_nth=9),
-    FaultSpec(site="batch.dispatch.error", every_nth=13),
+    FaultSpec(site="engine.dispatch.error", every_nth=13),
     FaultSpec(site="cache.l1.drop", every_nth=6),
     FaultSpec(site="db.read.corrupt", every_nth=4),
     FaultSpec(site="db.write.corrupt", every_nth=7),
@@ -58,7 +58,6 @@ SOAK_PLAN = plan(
     FaultSpec(site="worker.cell.crash", probability=0.06),
     FaultSpec(site="worker.cell.stall", every_nth=5, param=0.6),
     FaultSpec(site="pool.submit.reject", probability=0.02),
-    FaultSpec(site="batch.dispatch.error", probability=0.02),
     FaultSpec(site="engine.dispatch.error", probability=0.02),
     FaultSpec(site="cache.l1.drop", probability=0.15),
     FaultSpec(site="db.read.corrupt", probability=0.08),
@@ -133,7 +132,7 @@ def test_smoke():
 @pytest.mark.slow
 @pytest.mark.timeout(300)
 def test_soak():
-    """The headline soak: >= 2000 requests under nine active fault sites."""
+    """The headline soak: >= 2000 requests under eight active fault sites."""
     result = run_chaos(
         SOAK_PLAN,
         n_requests=2500,
@@ -186,12 +185,11 @@ def test_slo_counters_move_under_faults():
     from repro.service.slo import SLOObjective
 
     chaos_plan = plan(
-        FaultSpec(site="batch.dispatch.error", every_nth=3),
+        FaultSpec(site="engine.dispatch.error", every_nth=3),
         seed=7,
     )
     service = PredictionService(
         executor="inline",
-        batch_window=0.0,
         execute=synthetic_execute,
         slo_objectives=(
             SLOObjective(name="availability", kind="error_rate", target=0.99),

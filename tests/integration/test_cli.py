@@ -108,8 +108,7 @@ class TestServeCommand:
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(requests))
         assert main(
-            ["serve", "--repetitions", "2", "--executor", "inline",
-             "--batch-window", "0"]
+            ["serve", "--repetitions", "2", "--executor", "inline"]
         ) == 0
         captured = capsys.readouterr()
         responses = [json.loads(line) for line in captured.out.splitlines()]
@@ -130,7 +129,7 @@ class TestServeCommand:
         assert main(
             ["serve", "--db", str(tmp_path / "serve.sqlite"),
              "--cache-dir", str(cache), "--repetitions", "2",
-             "--executor", "inline", "--batch-window", "0"]
+             "--executor", "inline"]
         ) == 0
         capsys.readouterr()
         # --db is accepted and ignored; the memo directory holds every
@@ -212,7 +211,6 @@ class TestMetricsCommand:
         service = PredictionService(
             measurement=MeasurementConfig(repetitions=2, warmup=1),
             executor="inline",
-            batch_window=0.0,
         )
         ready = threading.Event()
         bound: list = []
@@ -317,7 +315,6 @@ class TestSloCommand:
         service = PredictionService(
             measurement=MeasurementConfig(repetitions=2, warmup=1),
             executor="inline",
-            batch_window=0.0,
         )
         ready = threading.Event()
         bound: list = []

@@ -130,7 +130,6 @@ def test_worker_processes_answer_the_cold_protocol_like_inline(tmp_path):
     with PredictionService(
         measurement=MeasurementConfig(repetitions=REPETITIONS, warmup=2),
         executor="inline",
-        batch_window=0.0,
     ) as service:
         inline = [
             report_to_dict(request, service.predict(request))

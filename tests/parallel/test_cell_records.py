@@ -161,7 +161,7 @@ class TestRecordsCrossPaths:
 
     def serve(self, cache, benchmark, chains):
         with PredictionService(
-            measurement=MEASUREMENT, cache_dir=str(cache), batch_window=0.2
+            measurement=MEASUREMENT, cache_dir=str(cache)
         ) as service:
             reports = service.predict_many(
                 [PredictRequest(benchmark, "S", 4, chain_length=n)
@@ -212,7 +212,7 @@ class TestRecordsCrossPaths:
         # seed-1 cell record, which the seed-1 pipeline adopts as is.
         cache = tmp_path / "memo"
         with PredictionService(
-            measurement=MEASUREMENT, cache_dir=str(cache), batch_window=0.0
+            measurement=MEASUREMENT, cache_dir=str(cache)
         ) as service:
             for seed, length in ((0, 2), (1, 3)):
                 service.predict(

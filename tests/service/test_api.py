@@ -19,7 +19,7 @@ MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
 def make_service():
     return PredictionService(
-        measurement=MEASUREMENT, executor="inline", batch_window=0.0
+        measurement=MEASUREMENT, executor="inline"
     )
 
 
@@ -180,7 +180,7 @@ class TestMetricsCommand:
         # The simulator runs in worker processes: its counters and span
         # histograms arrive as merged deltas.
         with PredictionService(
-            measurement=MEASUREMENT, batch_window=0.0
+            measurement=MEASUREMENT
         ) as service:
             self._assert_every_layer(self._metrics(service))
 

@@ -4,7 +4,14 @@ import threading
 
 import pytest
 
-from repro.errors import ServiceError, ServiceSaturatedError
+from repro import faults, obs
+from repro.errors import (
+    InjectedFaultError,
+    ServiceClosedError,
+    ServiceError,
+    ServiceSaturatedError,
+)
+from repro.faults import FaultPlan, FaultSpec
 from repro.instrument import MeasurementConfig
 from repro.service import PredictRequest, PredictionService
 from repro.parallel.worker import run_cell
@@ -58,7 +65,7 @@ class TestServing:
         from repro import quick_prediction
         from repro.experiments import ExperimentSettings
 
-        with make_service(executor="inline", batch_window=0.0) as service:
+        with make_service(executor="inline") as service:
             served = service.predict(PredictRequest("BT", "S", 4, chain_length=2))
         one_shot = quick_prediction(
             "BT", "S", 4, 2, settings=ExperimentSettings(measurement=MEASUREMENT)
@@ -67,7 +74,7 @@ class TestServing:
         assert served.predictions == pytest.approx(one_shot.predictions)
 
     def test_repeat_request_hits_l1(self):
-        with make_service(executor="inline", batch_window=0.0) as service:
+        with make_service(executor="inline") as service:
             request = PredictRequest("BT", "S", 4)
             first = service.predict(request)
             second = service.predict(request)
@@ -79,7 +86,7 @@ class TestServing:
             assert stats["cache_hit_ratio"] == pytest.approx(0.5)
 
     def test_chain_lengths_share_one_measurement_plan(self):
-        with make_service(executor="inline", batch_window=0.05) as service:
+        with make_service(executor="inline") as service:
             reports = service.predict_many(
                 [
                     PredictRequest("BT", "S", 4, chain_length=2),
@@ -96,12 +103,12 @@ class TestServing:
         cache = str(tmp_path / "memo")
         request = PredictRequest("BT", "S", 4)
         with make_service(
-            cache_dir=cache, executor="inline", batch_window=0.0
+            cache_dir=cache, executor="inline"
         ) as a:
             cold = a.predict(request)
             assert a.stats()["simulations"] > 0
         with make_service(
-            cache_dir=cache, executor="inline", batch_window=0.0
+            cache_dir=cache, executor="inline"
         ) as b:
             warm = b.predict(request)
             stats = b.stats()
@@ -113,7 +120,6 @@ class TestServing:
         clock_now = [0.0]
         with make_service(
             executor="inline",
-            batch_window=0.0,
             cache_ttl=60.0,
             clock=lambda: clock_now[0],
         ) as service:
@@ -132,16 +138,15 @@ class TestServing:
             raise RuntimeError("simulator on fire")
 
         with make_service(
-            executor="inline", batch_window=0.0, execute=explode
+            executor="inline", execute=explode
         ) as service:
             with pytest.raises(RuntimeError, match="on fire"):
                 service.predict(PredictRequest("BT", "S", 4))
             assert service.stats()["errors"] == 1
 
     def test_closed_service_rejects(self):
-        service = make_service(executor="inline", batch_window=0.0)
+        service = make_service(executor="inline")
         service.close()
-        from repro.errors import ServiceClosedError
 
         with pytest.raises(ServiceClosedError):
             service.predict(PredictRequest("BT", "S", 4))
@@ -158,7 +163,7 @@ class TestSingleFlight:
             return run_cell(spec)
 
         with make_service(
-            execute=counting, executor="inline", batch_window=0.05
+            execute=counting, executor="inline"
         ) as service:
             request = PredictRequest("BT", "S", 4)
             results = [None] * 8
@@ -193,7 +198,6 @@ class TestBackpressure:
         service = make_service(
             execute=blocking,
             executor="inline",
-            batch_window=0.0,
             max_workers=1,
             queue_depth=1,
         )
@@ -222,3 +226,120 @@ class TestBackpressure:
         finally:
             release.set()
             service.close()
+
+
+class TestRequestPath:
+    """A cold request dispatches its own cell from its own thread."""
+
+    def test_construction_starts_no_thread(self):
+        before = set(threading.enumerate())
+        with make_service() as service:
+            started = set(threading.enumerate()) - before
+            assert service.stats()["batches"] == 0
+        assert started == set()
+
+    def test_cold_request_dispatches_one_cell_of_one(self):
+        with make_service(executor="inline") as service:
+            service.predict(PredictRequest("BT", "S", 4), timeout=60)
+            stats = service.stats()
+        assert stats["batches"] == 1
+        assert stats["batch_size"]["count"] == 1
+        assert stats["batch_size"]["max"] == 1.0
+
+    def test_a_burst_dispatches_one_cell_per_configuration(self):
+        with make_service(executor="inline") as service:
+            reports = service.predict_many(
+                [
+                    PredictRequest("BT", "S", 4, chain_length=2),
+                    PredictRequest("BT", "S", 1, chain_length=2),
+                    PredictRequest("BT", "S", 4, chain_length=3),
+                ],
+                timeout=60,
+            )
+            stats = service.stats()
+        assert reports[0].actual == reports[2].actual != reports[1].actual
+        assert stats["batches"] == 2
+        assert stats["batch_size"]["max"] == 2.0
+        assert stats["batch_size"]["mean"] == 1.5
+
+    def test_dispatch_and_cell_join_the_request_trace(self):
+        from repro.service import handle_line
+
+        with make_service(executor="inline") as service:
+            handle_line(
+                service,
+                '{"benchmark": "BT", "problem_class": "S", "nprocs": 4,'
+                ' "id": "trace-me"}',
+            )
+        names = {
+            s.name for s in obs.get_tracer().spans()
+            if s.trace_id == "trace-me"
+        }
+        assert {"service.predict", "service.dispatch", "parallel.cell"} <= names
+
+    def test_failed_dispatch_fails_its_flights_and_forgets_them(self):
+        burst = [
+            PredictRequest("BT", "S", 4, chain_length=2),
+            PredictRequest("BT", "S", 4, chain_length=3),
+        ]
+        fail_once = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="engine.dispatch.error", every_nth=1, max_fires=1
+                ),
+            )
+        )
+        with make_service(executor="inline") as service:
+            with faults.active(fail_once):
+                outcomes = service.predict_many(
+                    burst, timeout=60, return_exceptions=True
+                )
+                assert all(
+                    isinstance(o, InjectedFaultError) for o in outcomes
+                )
+                # The failed flights are closed: the retry opens new ones.
+                retried = service.predict_many(burst, timeout=60)
+            stats = service.stats()
+        assert all(r.actual > 0 for r in retried)
+        assert stats["errors"] == 2
+        assert stats["coalesced"] == 0
+        assert stats["batches"] == 1
+
+    def test_close_during_a_cell_still_answers_its_waiter(self):
+        started = threading.Event()
+        release = threading.Event()
+
+        def blocking(spec):
+            started.set()
+            assert release.wait(timeout=30)
+            return run_cell(spec)
+
+        service = make_service(execute=blocking, executor="inline")
+        answers = []
+        waiter = threading.Thread(
+            target=lambda: answers.append(
+                service.predict(PredictRequest("BT", "S", 4), timeout=60)
+            )
+        )
+        waiter.start()
+        try:
+            assert started.wait(timeout=10)
+            closer = threading.Thread(target=service.close)
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive()  # draining the in-flight cell
+        finally:
+            release.set()
+        closer.join(timeout=30)
+        waiter.join(timeout=30)
+        assert not closer.is_alive() and not waiter.is_alive()
+        assert answers and answers[0].actual > 0
+        service.close()  # idempotent
+
+    def test_closed_service_rejects_a_burst(self):
+        service = make_service(executor="inline")
+        service.close()
+        outcomes = service.predict_many(
+            [PredictRequest("BT", "S", 4)], return_exceptions=True
+        )
+        assert [type(o) for o in outcomes] == [ServiceClosedError]

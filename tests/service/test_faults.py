@@ -174,7 +174,6 @@ class TestDegradedMode:
     def crash_service(self, **kwargs):
         return make_service(
             executor="inline",
-            batch_window=0.0,
             crash_threshold=2,
             degraded_probe_every=3,
             **kwargs,
@@ -243,7 +242,7 @@ class TestDegradedMode:
     def test_worker_processes_run_the_installed_plan(self):
         # The engine ships the installed plan with each cell spec, and a
         # worker process runs the cell under it.
-        with make_service(batch_window=0.0) as service:
+        with make_service() as service:
             with faults.active(
                 plan(FaultSpec(site="worker.cell.crash", every_nth=1))
             ):
@@ -278,7 +277,6 @@ class TestTimeouts:
         service = make_service(
             execute=blocking,
             executor="inline",
-            batch_window=0.0,
             default_timeout=0.05,
         )
         try:
@@ -301,7 +299,6 @@ class TestTimeouts:
         service = make_service(
             execute=blocking,
             executor="inline",
-            batch_window=0.0,
             default_timeout=300.0,
         )
         try:
@@ -510,7 +507,7 @@ class TestDatabaseIntegrity:
 
 class TestCacheDrop:
     def test_l1_drop_forces_recompute_not_garbage(self):
-        with make_service(executor="inline", batch_window=0.0) as service:
+        with make_service(executor="inline") as service:
             request = PredictRequest("BT", "S", 4)
             first = service.predict(request)
             with faults.active(
@@ -549,7 +546,7 @@ class TestWireProtocol:
         import io
         import json
 
-        with make_service(executor="inline", batch_window=0.0) as service:
+        with make_service(executor="inline") as service:
             lines = [
                 json.dumps({"benchmark": "BT", "problem_class": "S", "nprocs": 4}),
                 json.dumps({"benchmark": "BT", "problem_class": "S", "nprocs": 4}),

@@ -2,9 +2,9 @@
 
 A request whose (machine, protocol, cell, chain length) has an archive
 record in the memo store is answered from that one record before the
-degraded/saturation gates and the batch window, at any seed; anything
-else falls through to the batcher, whose batch then archives its answer
-with a create-if-absent write.
+degraded/saturation gates and any dispatch, at any seed; anything else
+falls through to single-flight and a dispatched cell, which then
+archives its answer with a create-if-absent write.
 """
 
 import functools
@@ -30,7 +30,7 @@ from repro.instrument import MeasurementConfig
 from repro.instrument.runner import ApplicationRunner, ChainRunner
 from repro.npb import make_benchmark
 from repro.parallel.memo import SimulationMemoStore
-from repro.service import PredictRequest, PredictionService
+from repro.service import PredictRequest, PredictionService, WorkerPool
 from repro.parallel.worker import run_cell
 from repro.simmachine import ibm_sp_argonne, linear_test_machine
 
@@ -44,9 +44,7 @@ def make_service(**kwargs):
 
 def archive(cache, request=PredictRequest("BT", "S", 4), **kwargs):
     """Simulate and archive one cell in a throwaway service; its report."""
-    with make_service(
-        cache_dir=str(cache), batch_window=0.0, **kwargs
-    ) as service:
+    with make_service(cache_dir=str(cache), **kwargs) as service:
         return service.predict(request, timeout=120)
 
 
@@ -80,16 +78,27 @@ def store_calls(monkeypatch):
 
 
 class TestArchivedCells:
-    def test_answered_without_the_batch_window(self, tmp_path, store_calls):
+    def test_answered_without_a_dispatch(
+        self, tmp_path, store_calls, monkeypatch
+    ):
         cache = tmp_path / "memo"
         seed0 = archive(cache)
         store_calls.update(get=0, put=0, put_if_absent=0)
-        with make_service(cache_dir=str(cache), batch_window=30.0) as service:
+        submits = []
+        submit = WorkerPool.submit
+
+        def counted(pool, *args, **kwargs):
+            submits.append(args)
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "submit", counted)
+        with make_service(cache_dir=str(cache)) as service:
             report = service.predict(
                 PredictRequest("BT", "S", 4, seed=7), timeout=5
             )
             stats = service.stats()
         assert store_calls == {"get": 1, "put": 0, "put_if_absent": 0}
+        assert submits == []
         assert report.tier == "memo"
         assert stats["simulations"] == 0
         assert stats["batches"] == 0
@@ -115,7 +124,7 @@ class TestArchivedCells:
         monkeypatch.setattr(ChainRunner, "measure", spy)
         monkeypatch.setattr(ApplicationRunner, "run", no_application)
         with make_service(
-            cache_dir=str(cache), executor="inline", batch_window=0.0
+            cache_dir=str(cache), executor="inline"
         ) as service:
             report = service.predict(
                 PredictRequest("BT", "S", 4, chain_length=3), timeout=120
@@ -131,7 +140,7 @@ class TestArchivedCells:
         cache = tmp_path / "memo"
         seed0 = archive(cache)
         before = sorted(cache.rglob("*"))
-        with make_service(cache_dir=str(cache), batch_window=30.0) as service:
+        with make_service(cache_dir=str(cache)) as service:
             replayed = service.predict(
                 PredictRequest("BT", "S", 4, seed=7), timeout=5
             )
@@ -143,16 +152,16 @@ class TestArchivedCells:
         assert sorted(cache.rglob("*")) == before
 
     def test_memo_record_is_written_and_served(self, tmp_path):
-        # A simulated batch writes its seed's cell record and its chain
+        # A simulated cell writes its seed's cell record and its chain
         # length's archive record; the archive answers the next service.
         cache = tmp_path / "memo"
         request = PredictRequest("BT", "S", 4, seed=7)
-        with make_service(cache_dir=str(cache), batch_window=0.0) as service:
+        with make_service(cache_dir=str(cache)) as service:
             simulated = service.predict(request, timeout=120)
             assert service.stats()["memo"]["stores"] == 2
         assert len(records(cache, "cell")) == 1
         assert len(records(cache, "archive")) == 1
-        with make_service(cache_dir=str(cache), batch_window=30.0) as service:
+        with make_service(cache_dir=str(cache)) as service:
             served = service.predict(request, timeout=5)
             stats = service.stats()
         assert simulated.tier == "simulation"
@@ -211,7 +220,6 @@ class TestGates:
         with make_service(
             cache_dir=str(tmp_path / "memo"),
             executor="inline",
-            batch_window=0.0,
             crash_threshold=2,
             degraded_probe_every=100,
         ) as service:
@@ -251,7 +259,6 @@ class TestGates:
             cache_dir=str(tmp_path / "memo"),
             execute=gated,
             executor="inline",
-            batch_window=0.0,
             max_workers=1,
             queue_depth=1,
         )
@@ -302,7 +309,6 @@ class TestFirstWriterWins:
         with make_service(
             cache_dir=str(cache),
             execute=functools.partial(run_cell_together, str(rendezvous)),
-            batch_window=0.05,
             max_workers=2,
         ) as service:
             racing = service.predict_many(
@@ -319,9 +325,7 @@ class TestFirstWriterWins:
         assert stats["batches"] == 2 and stats["misses"] == 2
         assert {r.actual for r in racing + later} == {archived["actual"]}
         assert all(r == racing[0] for r in racing + later)
-        with make_service(
-            cache_dir=str(cache), batch_window=30.0
-        ) as service:
+        with make_service(cache_dir=str(cache)) as service:
             assert service.predict(
                 PredictRequest("BT", "S", 4, seed=99), timeout=5
             ) == racing[0]
@@ -333,9 +337,7 @@ class TestStaleArchive:
     def serve(self, args, tmp_path, capsys, monkeypatch):
         line = '{"benchmark": "BT", "problem_class": "S", "nprocs": 4}\n'
         monkeypatch.setattr("sys.stdin", io.StringIO(line))
-        assert main(
-            ["serve", "--executor", "inline", "--batch-window", "0", *args]
-        ) == 0
+        assert main(["serve", "--executor", "inline", *args]) == 0
         (answer, *_) = capsys.readouterr().out.splitlines()
         return json.loads(answer)
 
@@ -363,12 +365,11 @@ class TestStaleArchive:
         with make_service(
             cache_dir=str(cache),
             measurement=MeasurementConfig(repetitions=6),
-            batch_window=0.0,
         ) as service:
             second = service.predict(PredictRequest("BT", "S", 4))
             simulations = service.stats()["simulations"]
         with make_service(
-            measurement=MeasurementConfig(repetitions=6), batch_window=0.0
+            measurement=MeasurementConfig(repetitions=6)
         ) as service:
             fresh = service.predict(PredictRequest("BT", "S", 4))
         assert simulations > 0
@@ -384,7 +385,6 @@ class TestStaleArchive:
         linear = dict(
             machine=linear_test_machine(),
             measurement=MeasurementConfig(repetitions=4),
-            batch_window=0.0,
         )
         with make_service(cache_dir=str(cache), **linear) as service:
             second = service.predict(PredictRequest("BT", "S", 4))
@@ -438,7 +438,7 @@ class TestCorruption:
         request = PredictRequest(
             bench, "S", 4, chain_length=ARCHIVED_CHAINS[bench], seed=7
         )
-        with make_service(cache_dir=str(cache), batch_window=30.0) as service:
+        with make_service(cache_dir=str(cache)) as service:
             with faults.active(corrupt_every(10**9)) as injector:
                 report = service.predict(request, timeout=5)
         assert report.tier == "memo"
@@ -452,19 +452,19 @@ class TestCorruption:
             bench, "S", 4, chain_length=ARCHIVED_CHAINS[bench], seed=7
         )
         with make_service(
-            cache_dir=str(cache), executor="inline", batch_window=0.0
+            cache_dir=str(cache), executor="inline"
         ) as service:
             with faults.active(corrupt_every(1)):
                 report = service.predict(request)
             stats = service.stats()
-            # The batch re-archived the cell: the next read is a hit.
+            # The dispatched cell re-archived it: the next read is a hit.
             again = service.predict(
                 PredictRequest(bench, "S", 4,
                                chain_length=ARCHIVED_CHAINS[bench], seed=8)
             )
         assert corruptions() == 1
         assert stats["memo"]["corruptions"] == 1
-        # The purged record fell through to the batcher: one answer,
+        # The purged record fell through to a dispatched cell: one answer,
         # simulated at the request's own seed.
         assert report.tier == "simulation"
         assert stats["simulations"] > 0
@@ -482,7 +482,7 @@ class TestCorruption:
     def test_written_corruption_is_caught_by_the_next_read(self, tmp_path):
         cache = tmp_path / "memo"
         with make_service(
-            cache_dir=str(cache), executor="inline", batch_window=0.0
+            cache_dir=str(cache), executor="inline"
         ) as service:
             with faults.active(FaultPlan(specs=(
                 FaultSpec(site="db.write.corrupt", every_nth=1),

@@ -1,4 +1,4 @@
-"""The wire path of one server: TCP, ordering, batching, retry.
+"""The wire path of one server: TCP, ordering, array lines, retry.
 
 Runs :func:`~repro.service.serve_socket` over a service whose worker
 processes run the synthetic cell function, and talks to it with
@@ -92,7 +92,6 @@ def test_client_retry_honours_retry_after_and_recovers(tmp_path):
     gate = str(tmp_path / "gate")
     with serving(
         execute=functools.partial(gated_synthetic, gate),
-        batch_window=0.0,
         max_workers=1,
         queue_depth=1,
     ) as (service, address):

@@ -128,7 +128,6 @@ def make_service(**kwargs) -> PredictionService:
     return PredictionService(
         measurement=MeasurementConfig(repetitions=2, warmup=1),
         execute=synthetic_execute,
-        batch_window=0.0,
         **kwargs,
     )
 

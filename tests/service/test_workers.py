@@ -105,17 +105,19 @@ class TestExecuteCell:
 
 
 class TestWorkerPool:
-    def test_inline_executes_synchronously(self):
+    def test_inline_runs_off_the_calling_thread(self):
         pool = WorkerPool(kind="inline")
-        future = pool.submit(lambda x: x * 2, 21)
-        assert future.result(timeout=0) == 42
+        future = pool.submit(lambda x: (x * 2, threading.get_ident()), 21)
+        doubled, cell_thread = future.result(timeout=5)
+        assert doubled == 42
+        assert cell_thread != threading.get_ident()
         pool.shutdown()
 
     def test_inline_relays_exceptions(self):
         pool = WorkerPool(kind="inline")
         future = pool.submit(lambda _: 1 / 0, None)
         with pytest.raises(ZeroDivisionError):
-            future.result(timeout=0)
+            future.result(timeout=5)
         pool.shutdown()
 
     def test_process_pool_runs_work(self):
@@ -238,8 +240,8 @@ class TestWorkerHealth:
     def test_consecutive_crashes_flip_health(self):
         pool = WorkerPool(max_workers=1, kind="inline", crash_threshold=2)
         for expected in (1, 2):
-            with pytest.raises(Exception):
-                pool.submit(self.crash, None).result(timeout=0)
+            with pytest.raises(WorkerCrashError):
+                pool.submit(self.crash, None).result(timeout=5)
             assert pool.consecutive_crashes == expected
         assert not pool.healthy
         assert pool.crashes == 2
@@ -248,10 +250,10 @@ class TestWorkerHealth:
 
     def test_success_restores_health(self):
         pool = WorkerPool(max_workers=1, kind="inline", crash_threshold=1)
-        with pytest.raises(Exception):
-            pool.submit(self.crash, None).result(timeout=0)
+        with pytest.raises(WorkerCrashError):
+            pool.submit(self.crash, None).result(timeout=5)
         assert not pool.healthy
-        pool.submit(lambda _: "ok", None).result(timeout=0)
+        pool.submit(lambda _: "ok", None).result(timeout=5)
         assert pool.healthy
         assert pool.consecutive_crashes == 0
         assert pool.crashes == 1  # the total is not reset
@@ -260,7 +262,7 @@ class TestWorkerHealth:
     def test_ordinary_errors_are_not_worker_deaths(self):
         pool = WorkerPool(max_workers=1, kind="inline", crash_threshold=1)
         with pytest.raises(ZeroDivisionError):
-            pool.submit(lambda _: 1 / 0, None).result(timeout=0)
+            pool.submit(lambda _: 1 / 0, None).result(timeout=5)
         assert pool.healthy
         assert pool.crashes == 0
         pool.shutdown()
@@ -286,7 +288,6 @@ class TestWorkerDeath:
         return PredictionService(
             measurement=MEASUREMENT,
             execute=functools.partial(kill_while_armed, str(flag)),
-            batch_window=0.0,
             **kwargs,
         )
 
