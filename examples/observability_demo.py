@@ -4,8 +4,10 @@ Drives a BT class S prediction through the serving layer with a
 correlation ID bound, then shows everything the substrate captured:
 
 * structured log lines stamped with the correlation/trace/span IDs;
-* the span tree (client.predict -> service.predict -> service.dispatch
-  -> service.cell -> campaign.run -> measure.chain ...);
+* the request's span tree (service.store, then service.predict ->
+  service.dispatch); the cell itself runs in a worker process, and its
+  spans (app.run, measure.chain ...) come back as the merged
+  ``span_seconds`` histograms of the exposition below;
 * the merged Prometheus text exposition — the same bytes a running
   ``repro serve --port N`` answers to the ``{"cmd": "metrics"}`` command
   (or ``repro metrics --port N``).
@@ -17,7 +19,7 @@ import sys
 
 from repro import obs
 from repro.instrument import MeasurementConfig
-from repro.service import PredictionService, ServiceClient
+from repro.service import PredictionService, PredictRequest
 
 
 def main() -> None:
@@ -27,17 +29,18 @@ def main() -> None:
         measurement=MeasurementConfig(repetitions=2, warmup=1),
         max_workers=2,
     )
-    with ServiceClient(service) as client:
-        report = client.predict(
-            "BT", "S", 4, chain_length=2, correlation_id="demo-1"
-        )
+    request = PredictRequest("BT", "S", 4, chain_length=2)
+    with service:
+        with obs.correlation("demo-1"):
+            report = service.predict(request)
         obs.log(
             "demo.predicted",
             actual=round(report.actual, 4),
             best=report.best(),
         )
         # A repeat of the same question: served from the L1 cache.
-        client.predict("BT", "S", 4, chain_length=2, correlation_id="demo-2")
+        with obs.correlation("demo-2"):
+            service.predict(request)
 
         print("\n--- span tree (name, trace, parent) ---")
         for span in obs.get_tracer().spans():

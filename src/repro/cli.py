@@ -716,28 +716,30 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    import json
-    import socket
+def _server_command(args, cmd: str) -> dict:
+    """Send ``{"cmd": cmd}`` to the server at ``--host``/``--port``.
 
-    from repro.errors import ReproError
+    Returns its reply; an unreachable server, a closed connection and an
+    ``ok: false`` reply each raise :class:`ReproError`.
+    """
+    from repro.service import LineClient
 
     try:
-        with socket.create_connection(
-            (args.host, args.port), timeout=args.timeout
-        ) as sock:
-            sock.sendall(b'{"cmd": "metrics"}\n')
-            reader = sock.makefile("r", encoding="utf-8")
-            line = reader.readline()
+        with LineClient(args.host, args.port, timeout=args.timeout) as client:
+            payload = client.request({"cmd": cmd})
     except OSError as exc:
         raise ReproError(
             f"cannot reach {args.host}:{args.port}: {exc}"
         ) from exc
-    if not line:
-        raise ReproError("server closed the connection without responding")
-    payload = json.loads(line)
     if not payload.get("ok"):
         raise ReproError(f"server error: {payload.get('error', 'unknown')}")
+    return payload
+
+
+def _cmd_metrics(args) -> int:
+    import json
+
+    payload = _server_command(args, "metrics")
     if args.format == "json":
         print(json.dumps(payload["metrics"], indent=2, sort_keys=True))
     else:
@@ -747,24 +749,8 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_slo(args) -> int:
     import json
-    import socket
 
-    try:
-        with socket.create_connection(
-            (args.host, args.port), timeout=args.timeout
-        ) as sock:
-            sock.sendall(b'{"cmd": "slo"}\n')
-            reader = sock.makefile("r", encoding="utf-8")
-            line = reader.readline()
-    except OSError as exc:
-        raise ReproError(
-            f"cannot reach {args.host}:{args.port}: {exc}"
-        ) from exc
-    if not line:
-        raise ReproError("server closed the connection without responding")
-    payload = json.loads(line)
-    if not payload.get("ok"):
-        raise ReproError(f"server error: {payload.get('error', 'unknown')}")
+    payload = _server_command(args, "slo")
     report = payload["slo"]
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -19,9 +19,10 @@ time. This subsystem turns that into a long-lived service:
   backpressure and typed worker-death accounting;
 * :mod:`~repro.service.metrics` — counters and latency histograms behind
   :meth:`~repro.service.engine.PredictionService.stats`;
-* :mod:`~repro.service.api` — the :class:`~repro.service.api.ServiceClient`
-  facade, the :class:`~repro.service.api.LineClient` socket client, and
-  the JSON-lines / TCP front-ends behind ``repro serve``.
+* :mod:`~repro.service.api` — the JSON-lines / TCP front-ends behind
+  ``repro serve``, and :class:`~repro.service.api.LineClient`, the one
+  client: it speaks the line protocol over TCP and retries transient
+  errors. In-process callers call ``PredictionService.predict`` directly.
 
 Quickstart::
 
@@ -35,7 +36,6 @@ Quickstart::
 from repro.service.api import (
     LineClient,
     RetryPolicy,
-    ServiceClient,
     counters_payload,
     error_dict,
     handle_line,
@@ -54,7 +54,6 @@ __all__ = [
     "PredictRequest",
     "PredictionService",
     "RetryPolicy",
-    "ServiceClient",
     "ServiceMetrics",
     "TieredPredictionCache",
     "WorkerPool",

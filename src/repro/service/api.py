@@ -1,18 +1,19 @@
-"""Clients and wire front-ends for the prediction service.
+"""The wire front-ends of the prediction service, and its one client.
 
-Three ways in:
+Two front-ends serve a :class:`~repro.service.engine.PredictionService`
+through :func:`handle_line`:
 
-* :class:`ServiceClient` — a thread-safe in-process facade with a
-  keyword-friendly ``predict()`` signature;
 * :func:`serve_jsonl` — a JSON-lines request/response loop over any pair of
   text streams (the ``repro serve`` CLI runs it over stdin/stdout), for
   piping and load testing;
 * :func:`serve_socket` — the same line protocol over TCP
   (``repro serve --port N``), one thread per connection.
 
-Both loops serve a :class:`~repro.service.engine.PredictionService`
-through :func:`handle_line`. :class:`LineClient` is the socket twin of
-:class:`ServiceClient`.
+:class:`LineClient` speaks that protocol over TCP and is the only client
+that retries. In-process callers call
+:meth:`~repro.service.engine.PredictionService.predict` directly (under
+``obs.correlation(...)`` to tag the request), or :func:`handle_line` for
+the wire form.
 
 The line protocol: each input line is either a request object
 (``{"benchmark": "BT", "problem_class": "W", "nprocs": 4, ...}``), an array
@@ -40,14 +41,7 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Mapping,
-    Optional,
-    TextIO,
-)
+from typing import Any, Callable, Iterable, Optional, TextIO
 
 from repro import faults, obs
 from repro.core.predictor import PredictionReport
@@ -64,7 +58,6 @@ from repro.service.engine import PredictRequest, PredictionService
 
 __all__ = [
     "RetryPolicy",
-    "ServiceClient",
     "LineClient",
     "report_to_dict",
     "error_dict",
@@ -116,17 +109,15 @@ def error_dict(exc: Exception) -> dict[str, Any]:
     return payload
 
 
-_error_dict = error_dict
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff + deterministic jitter.
 
-    Governs :class:`ServiceClient` behaviour on *transient* failures —
-    saturation rejections and worker crashes. Timeouts and degraded-mode
-    rejections are **not** retried: a deadline already spent the caller's
-    budget, and degraded mode will not heal within one backoff.
+    Governs how :meth:`LineClient.predict` retries *transient* wire errors
+    — saturation rejections and worker crashes. Timeouts and
+    degraded-mode rejections are **not** retried: a deadline already spent
+    the caller's budget, and degraded mode will not heal within one
+    backoff.
 
     The delay before retry ``k`` (1-based) is
     ``min(max_delay, base_delay * 2**(k-1))`` stretched by a jitter factor
@@ -159,122 +150,21 @@ class RetryPolicy:
             yield delay * (1.0 + self.jitter * rng.random())
 
 
-#: Transient failures :class:`ServiceClient` retries under its policy.
-_RETRYABLE = (ServiceSaturatedError, WorkerCrashError)
-
-
-class ServiceClient:
-    """Synchronous, thread-safe convenience wrapper around a service.
-
-    Owns the service unless told otherwise: closing the client closes the
-    service it was constructed with (``owns=False`` opts out for shared
-    services).
-
-    ``retry`` (a :class:`RetryPolicy`, default one) bounds automatic
-    retries of transient failures — saturation rejections and worker
-    crashes — with exponential backoff and deterministic jitter;
-    ``RetryPolicy(max_attempts=1)`` disables retrying. ``sleep`` is
-    injectable so tests run the backoff schedule without real waiting.
-    """
-
-    def __init__(
-        self,
-        service: PredictionService,
-        owns: bool = True,
-        retry: Optional[RetryPolicy] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.service = service
-        self._owns = owns
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._sleep = sleep
-
-    def _predict_with_retry(
-        self, request: PredictRequest, timeout: Optional[float]
-    ) -> PredictionReport:
-        delays = self.retry.delays()
-        while True:
-            try:
-                return self.service.predict(request, timeout=timeout)
-            except _RETRYABLE as exc:
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    raise exc from None
-                hint = getattr(exc, "retry_after", None)
-                if hint is not None:
-                    delay = max(delay, float(hint))
-                obs.get_registry().counter("retry_attempts").inc()
-                obs.log(
-                    "client.retry",
-                    error=type(exc).__name__,
-                    delay=round(delay, 6),
-                )
-                self._sleep(delay)
-
-    def predict(
-        self,
-        benchmark: str,
-        problem_class: str,
-        nprocs: int,
-        chain_length: int = 2,
-        seed: int = 0,
-        timeout: Optional[float] = None,
-        correlation_id: Optional[str] = None,
-    ) -> PredictionReport:
-        """Predict one configuration (arguments mirror ``repro predict``).
-
-        ``correlation_id`` (optional) is bound for the duration of the
-        call: the request's spans adopt it as their trace ID and
-        structured log lines carry it.
-        """
-        request = PredictRequest(
-            benchmark=benchmark,
-            problem_class=problem_class,
-            nprocs=nprocs,
-            chain_length=chain_length,
-            seed=seed,
-        )
-        with obs.correlation(correlation_id), obs.span(
-            "client.predict", benchmark=request.benchmark
-        ):
-            return self._predict_with_retry(request, timeout)
-
-    def predict_dict(
-        self, data: Mapping[str, Any], timeout: Optional[float] = None
-    ) -> dict[str, Any]:
-        """Predict from a wire-form request; returns a wire-form response."""
-        request = PredictRequest.from_dict(data)
-        report = self._predict_with_retry(request, timeout)
-        return report_to_dict(request, report, degraded=self.service.degraded)
-
-    def stats(self) -> dict:
-        return self.service.stats()
-
-    def close(self) -> None:
-        if self._owns:
-            self.service.close()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-#: Wire error types a :class:`LineClient` treats as transient.
-_RETRYABLE_WIRE = ("ServiceSaturatedError", "WorkerCrashError")
+#: Wire ``error_type`` values :class:`LineClient` retries: the transient
+#: failures. Every other error reply is final.
+_TRANSIENT = (ServiceSaturatedError.__name__, WorkerCrashError.__name__)
 
 
 class LineClient:
-    """Synchronous JSONL/TCP client with the service's retry semantics.
+    """Synchronous JSONL/TCP client, the service's one retrying client.
 
-    The socket twin of :class:`ServiceClient`: ``predict`` retries
-    transient wire errors (saturation sheds, worker deaths) under a
-    :class:`RetryPolicy`, honouring ``retry_after`` hints, and
-    transparently reconnects if the server dropped the connection in
-    between. ``sleep`` is injectable so tests can assert on the honoured
-    backoff schedule without waiting.
+    ``request`` is one exchange; it reconnects once if the server dropped
+    the connection in between. ``predict`` retries transient error
+    replies (saturation sheds, worker deaths) under a
+    :class:`RetryPolicy`, honouring ``retry_after`` hints, logs each retry
+    as ``client.retry``, and returns the last reply once attempts run out.
+    ``sleep`` is injectable so tests can assert on the honoured backoff
+    schedule without waiting.
     """
 
     def __init__(
@@ -308,7 +198,7 @@ class LineClient:
                 self._file.write(line.encode("utf-8") + b"\n")
                 self._file.flush()
                 raw = self._file.readline()
-            except (ConnectionError, OSError, TimeoutError):
+            except OSError:
                 self.close()
                 if attempt:
                     raise
@@ -334,17 +224,14 @@ class LineClient:
         delays = self.retry.delays()
         while True:
             try:
-                response = self.request(payload)
-            except (ConnectionError, OSError, ServiceError):
+                response: Optional[dict[str, Any]] = self.request(payload)
+                error = response.get("error_type")
+            except (OSError, ServiceError) as exc:
                 # The server itself vanished mid-exchange: retry on the
                 # same schedule as a worker loss.
-                response = None
-            if (
-                response is not None
-                and (
-                    response.get("ok")
-                    or response.get("error_type") not in _RETRYABLE_WIRE
-                )
+                response, error = None, type(exc).__name__
+            if response is not None and (
+                response.get("ok") or error not in _TRANSIENT
             ):
                 return response
             try:
@@ -355,11 +242,11 @@ class LineClient:
                 raise ServiceError(
                     "connection to the server kept failing"
                 ) from None
-            if response is not None:
-                hint = response.get("retry_after")
-                if hint is not None:
-                    delay = max(delay, float(hint))
+            hint = None if response is None else response.get("retry_after")
+            if hint is not None:
+                delay = max(delay, float(hint))
             obs.get_registry().counter("retry_attempts").inc()
+            obs.log("client.retry", error=error, delay=round(delay, 6))
             self._sleep(delay)
 
     def stats(self) -> dict[str, Any]:
@@ -438,12 +325,12 @@ def handle_line(service: PredictionService, line: str) -> Optional[str]:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
-        return json.dumps(_error_dict(ReproError(f"invalid JSON: {exc}")))
+        return json.dumps(error_dict(ReproError(f"invalid JSON: {exc}")))
     if isinstance(payload, list):
         return json.dumps({"ok": True, "results": _handle_batch(service, payload)})
     if not isinstance(payload, dict):
         return json.dumps(
-            _error_dict(ReproError("request must be a JSON object or array"))
+            error_dict(ReproError("request must be a JSON object or array"))
         )
     if payload.get("cmd") == "stats":
         return json.dumps({"ok": True, "stats": service.stats()})
@@ -471,7 +358,7 @@ def handle_line(service: PredictionService, line: str) -> Optional[str]:
     except ClientDisconnectError:
         raise
     except ReproError as exc:
-        response = _error_dict(exc)
+        response = error_dict(exc)
     if has_id:
         response["id"] = request_id
     return json.dumps(response)
@@ -495,7 +382,7 @@ def _handle_batch(
             responses.append(None)
         except ReproError as exc:
             requests.append(None)
-            responses.append(_error_dict(exc))
+            responses.append(error_dict(exc))
         ids.append((has_id, request_id))
     live = [r for r in requests if r is not None]
     outcomes = iter(
@@ -506,7 +393,7 @@ def _handle_batch(
             continue
         outcome = next(outcomes)
         if isinstance(outcome, Exception):
-            responses[i] = _error_dict(outcome)
+            responses[i] = error_dict(outcome)
         else:
             responses[i] = report_to_dict(
                 request, outcome, degraded=service.degraded

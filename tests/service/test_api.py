@@ -1,4 +1,4 @@
-"""Wire front-ends: client facade, JSON-lines loop, TCP socket."""
+"""Wire front-ends: the line handler, JSON-lines loop, TCP socket."""
 
 import io
 import json
@@ -6,12 +6,7 @@ import socket
 import threading
 
 from repro.instrument import MeasurementConfig
-from repro.service import (
-    PredictionService,
-    ServiceClient,
-    serve_jsonl,
-    serve_socket,
-)
+from repro.service import PredictionService, serve_jsonl, serve_socket
 from repro.service.api import handle_line
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
@@ -21,32 +16,6 @@ def make_service():
     return PredictionService(
         measurement=MEASUREMENT, executor="inline"
     )
-
-
-class TestServiceClient:
-    def test_predict_keyword_facade(self):
-        with ServiceClient(make_service()) as client:
-            report = client.predict("bt", "s", 4, chain_length=2)
-            assert report.actual > 0
-            assert "Summation" in report.predictions
-            assert client.stats()["requests"] == 1
-
-    def test_predict_dict_returns_wire_form(self):
-        with ServiceClient(make_service()) as client:
-            response = client.predict_dict(
-                {"benchmark": "BT", "problem_class": "S", "nprocs": 4}
-            )
-            assert response["ok"] is True
-            assert response["request"]["benchmark"] == "BT"
-            assert response["best"] in response["predictions"]
-
-    def test_unowned_client_leaves_service_open(self):
-        service = make_service()
-        with ServiceClient(service, owns=False):
-            pass
-        # still serving:
-        with ServiceClient(service):
-            assert service.stats()["requests"] == 0
 
 
 class TestHandleLine:

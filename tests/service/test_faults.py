@@ -7,12 +7,15 @@ client retry with backoff, memo-store corruption detection, L1 drops,
 and the wire-level disconnect/error typing.
 """
 
+import logging
+import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro import faults, obs
+from repro import errors, faults, obs
 from repro.errors import (
     ConfigurationError,
     ServiceDegradedError,
@@ -27,8 +30,9 @@ from repro.parallel.memo import SimulationMemoStore
 from repro.service import (
     PredictRequest,
     PredictionService,
+    LineClient,
     RetryPolicy,
-    ServiceClient,
+    error_dict,
     handle_line,
     serve_jsonl,
 )
@@ -334,71 +338,106 @@ class TestRetryPolicy:
             RetryPolicy(base_delay=-1)
 
 
-class FlakyService:
-    """Service stand-in failing transiently N times, then succeeding."""
+REQUEST = {"benchmark": "BT", "problem_class": "S", "nprocs": 4}
 
-    def __init__(self, failures, exc_factory):
+#: Wire error types a client retries; every other error reply is final.
+TRANSIENT = ("ServiceSaturatedError", "WorkerCrashError")
+
+
+def documented_error_types():
+    """The exception column of the error table in ``docs/API.md``."""
+    api_md = Path(__file__).resolve().parents[2] / "docs" / "API.md"
+    text = api_md.read_text(encoding="utf-8")
+    table = text.split("| Exception | Wire `error_type` |", 1)[1]
+    names = re.findall(r"^\| `(\w+)` \|", table.split("\n\n", 1)[0], re.M)
+    assert names, "docs/API.md lost its error table"
+    return names
+
+
+class ScriptedReplies:
+    """``LineClient.request`` stand-in: ``failures`` copies of one error
+    reply, then an ok reply."""
+
+    def __init__(self, failures, exc):
         self.failures = failures
-        self.exc_factory = exc_factory
+        self.reply = error_dict(exc)
         self.calls = 0
-        self.degraded = False
 
-    def predict(self, request, timeout=None):
+    def __call__(self, payload):
         self.calls += 1
         if self.calls <= self.failures:
-            raise self.exc_factory()
-        return "report"
+            return dict(self.reply)
+        return {"ok": True}
 
-    def close(self):
-        pass
+
+def scripted_client(replies, sleep=lambda _s: None, **policy):
+    client = LineClient(
+        "127.0.0.1", 0, retry=RetryPolicy(**policy), sleep=sleep
+    )
+    client.request = replies
+    return client
 
 
 class TestClientRetry:
     def test_retries_saturation_with_backoff_honoring_hint(self):
         slept = []
-        flaky = FlakyService(
-            2, lambda: ServiceSaturatedError("full", retry_after=0.2)
+        replies = ScriptedReplies(
+            2, ServiceSaturatedError("full", retry_after=0.2)
         )
-        client = ServiceClient(
-            flaky,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
-            sleep=slept.append,
+        client = scripted_client(
+            replies, slept.append, max_attempts=3, base_delay=0.01, jitter=0.0
         )
-        assert client.predict("BT", "S", 4) == "report"
-        assert flaky.calls == 3
+        assert client.predict(REQUEST) == {"ok": True}
+        assert replies.calls == 3
         # retry_after=0.2 dominates both computed backoff delays.
         assert slept == [0.2, 0.2]
         assert obs.get_registry().counter("retry_attempts").value == 2
 
     def test_retries_worker_crashes(self):
-        flaky = FlakyService(1, lambda: WorkerCrashError("died"))
-        client = ServiceClient(
-            flaky, retry=RetryPolicy(max_attempts=2), sleep=lambda _s: None
-        )
-        assert client.predict("BT", "S", 4) == "report"
-        assert flaky.calls == 2
+        replies = ScriptedReplies(1, WorkerCrashError("died"))
+        client = scripted_client(replies, max_attempts=2)
+        assert client.predict(REQUEST) == {"ok": True}
+        assert replies.calls == 2
 
-    def test_exhausted_attempts_reraise(self):
-        flaky = FlakyService(99, lambda: WorkerCrashError("died"))
-        client = ServiceClient(
-            flaky, retry=RetryPolicy(max_attempts=3), sleep=lambda _s: None
-        )
-        with pytest.raises(WorkerCrashError):
-            client.predict("BT", "S", 4)
-        assert flaky.calls == 3
+    def test_exhausted_attempts_return_the_last_reply(self):
+        replies = ScriptedReplies(99, WorkerCrashError("died"))
+        client = scripted_client(replies, max_attempts=3)
+        assert client.predict(REQUEST) == error_dict(WorkerCrashError("died"))
+        assert replies.calls == 3
 
     def test_timeouts_and_degraded_are_not_retried(self):
-        for exc_factory in (
-            lambda: ServiceTimeoutError("late", timeout=1.0),
-            lambda: ServiceDegradedError("degraded"),
+        for exc in (
+            ServiceTimeoutError("late", timeout=1.0),
+            ServiceDegradedError("degraded"),
         ):
-            flaky = FlakyService(1, exc_factory)
-            client = ServiceClient(
-                flaky, retry=RetryPolicy(max_attempts=5), sleep=lambda _s: None
-            )
-            with pytest.raises((ServiceTimeoutError, ServiceDegradedError)):
-                client.predict("BT", "S", 4)
-            assert flaky.calls == 1
+            replies = ScriptedReplies(1, exc)
+            client = scripted_client(replies, max_attempts=5)
+            assert client.predict(REQUEST)["error_type"] == type(exc).__name__
+            assert replies.calls == 1
+
+    @pytest.mark.parametrize("name", documented_error_types())
+    def test_documented_error_keeps_its_type_and_retry_class(self, name):
+        exc = getattr(errors, name)("boom")
+        assert error_dict(exc)["error_type"] == name
+        replies = ScriptedReplies(1, exc)
+        scripted_client(replies, max_attempts=2).predict(REQUEST)
+        assert replies.calls == (2 if name in TRANSIENT else 1)
+
+    def test_retry_logs_client_retry(self, caplog):
+        caplog.set_level(logging.INFO, logger="repro")
+        replies = ScriptedReplies(
+            1, ServiceSaturatedError("full", retry_after=0.2)
+        )
+        client = scripted_client(
+            replies, max_attempts=2, base_delay=0.01, jitter=0.0
+        )
+        client.predict(REQUEST)
+        (line,) = [
+            record.getMessage() for record in caplog.records
+            if record.getMessage().startswith("client.retry")
+        ]
+        assert "error=ServiceSaturatedError" in line
+        assert "delay=0.2" in line
 
 
 def sample_key(nprocs=4):
@@ -532,13 +571,11 @@ class TestSimulatorFaults:
 
 class TestWireProtocol:
     def test_error_dict_carries_error_type(self):
-        from repro.service.api import _error_dict
-
-        payload = _error_dict(ServiceSaturatedError("full", retry_after=1.5))
+        payload = error_dict(ServiceSaturatedError("full", retry_after=1.5))
         assert payload["ok"] is False
         assert payload["error_type"] == "ServiceSaturatedError"
         assert payload["retry_after"] == 1.5
-        degraded = _error_dict(ServiceDegradedError("cache only"))
+        degraded = error_dict(ServiceDegradedError("cache only"))
         assert degraded["error_type"] == "ServiceDegradedError"
         assert degraded["degraded"] is True
 

@@ -1,4 +1,5 @@
-"""The wire path of one server: TCP, ordering, array lines, retry.
+"""The wire path of one server: TCP, ordering, array lines, retry,
+reconnection.
 
 Runs :func:`~repro.service.serve_socket` over a service whose worker
 processes run the synthetic cell function, and talks to it with
@@ -16,6 +17,8 @@ import time
 
 import pytest
 
+from repro import faults, obs
+from repro.faults import FaultPlan, FaultSpec
 from repro.service import LineClient, RetryPolicy
 from tests.chaos.harness import serving, synthetic_execute
 
@@ -130,3 +133,16 @@ def test_client_retry_honours_retry_after_and_recovers(tmp_path):
     assert response["ok"]
     assert sleeps and sleeps[0] >= hint  # the shed hint, not the base delay
     assert stats["rejected"] == 2
+
+
+def test_client_reconnects_once_after_a_dropped_connection(server):
+    """The server drops the connection instead of answering (the
+    ``api.disconnect`` site); ``request`` reconnects and resends once."""
+    _, client = server
+    drop_once = FaultPlan(
+        specs=(FaultSpec(site="api.disconnect", every_nth=1, max_fires=1),)
+    )
+    with faults.active(drop_once):
+        response = client.request(_request(id="resent"))
+    assert response["ok"] and response["id"] == "resent"
+    assert obs.get_registry().counter("client_disconnects").value == 1
