@@ -224,11 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max outstanding cells before rejecting with retry-after",
     )
     serve.add_argument(
-        "--executor", choices=["process", "inline"], default="process",
-        help="process: simulate on --workers worker processes; "
-        "inline: simulate one cell at a time on an in-process thread",
-    )
-    serve.add_argument(
         "--port", type=int, default=None,
         help="serve over TCP on this port instead of stdin (0 = ephemeral)",
     )
@@ -481,10 +476,10 @@ def _cmd_campaign(args) -> int:
             line += f" {result.coupling_prediction(length):>14.3f}"
         print(line)
     summary = f"{len(rows)} cells in {elapsed:.2f} s (jobs={args.jobs})"
-    if pipeline.memo is not None:
+    if args.cache_dir is not None:
         # Worker counter deltas merge into the global registry, so these
-        # totals cover parallel cells too (unlike the parent-only stats()).
-        # A warm re-run reads one cell record per cell: its hits are those.
+        # totals cover pool cells too. A warm re-run reads one cell record
+        # per cell: its hits are those.
         registry = obs.get_registry()
         hits = registry.counter("parallel_memo_hits").value
         stores = registry.counter("parallel_memo_stores").value
@@ -694,7 +689,6 @@ def _cmd_serve(args) -> int:
                 cache_ttl=args.ttl,
                 max_workers=args.workers,
                 queue_depth=args.queue_depth,
-                executor=args.executor,
                 tier_policy=args.tier_policy,
                 cache_dir=args.cache_dir,
             )
@@ -702,7 +696,6 @@ def _cmd_serve(args) -> int:
         obs.log(
             "serve.configured",
             workers=args.workers,
-            executor=args.executor,
             queue_depth=args.queue_depth,
             cache_dir=args.cache_dir,
             tier_policy=args.tier_policy,

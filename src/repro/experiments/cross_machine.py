@@ -16,12 +16,11 @@ commodity cluster — and checks:
 
 from __future__ import annotations
 
-from repro.core.kernel import ControlFlow
-from repro.core.predictor import CouplingPredictor, PredictionInputs
+from dataclasses import replace
+
+from repro.core.predictor import CouplingPredictor
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.experiments.registry import Experiment, ExperimentResult, register
-from repro.instrument.runner import ApplicationRunner, ChainRunner
-from repro.npb import make_benchmark
 from repro.simmachine.machine import commodity_cluster_2002
 from repro.util.tables import Table
 
@@ -31,35 +30,17 @@ _CHAIN_LENGTH = 3
 _CONFIGS = (("BT", "W", 4), ("LU", "W", 4))
 
 
-def _measure_on(machine, settings, bench_name, cls, procs):
-    bench = make_benchmark(bench_name, cls, procs)
-    flow = ControlFlow(bench.loop_kernel_names)
-    runner = ChainRunner(bench, machine, settings.measurement)
-    isolated = {
-        k: m.mean for k, m in runner.measure_all_isolated(flow.names).items()
-    }
-    chains = {
-        w: runner.measure(w).mean for w in flow.windows(_CHAIN_LENGTH)
-    }
-    pre = {k: runner.measure((k,)).mean for k in bench.pre_kernel_names}
-    post = {k: runner.measure((k,)).mean for k in bench.post_kernel_names}
-    inputs = PredictionInputs(
-        flow=flow,
-        iterations=bench.iterations,
-        loop_times=isolated,
-        pre_times=pre,
-        post_times=post,
-        chain_times=chains,
-    )
-    actual = ApplicationRunner(
-        bench, machine, seed=settings.application_seed
-    ).run().total_time
-    return inputs, actual
-
-
 def _cross_machine(p: ExperimentPipeline) -> ExperimentResult:
     sp_machine = p.settings.machine
     cluster = commodity_cluster_2002()
+    # The cluster's cells share p's memo store: memo keys carry the
+    # machine fingerprint, so the two machines' records never mix.
+    pipelines = {
+        sp_machine.name: p,
+        cluster.name: ExperimentPipeline(
+            replace(p.settings, machine=cluster), memo=p.memo
+        ),
+    }
     predictor = CouplingPredictor(_CHAIN_LENGTH)
     table = Table(
         title="Extension: cross-machine relative performance "
@@ -77,23 +58,24 @@ def _cross_machine(p: ExperimentPipeline) -> ExperimentResult:
     observations = []
     for bench_name, cls, procs in _CONFIGS:
         rows = {}
-        for machine in (sp_machine, cluster):
-            inputs, actual = _measure_on(
-                machine, p.settings, bench_name, cls, procs
+        for machine, pipeline in pipelines.items():
+            result = pipeline.config_result(
+                bench_name, cls, procs, (_CHAIN_LENGTH,)
             )
-            predicted = predictor.predict(inputs)
-            couplings = predictor.coupling_set(inputs).values()
+            actual = result.actual
+            predicted = predictor.predict(result.inputs)
+            couplings = predictor.coupling_set(result.inputs).values()
             mean_c = sum(couplings.values()) / len(couplings)
             err = 100 * abs(predicted - actual) / actual
             table.add_row(
                 f"{bench_name} {cls} {procs}p",
-                machine.name,
+                machine,
                 actual,
                 predicted,
                 err,
                 mean_c,
             )
-            rows[machine.name] = (actual, predicted, mean_c)
+            rows[machine] = (actual, predicted, mean_c)
         (a_act, a_pred, a_c) = rows[sp_machine.name]
         (b_act, b_pred, b_c) = rows[cluster.name]
         ranking_ok = (a_pred < b_pred) == (a_act < b_act)

@@ -14,27 +14,14 @@ from repro.core.predictor import (
     PredictionInputs,
     SummationPredictor,
 )
-from repro.errors import ExperimentError
-from repro.instrument.runner import (
-    ApplicationRunner,
-    ChainRunner,
-    MeasurementConfig,
-)
-from repro.npb import make_benchmark
+from repro.instrument.runner import MeasurementConfig
 from repro.parallel.executor import execute_cells
-from repro.parallel.keys import MemoKey, cell_key
+from repro.parallel.keys import cell_key
 from repro.parallel.memo import SimulationMemoStore
-from repro.parallel.worker import (
-    CellSpec,
-    measure_chain,
-    prime_runner_overhead,
-    run_application,
-)
+from repro.parallel.worker import CellSpec
 from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 
 __all__ = ["ExperimentSettings", "ConfigResult", "ExperimentPipeline"]
-
-_CONFIGS_MEASURED = obs.DefaultCounter("pipeline_configs_measured")
 
 
 @dataclass(frozen=True)
@@ -59,6 +46,8 @@ class ConfigResult:
     #: The serving-ladder rung that produced these numbers
     #: ("analytic" | "simulation"); memoized cells replay simulation data.
     tier: str = "simulation"
+    #: The chain lengths whose windows ``inputs`` holds, ascending.
+    chain_lengths: tuple[int, ...] = ()
     #: Derived-value memo only — excluded from comparison and from pickling
     #: so results cross process boundaries as pure measurement data.
     _coupling_cache: dict[int, float] = field(
@@ -98,18 +87,23 @@ class ConfigResult:
 class ExperimentPipeline:
     """Measures configurations on demand and caches everything.
 
-    Chain measurements accumulate per configuration, so a table needing
-    chain length 3 after another table measured length 2 only runs the new
-    windows — mirroring how the paper reuses one experimental campaign
-    across its tables.
+    Every cell is measured the same way: one
+    :func:`~repro.parallel.worker.run_cell` through the memo store, run
+    by :func:`~repro.parallel.executor.execute_cells`. A cell asked for
+    more chain lengths than it holds is measured again at the union of
+    both, and the memo's seed-keyed measurement records make that run
+    simulate only the new windows — mirroring how the paper reuses one
+    experimental campaign across its tables.
 
-    ``memo`` (a directory path or a :class:`SimulationMemoStore`) plugs in
-    the content-addressed simulation cache: :meth:`sweep` reads whole
-    cells as cell records, and every chain/application simulation is
-    looked up before it runs and stored after. ``jobs > 1`` fans the
-    sweep cells that still need measuring across worker processes. Both
-    are safe because the simulation tier is deterministic (REP001): serial,
-    parallel, and cache-warm runs produce bit-identical numbers.
+    ``memo`` (a directory path or a :class:`SimulationMemoStore`) is the
+    content-addressed simulation cache: each cell is first read as one
+    cell record, and every chain/application simulation is looked up
+    before it runs and stored after. Without it the pipeline uses a
+    private temporary store, removed by :meth:`close` or when the store
+    is collected. ``jobs > 1`` fans the sweep cells that still need
+    measuring across worker processes. Both are safe because the
+    simulation tier is deterministic (REP001): serial, parallel, and
+    cache-warm runs produce bit-identical numbers.
 
     ``tier_policy`` (a :class:`~repro.analytic.tiers.TierPolicy` or name)
     turns on the closed-form fast path: under ``fast``/``balanced``,
@@ -128,96 +122,21 @@ class ExperimentPipeline:
         tier_policy: "str | TierPolicy" = "exact",
     ):
         self.settings = settings or ExperimentSettings()
-        if memo is None or isinstance(memo, SimulationMemoStore):
-            self.memo = memo
-        else:
-            self.memo = SimulationMemoStore(memo)
+        self.memo = (
+            memo
+            if isinstance(memo, SimulationMemoStore)
+            else SimulationMemoStore(memo)
+        )
         self.jobs = jobs
         self.tier_policy = resolve_tier_policy(tier_policy)
         self._results: dict[tuple[str, str, int], ConfigResult] = {}
-        self._runners: dict[tuple[str, str, int], ChainRunner] = {}
         #: Analytic answers are per-(config, chain lengths) — more windows
         #: mean a fresh closed-form pass, never a partial mutation.
         self._analytic_results: dict[tuple, ConfigResult] = {}
 
-    def _runner_for(self, key: tuple[str, str, int]) -> ChainRunner:
-        """The (lazily created) measurement runner for one configuration."""
-        runner = self._runners.get(key)
-        if runner is None:
-            bench = make_benchmark(*key)
-            runner = ChainRunner(
-                bench, self.settings.machine, self.settings.measurement
-            )
-            prime_runner_overhead(runner, self.memo)
-            self._runners[key] = runner
-        return runner
-
-    def _base_result(
-        self, benchmark: str, problem_class: str, nprocs: int
-    ) -> tuple[ConfigResult, Optional[ChainRunner]]:
-        """The cell's isolated/one-shot/application numbers.
-
-        The runner comes back only when it was just built for measuring;
-        a cached result returns None and leaves the runner to be built on
-        demand, the first time a chain window is actually missing.
-        """
-        key = (benchmark, problem_class, nprocs)
-        if key in self._results:
-            return self._results[key], None
-        runner = self._runner_for(key)
-        bench = runner.benchmark
-        flow = ControlFlow(bench.loop_kernel_names)
-        with obs.span(
-            "pipeline.isolated", benchmark=benchmark, cls=problem_class,
-            nprocs=nprocs,
-        ):
-            isolated = {
-                k: measure_chain(runner, (k,), self.memo).mean
-                for k in flow.names
-            }
-        with obs.span(
-            "pipeline.one_shots", benchmark=benchmark, cls=problem_class,
-            nprocs=nprocs,
-        ):
-            pre = {
-                k: measure_chain(runner, (k,), self.memo).mean
-                for k in bench.pre_kernel_names
-            }
-            post = {
-                k: measure_chain(runner, (k,), self.memo).mean
-                for k in bench.post_kernel_names
-            }
-        with obs.span(
-            "pipeline.application", benchmark=benchmark, cls=problem_class,
-            nprocs=nprocs,
-        ):
-            actual = run_application(
-                ApplicationRunner(
-                    bench,
-                    self.settings.machine,
-                    seed=self.settings.application_seed,
-                ),
-                self.memo,
-            )
-        inputs = PredictionInputs(
-            flow=flow,
-            iterations=bench.iterations,
-            loop_times=isolated,
-            pre_times=pre,
-            post_times=post,
-            chain_times={},
-        )
-        result = ConfigResult(
-            benchmark=benchmark,
-            problem_class=problem_class,
-            nprocs=nprocs,
-            flow=flow,
-            actual=actual,
-            inputs=inputs,
-        )
-        self._results[key] = result
-        _CONFIGS_MEASURED.inc()
-        return result, runner
+    def close(self) -> None:
+        """Close the memo store; a private one is removed with its records."""
+        self.memo.close()
 
     def _analytic_result(
         self,
@@ -230,8 +149,8 @@ class ExperimentPipeline:
 
         Escalates when the benchmark has no descriptor tables, when a chain
         length is invalid (the simulation path raises the matching
-        :class:`ExperimentError`), or when the self-reported confidence
-        misses the policy's error budget.
+        :class:`~repro.errors.ExperimentError`), or when the self-reported
+        confidence misses the policy's error budget.
         """
         from repro.errors import PredictionError
 
@@ -258,6 +177,7 @@ class ExperimentPipeline:
             actual=report.actual,
             inputs=report.inputs,
             tier=TIER_ANALYTIC,
+            chain_lengths=lengths,
         )
         self._analytic_results[key] = result
         obs.get_registry().counter(
@@ -275,7 +195,8 @@ class ExperimentPipeline:
         """Measured + predicted numbers for one configuration.
 
         ``chain_lengths`` lists the coupling chain lengths the caller will
-        query; their windows are measured (once) here.
+        query; their windows are measured (once) here. An invalid length
+        raises :class:`~repro.errors.ExperimentError`.
         """
         if self.tier_policy.use_analytic:
             analytic = self._analytic_result(
@@ -283,67 +204,109 @@ class ExperimentPipeline:
             )
             if analytic is not None:
                 return analytic
-        result, runner = self._base_result(benchmark, problem_class, nprocs)
-        for length in chain_lengths:
-            if not 2 <= length <= len(result.flow):
-                raise ExperimentError(
-                    f"chain length {length} invalid for {benchmark} "
-                    f"(flow of {len(result.flow)})"
-                )
-        chains: dict = dict(result.inputs.chain_times)
-        # An adopted cell record already holds every window it was asked
-        # for; only a missing window is worth a span.
-        missing = dict.fromkeys(
-            window
-            for length in chain_lengths
-            for window in result.flow.windows(length)
-            if window not in chains
-        )
-        if missing:
-            with obs.span(
-                "pipeline.chains", benchmark=benchmark, cls=problem_class,
-                nprocs=nprocs,
-            ):
-                if runner is None:
-                    runner = self._runner_for(
-                        (benchmark, problem_class, nprocs)
-                    )
-                for window in missing:
-                    chains[window] = measure_chain(
-                        runner, window, self.memo
-                    ).mean
-            result.inputs = PredictionInputs(
-                flow=result.flow,
-                iterations=result.inputs.iterations,
-                loop_times=result.inputs.loop_times,
-                pre_times=result.inputs.pre_times,
-                post_times=result.inputs.post_times,
-                chain_times=chains,
+        key = (benchmark, problem_class, nprocs)
+        if not self._holds(key, chain_lengths):
+            self._measure(
+                benchmark, problem_class, [nprocs], chain_lengths, self.jobs
             )
-            result._coupling_cache.clear()
-        return result
+        return self._results[key]
+
+    def _holds(
+        self, key: tuple[str, str, int], chain_lengths: Sequence[int]
+    ) -> bool:
+        """True when the cell is measured at every one of ``chain_lengths``."""
+        result = self._results.get(key)
+        return result is not None and set(chain_lengths) <= set(
+            result.chain_lengths
+        )
+
+    def _measure(
+        self,
+        benchmark: str,
+        problem_class: str,
+        proc_counts: Sequence[int],
+        chain_lengths: Sequence[int],
+        jobs: int,
+    ) -> None:
+        """Measure cells at the union of their held and new chain lengths.
+
+        Each cell is first read as one verified cell record
+        (:func:`~repro.parallel.keys.cell_key`, the record the serving
+        engine shares). The rest run as
+        :func:`~repro.parallel.worker.run_cell` through
+        :func:`~repro.parallel.executor.execute_cells`: inline for
+        ``jobs <= 1`` or a single cell, else across a process pool whose
+        workers re-install the active fault plan and share the memo store
+        by path. Each measured cell is written back as a cell record.
+        """
+        injector = faults.get_injector()
+        pending = []
+        for p in dict.fromkeys(proc_counts):
+            held = self._results.get((benchmark, problem_class, p))
+            lengths = tuple(
+                sorted(
+                    {int(n) for n in chain_lengths}.union(
+                        held.chain_lengths if held is not None else ()
+                    )
+                )
+            )
+            record_key = cell_key(
+                self.settings.machine,
+                self.settings.measurement,
+                benchmark,
+                problem_class,
+                p,
+                lengths,
+                self.settings.application_seed,
+            )
+            record = self.memo.get(record_key)
+            if record is not None:
+                self._adopt(benchmark, problem_class, p, lengths, record)
+                continue
+            spec = CellSpec(
+                benchmark=benchmark,
+                problem_class=problem_class,
+                nprocs=p,
+                chain_lengths=lengths,
+                machine=self.settings.machine,
+                measurement=self.settings.measurement,
+                cache_dir=str(self.memo.root),
+                application_seed=self.settings.application_seed,
+                fault_plan=injector.plan if injector else None,
+                profile_interval=obs.profile.worker_interval(),
+            )
+            pending.append((record_key, spec))
+        if not pending:
+            return
+        cells = execute_cells([spec for _, spec in pending], jobs=jobs)
+        for (record_key, _), cell in zip(pending, cells):
+            self.memo.absorb(cell.memo_stats)
+            record = {"inputs": cell.inputs, "actual": cell.actual}
+            self.memo.put(record_key, record)
+            self._adopt(
+                benchmark, problem_class, cell.nprocs, cell.chain_lengths,
+                record,
+            )
 
     def _adopt(
         self,
         benchmark: str,
         problem_class: str,
         nprocs: int,
-        inputs: dict,
-        actual: float,
-    ) -> ConfigResult:
-        """Fold a worker's result or a memo cell record into the caches."""
-        prediction_inputs = PredictionInputs.from_dict(inputs)
-        result = ConfigResult(
+        chain_lengths: tuple[int, ...],
+        record: dict,
+    ) -> None:
+        """Fold a measured cell or a memo cell record into the results."""
+        inputs = PredictionInputs.from_dict(record["inputs"])
+        self._results[(benchmark, problem_class, nprocs)] = ConfigResult(
             benchmark=benchmark,
             problem_class=problem_class,
             nprocs=nprocs,
-            flow=prediction_inputs.flow,
-            actual=actual,
-            inputs=prediction_inputs,
+            flow=inputs.flow,
+            actual=record["actual"],
+            inputs=inputs,
+            chain_lengths=chain_lengths,
         )
-        self._results[(benchmark, problem_class, nprocs)] = result
-        _CONFIGS_MEASURED.inc()
-        return result
 
     def sweep(
         self,
@@ -355,20 +318,17 @@ class ExperimentPipeline:
     ) -> list[ConfigResult]:
         """Config results across processor counts (one table column each).
 
-        With a memo store, each not-yet-measured cell is first looked up as
-        one verified cell record (:func:`~repro.parallel.keys.cell_key`,
-        the record the serving engine shares); only the cells that miss are
-        measured, and each of those is written back as a cell record. With
-        ``jobs > 1`` and more than one miss, the misses run across a
-        process pool (each worker re-installs the active fault plan and
-        shares the memo store by path), so a fully warm sweep starts no
-        pool. Results come back in ``proc_counts`` order either way.
+        Cells the pipeline already holds at ``chain_lengths``, and cells
+        the analytic tier answers, are not measured again. The rest are
+        measured together (see :meth:`_measure`), so a fully warm sweep
+        starts no pool. Results come back in ``proc_counts`` order either
+        way.
         """
         jobs = self.jobs if jobs is None else jobs
         missing = [
             p
             for p in proc_counts
-            if (benchmark, problem_class, p) not in self._results
+            if not self._holds((benchmark, problem_class, p), chain_lengths)
         ]
         if self.tier_policy.use_analytic:
             # Cells the analytic tier answers never reach the worker pool;
@@ -381,66 +341,8 @@ class ExperimentPipeline:
                 )
                 is None
             ]
-        record_keys: dict[int, MemoKey] = {}
-        if self.memo is not None:
-            probed, missing = missing, []
-            for p in probed:
-                record_keys[p] = cell_key(
-                    self.settings.machine,
-                    self.settings.measurement,
-                    benchmark,
-                    problem_class,
-                    p,
-                    chain_lengths,
-                    self.settings.application_seed,
-                )
-                record = self.memo.get(record_keys[p])
-                if record is None:
-                    missing.append(p)
-                else:
-                    self._adopt(
-                        benchmark, problem_class, p,
-                        record["inputs"], record["actual"],
-                    )
-        if jobs > 1 and len(missing) > 1:
-            injector = faults.get_injector()
-            cache_dir = (
-                str(self.memo.root) if self.memo is not None else None
-            )
-            specs = [
-                CellSpec(
-                    benchmark=benchmark,
-                    problem_class=problem_class,
-                    nprocs=p,
-                    chain_lengths=tuple(chain_lengths),
-                    machine=self.settings.machine,
-                    measurement=self.settings.measurement,
-                    application_seed=self.settings.application_seed,
-                    cache_dir=cache_dir,
-                    fault_plan=injector.plan if injector else None,
-                    profile_interval=obs.profile.worker_interval(),
-                )
-                for p in missing
-            ]
-            for cell in execute_cells(specs, jobs=jobs):
-                self._adopt(
-                    cell.benchmark, cell.problem_class, cell.nprocs,
-                    cell.inputs, cell.actual,
-                )
-        results = [
+        self._measure(benchmark, problem_class, missing, chain_lengths, jobs)
+        return [
             self.config_result(benchmark, problem_class, p, chain_lengths)
             for p in proc_counts
         ]
-        if self.memo is not None:
-            # Every measured cell now holds exactly the requested windows,
-            # as run_cell produces them; the next sweep reads one record.
-            for p in missing:
-                result = self._results[(benchmark, problem_class, p)]
-                self.memo.put(
-                    record_keys[p],
-                    {
-                        "inputs": result.inputs.to_dict(),
-                        "actual": result.actual,
-                    },
-                )
-        return results

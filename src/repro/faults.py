@@ -56,6 +56,8 @@ __all__ = [
 #: may use ad-hoc site names; plans built against unregistered sites are
 #: simply inert.
 SITES: Mapping[str, str] = {
+    # run_cell checks both for every cell: server, pool and serial
+    # pipeline cells alike.
     "worker.cell.crash": "cell execution raises WorkerCrashError",
     "worker.cell.stall": "cell execution sleeps `param` wall seconds first",
     "pool.submit.reject": "worker pool pretends its queue is full",

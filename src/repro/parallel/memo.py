@@ -35,13 +35,22 @@ The ``db.read.corrupt`` and ``db.write.corrupt`` fault sites corrupt a
 payload on its way off or onto disk while the pristine checksum stays
 (a read re-renders the tampered payload before taking its checksum), so
 injected corruption is always caught by the read that meets it.
+
+A store opened without a root lives in a private temporary directory:
+:meth:`SimulationMemoStore.close` removes it, and so does a finalizer
+when the store is collected or the interpreter exits. Only the process
+that made the directory removes it, so a forked pool worker that
+inherits the store never deletes its parent's records.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 import threading
+import weakref
 import zlib
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -99,15 +108,28 @@ def _rendered(value: Any) -> bytes:
     return canonical_json(value).encode("ascii")
 
 
+def _remove_private(root: str, owner_pid: int) -> None:
+    """Remove a private store directory, in the process that made it only."""
+    if os.getpid() == owner_pid:
+        shutil.rmtree(root, ignore_errors=True)
+
+
 class SimulationMemoStore:
     """Sharded-JSON memo store keyed by content digests.
 
     Thread-safe for in-process counters; cross-process safety comes from
     atomic ``os.replace`` / ``os.link`` writes plus verify-on-read, not
-    file locks.
+    file locks. Without ``root`` the store is private (see the module
+    docstring); a given ``root`` is created if absent and never removed.
     """
 
-    def __init__(self, root: str | os.PathLike[str]):
+    def __init__(self, root: str | os.PathLike[str] | None = None):
+        self._finalizer: Optional[weakref.finalize] = None
+        if root is None:
+            root = tempfile.mkdtemp(prefix="repro-memo-")
+            self._finalizer = weakref.finalize(
+                self, _remove_private, root, os.getpid()
+            )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._root = str(self.root)
@@ -243,8 +265,23 @@ class SimulationMemoStore:
                 "corruptions": self._corruptions,
             }
 
+    def absorb(self, stats: Mapping[str, int]) -> None:
+        """Add another handle's :meth:`stats` (a cell's own store) to these."""
+        with self._lock:
+            self._hits += stats["hits"]
+            self._misses += stats["misses"]
+            self._stores += stats["stores"]
+            self._corruptions += stats["corruptions"]
+
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))
+
+    # -- lifecycle --------------------------------------------------------
+
+    def close(self) -> None:
+        """Remove the directory if it is private; a given root stays."""
+        if self._finalizer is not None:
+            self._finalizer()
 
     # -- internals --------------------------------------------------------
 

@@ -8,15 +8,15 @@ lambdas and captured locks out of that path). The result travels back as
 :class:`CellResult`: plain JSON-ready data (prediction inputs via
 :meth:`PredictionInputs.to_dict`), never live runner or machine objects.
 
-The memo-aware measurement helpers here (:func:`measure_chain`,
-:func:`run_application`, :func:`prime_runner_overhead`) are shared with the
-serial path in :class:`repro.experiments.pipeline.ExperimentPipeline`, so
-a cache hit replays the exact floats a fresh simulation would produce
-(REP001 determinism) and serial, parallel, and warm-cache runs stay
-bit-identical. The serving engine runs :func:`run_cell` on the same
-process pool as campaigns (:class:`repro.parallel.executor.CellPool`), so
-served cells and campaign cells share one code path and one set of
-seed-keyed measurement records.
+:func:`run_cell` is the one way a cell is measured. The experiment
+pipeline runs it inline or on a pool
+(:func:`repro.parallel.executor.execute_cells`), and the serving engine
+runs it on the same :class:`repro.parallel.executor.CellPool`. Every cell
+measures through a memo store (:func:`measure_chain`,
+:func:`run_application`, :func:`prime_runner_overhead`), so a hit replays
+the exact floats a fresh simulation would produce (REP001 determinism),
+serial, parallel and warm-cache runs stay bit-identical, and all of them
+share one set of seed-keyed measurement records.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class CellSpec:
     """Everything a worker process needs to simulate one sweep cell.
 
     Deliberately value-only: configs are frozen dataclasses, the memo store
-    is referenced by its directory (each worker opens its own handle), and
+    is referenced by its directory (each run opens its own handle), and
     the fault plan rides along as data: a pool worker runs the cell under
     exactly this plan (see :mod:`repro.parallel.executor`).
     """
@@ -67,8 +67,8 @@ class CellSpec:
     chain_lengths: tuple[int, ...]
     machine: MachineConfig
     measurement: MeasurementConfig
+    cache_dir: str
     application_seed: int = 7
-    cache_dir: Optional[str] = None
     fault_plan: Optional[faults.FaultPlan] = None
     #: When the parent campaign is being profiled, workers run their own
     #: thread-backend sampler at this interval and ship the profile home.
@@ -100,7 +100,7 @@ class CellResult:
     histograms: tuple = ()
 
 
-# -- memo-aware measurement helpers (shared with the serial pipeline) -----
+# -- memo-aware measurement helpers ----------------------------------------
 
 
 def cell_inputs(
@@ -134,10 +134,10 @@ def cell_inputs(
 
 
 def prime_runner_overhead(
-    runner: ChainRunner, store: Optional[SimulationMemoStore]
+    runner: ChainRunner, store: SimulationMemoStore
 ) -> None:
     """Load (or memoize) the runner's empty-loop overhead via the store."""
-    if store is None or not runner.config.subtract_overhead:
+    if not runner.config.subtract_overhead:
         return
     bench = runner.benchmark
     key = measurement_key(
@@ -158,7 +158,7 @@ def prime_runner_overhead(
 def measure_chain(
     runner: ChainRunner,
     kernels: Sequence[str],
-    store: Optional[SimulationMemoStore],
+    store: SimulationMemoStore,
 ) -> Measurement:
     """``runner.measure(kernels)`` with the memo store consulted first.
 
@@ -166,8 +166,6 @@ def measure_chain(
     overhead) without counters — callers on the prediction path only
     consume ``.mean``, and JSON round-trips the floats exactly.
     """
-    if store is None:
-        return runner.measure(kernels)
     bench = runner.benchmark
     key = measurement_key(
         runner.machine_config,
@@ -196,11 +194,9 @@ def measure_chain(
 
 
 def run_application(
-    runner: ApplicationRunner, store: Optional[SimulationMemoStore]
+    runner: ApplicationRunner, store: SimulationMemoStore
 ) -> float:
     """The application's total time, memoized on its full identity."""
-    if store is None:
-        return runner.run().total_time
     bench = runner.benchmark
     key = application_key(
         runner.machine_config,
@@ -223,26 +219,23 @@ def run_application(
 
 
 def run_cell(spec: CellSpec) -> CellResult:
-    """Simulate one sweep cell; safe to call in a worker process.
+    """Measure one sweep cell, inline or in a pool worker.
 
-    Opens the memo store by path and measures exactly what
-    :meth:`ExperimentPipeline.config_result` would: isolated loop kernels,
-    one-shot pre/post kernels, every chain window of every requested
-    length, and the full application. A cell whose measurements are all
-    stored runs zero simulations; every simulated measurement (and the
-    application run) is stored exactly once, so
-    ``memo_stats["stores"]`` is the cell's simulation count.
+    Opens the memo store by path and measures what :func:`cell_inputs`
+    enumerates (isolated loop kernels, one-shot pre/post kernels, every
+    chain window of every requested length), then the full application.
+    A cell whose measurements are all stored runs zero simulations; every
+    simulated measurement (and the application run) is stored exactly
+    once, so ``memo_stats["stores"]`` is the cell's simulation count.
+    The ``worker.cell.stall`` and ``worker.cell.crash`` fault sites fire
+    here, for every cell on every path.
     """
     stall = faults.check("worker.cell.stall")
     if stall is not None:
         time.sleep(stall.param)
     if faults.check("worker.cell.crash") is not None:
         raise WorkerCrashError("injected worker crash (worker.cell.crash)")
-    store = (
-        SimulationMemoStore(spec.cache_dir)
-        if spec.cache_dir is not None
-        else None
-    )
+    store = SimulationMemoStore(spec.cache_dir)
     profiler = None
     if spec.profile_interval is not None and obs.profiler_active() is None:
         # Thread backend: pool workers may not own a usable ITIMER slot,
@@ -292,7 +285,7 @@ def run_cell(spec: CellSpec) -> CellResult:
         chain_lengths=tuple(spec.chain_lengths),
         actual=actual,
         inputs=inputs.to_dict(),
-        memo_stats=store.stats() if store is not None else {},
+        memo_stats=store.stats(),
         counters=obs.counter_deltas(before),
         duration=time.perf_counter() - start,
         profile=(

@@ -9,8 +9,8 @@ time. This subsystem turns that into a long-lived service:
   :class:`~repro.core.predictor.PredictionReport` objects; identical
   requests in flight share one future (single-flight), and a request
   that must simulate dispatches its cell from its own thread;
-* :mod:`~repro.service.cache` — two-tier cache: in-process report LRU
-  (with TTL) over the one persistent store, the
+* :mod:`~repro.service.cache` — the in-process report LRU (with TTL)
+  over the one persistent store, the
   :class:`~repro.parallel.memo.SimulationMemoStore` directory that
   campaigns share;
 * :mod:`~repro.service.workers` — a bounded pool of worker processes
@@ -43,7 +43,7 @@ from repro.service.api import (
     serve_jsonl,
     serve_socket,
 )
-from repro.service.cache import LRUCache, TieredPredictionCache
+from repro.service.cache import LRUCache
 from repro.service.engine import PredictRequest, PredictionService
 from repro.service.metrics import ServiceMetrics, render_stats
 from repro.service.workers import WorkerPool
@@ -55,7 +55,6 @@ __all__ = [
     "PredictionService",
     "RetryPolicy",
     "ServiceMetrics",
-    "TieredPredictionCache",
     "WorkerPool",
     "counters_payload",
     "error_dict",

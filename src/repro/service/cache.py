@@ -1,9 +1,9 @@
-"""Two-tier prediction cache.
+"""The service's L1 tier: an in-process report LRU.
 
-Tier 1 is an in-process LRU with optional TTL holding finished
+:class:`LRUCache` (optional TTL) holds finished
 :class:`~repro.core.predictor.PredictionReport` objects keyed by the full
-request tuple (benchmark, class, nprocs, chain length, seed). Tier 2 is
-the one persistent result store, the
+request tuple (benchmark, class, nprocs, chain length, seed). Below it
+sits the one persistent result store, the
 :class:`~repro.parallel.memo.SimulationMemoStore` directory: it holds the
 seed-keyed measurement and cell records that campaigns and the serving
 engine share, and the engine's seed-free archive records
@@ -19,17 +19,12 @@ the first cell to finish it, and answers every seed after.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import threading
 import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional
 
-from repro import faults
-from repro.parallel.memo import SimulationMemoStore
-
-__all__ = ["LRUCache", "TieredPredictionCache"]
+__all__ = ["LRUCache"]
 
 _MISSING = object()
 
@@ -115,64 +110,3 @@ class LRUCache:
                 "evictions": self.evictions,
                 "expirations": self.expirations,
             }
-
-
-class TieredPredictionCache:
-    """L1 report LRU over the persistent memo store.
-
-    The service consults :meth:`get_report` first; on a miss it reads the
-    request's archive record from :attr:`memo` on the request thread, so
-    an archived cell is answered without a dispatch or a worker. Only a
-    cell with no archive record goes on to a measuring run, which
-    simulates through the same store and so measures only what it lacks.
-
-    Without ``cache_dir`` the memo store lives in a private temporary
-    directory that :meth:`close` removes; a given ``cache_dir`` is left
-    in place.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        ttl: Optional[float] = None,
-        cache_dir: Optional[str] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.reports = LRUCache(capacity=capacity, ttl=ttl, clock=clock)
-        self._private_dir = (
-            tempfile.mkdtemp(prefix="repro-memo-") if cache_dir is None else None
-        )
-        self.memo = SimulationMemoStore(
-            cache_dir if cache_dir is not None else self._private_dir
-        )
-
-    # -- tier 1 ---------------------------------------------------------------
-
-    def get_report(self, key: Hashable) -> Any:
-        """The finished report for a request key, or None.
-
-        The ``cache.l1.drop`` fault models L1 read corruption: in-process
-        report objects carry no checksum, so the safe failure mode is to
-        treat the entry as lost and recompute (a miss, never garbage).
-        """
-        if faults.check("cache.l1.drop") is not None:
-            self.reports.drop(key)
-            return None
-        return self.reports.get(key)
-
-    def put_report(self, key: Hashable, report: Any) -> None:
-        self.reports.put(key, report)
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Remove the memo directory if this cache created it."""
-        if self._private_dir is not None:
-            shutil.rmtree(self._private_dir, ignore_errors=True)
-
-    def stats(self) -> dict:
-        """L1 counters and where the persistent tier lives."""
-        return {
-            "l1": self.reports.stats(),
-            "l2": {"path": str(self.memo.root)},
-        }

@@ -64,8 +64,9 @@ from repro.errors import (
 from repro.instrument.runner import MeasurementConfig
 from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
 from repro.parallel.keys import MemoKey, archive_key, cell_key
+from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import CellResult, CellSpec, run_cell
-from repro.service.cache import TieredPredictionCache
+from repro.service.cache import LRUCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
 from repro.service.workers import WorkerPool
@@ -236,13 +237,10 @@ class PredictionService:
         self.measurement = measurement or MeasurementConfig()
         self.application_seed = application_seed
         self._clock = clock
-        self._cache = TieredPredictionCache(
-            capacity=cache_capacity,
-            ttl=cache_ttl,
-            cache_dir=cache_dir,
-            clock=clock,
+        self._reports = LRUCache(
+            capacity=cache_capacity, ttl=cache_ttl, clock=clock
         )
-        self._memo = self._cache.memo
+        self._memo = SimulationMemoStore(cache_dir)
         if default_timeout is not None and default_timeout <= 0:
             raise ServiceError(
                 f"default_timeout must be positive, got {default_timeout}"
@@ -362,7 +360,7 @@ class PredictionService:
         t0 = self._clock()
         self.metrics.requests.inc()
         key = request.key
-        report = self._cache.get_report(key)
+        report = self._cached_report(key)
         if report is not None:
             self.metrics.l1_hits.inc()
             dt = self._clock() - t0
@@ -415,6 +413,18 @@ class PredictionService:
             self.metrics.coalesced.inc()
         return future, t0, lead
 
+    def _cached_report(self, key: tuple) -> Optional[PredictionReport]:
+        """The L1 report for ``key``, or None.
+
+        The ``cache.l1.drop`` fault models L1 read corruption: in-process
+        report objects carry no checksum, so the safe failure mode is to
+        treat the entry as lost and recompute (a miss, never garbage).
+        """
+        if faults.check("cache.l1.drop") is not None:
+            self._reports.drop(key)
+            return None
+        return self._reports.get(key)
+
     def _forget(self, key: tuple) -> None:
         """Close a resolved flight: the next request for it starts anew."""
         with self._lock:
@@ -427,14 +437,14 @@ class PredictionService:
     ) -> Optional[PredictionReport]:
         """Answer from the closed-form tier, or None to escalate."""
         analytic_key = request.key + (TIER_ANALYTIC,)
-        report = self._cache.get_report(analytic_key)
+        report = self._cached_report(analytic_key)
         if report is not None:
             self.metrics.l1_hits.inc()
         else:
             report = self._analytic_report(request)
             if report is None:
                 return None
-            self._cache.put_report(analytic_key, report)
+            self._reports.put(analytic_key, report)
         dt = self._clock() - t0
         self.metrics.latency.observe(dt)
         self.metrics.record_tier(TIER_ANALYTIC, dt)
@@ -726,7 +736,7 @@ class PredictionService:
             },
             tier=TIER_MEMO if warm else TIER_SIMULATION,
         )
-        self._cache.put_report(request.key, report)
+        self._reports.put(request.key, report)
         (self.metrics.l2_hits if warm else self.metrics.misses).inc()
         return report
 
@@ -787,7 +797,10 @@ class PredictionService:
     def stats(self) -> dict:
         """Service counters plus cache-tier counters, JSON-friendly."""
         snapshot = self.metrics.stats()
-        snapshot["cache"] = self._cache.stats()
+        snapshot["cache"] = {
+            "l1": self._reports.stats(),
+            "l2": {"path": str(self._memo.root)},
+        }
         snapshot["memo"] = self._memo.stats()
         snapshot["degraded"] = self.degraded
         snapshot["worker_respawns"] = self._pool.respawns
@@ -815,13 +828,13 @@ class PredictionService:
         return (self.metrics.registry, obs.get_registry())
 
     def close(self) -> None:
-        """Refuse new flights, drain workers, release the cache tiers."""
+        """Refuse new flights, drain workers, remove a private memo store."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._pool.shutdown(wait=True)
-        self._cache.close()
+        self._memo.close()
 
     def __enter__(self) -> "PredictionService":
         return self

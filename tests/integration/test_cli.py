@@ -108,7 +108,7 @@ class TestServeCommand:
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(requests))
         assert main(
-            ["serve", "--repetitions", "2", "--executor", "inline"]
+            ["serve", "--repetitions", "2", "--workers", "1"]
         ) == 0
         captured = capsys.readouterr()
         responses = [json.loads(line) for line in captured.out.splitlines()]
@@ -129,7 +129,7 @@ class TestServeCommand:
         assert main(
             ["serve", "--db", str(tmp_path / "serve.sqlite"),
              "--cache-dir", str(cache), "--repetitions", "2",
-             "--executor", "inline"]
+             "--workers", "1"]
         ) == 0
         capsys.readouterr()
         # --db is accepted and ignored; the memo directory holds every

@@ -25,7 +25,7 @@ from repro.parallel.worker import CellResult, CellSpec, run_cell
 from repro.simmachine.machine import ibm_sp_argonne
 
 
-def _spec(nprocs=4, fault_plan=None) -> CellSpec:
+def _spec(cache_dir, nprocs=4, fault_plan=None) -> CellSpec:
     return CellSpec(
         benchmark="BT",
         problem_class="S",
@@ -33,6 +33,7 @@ def _spec(nprocs=4, fault_plan=None) -> CellSpec:
         chain_lengths=(2,),
         machine=ibm_sp_argonne(),
         measurement=MeasurementConfig(repetitions=1, warmup=0, seed=0),
+        cache_dir=str(cache_dir),
         fault_plan=fault_plan,
     )
 
@@ -77,17 +78,21 @@ def observe_then_maybe_die(flag: str, spec: CellSpec) -> CellResult:
 
 
 class TestFaultPlans:
-    def test_worker_runs_exactly_the_plan_its_spec_carries(self):
+    def test_worker_runs_exactly_the_plan_its_spec_carries(self, tmp_path):
         inherited = FaultPlan(specs=(FaultSpec(site="x", every_nth=1),))
         carried = FaultPlan(specs=(FaultSpec(site="y", every_nth=2),), seed=3)
         pool = CellPool(1)
         try:
             with faults.active(inherited):
-                bare = pool.submit(report_plan, _spec()).result(timeout=60)
-                planned = pool.submit(
-                    report_plan, _spec(fault_plan=carried)
+                bare = pool.submit(
+                    report_plan, _spec(tmp_path)
                 ).result(timeout=60)
-                again = pool.submit(report_plan, _spec()).result(timeout=60)
+                planned = pool.submit(
+                    report_plan, _spec(tmp_path, fault_plan=carried)
+                ).result(timeout=60)
+                again = pool.submit(
+                    report_plan, _spec(tmp_path)
+                ).result(timeout=60)
         finally:
             pool.shutdown()
         assert bare.inputs["plan"] is None
@@ -103,12 +108,12 @@ class TestObservability:
         run = functools.partial(observe_then_maybe_die, str(flag))
         pool = CellPool(1)
         try:
-            pool.submit(run, _spec(1)).result(timeout=60)
+            pool.submit(run, _spec(tmp_path, 1)).result(timeout=60)
             flag.write_text("armed")
             with pytest.raises(Exception):
-                pool.submit(run, _spec(4)).result(timeout=60)
+                pool.submit(run, _spec(tmp_path, 4)).result(timeout=60)
             assert not flag.exists()  # the lost attempt really ran
-            pool.submit(run, _spec(9)).result(timeout=60)
+            pool.submit(run, _spec(tmp_path, 9)).result(timeout=60)
         finally:
             pool.shutdown()
         registry = obs.get_registry()
@@ -124,11 +129,15 @@ class TestObservability:
         assert pool.respawns == 1
 
 
-    def test_workers_of_a_profiled_parent_ship_their_own_profiles(self):
+    def test_workers_of_a_profiled_parent_ship_their_own_profiles(
+        self, tmp_path
+    ):
         # A forked worker must not mistake the parent's profiler, whose
         # sampler thread it does not have, for one of its own.
         specs = [
-            dataclasses.replace(_spec(n), profile_interval=0.001)
+            dataclasses.replace(
+                _spec(tmp_path, n), profile_interval=0.001
+            )
             for n in (1, 4)
         ]
         profiler = obs.SamplingProfiler(interval=0.001, backend="thread")
@@ -142,7 +151,7 @@ class TestObservability:
 
 class TestForkSafety:
     @pytest.mark.timeout(90)
-    def test_worker_finishes_while_parent_threads_hold_locks(self):
+    def test_worker_finishes_while_parent_threads_hold_locks(self, tmp_path):
         """Fork while another thread holds the locks a cell needs.
 
         The locks are released in this process once the worker exists
@@ -168,7 +177,7 @@ class TestForkSafety:
         assert held.wait(timeout=10)
         pool = CellPool(1)
         try:
-            future = pool.submit(run_cell, _spec())
+            future = pool.submit(run_cell, _spec(tmp_path))
             release.set()
             holder.join(timeout=10)
             result = future.result(timeout=30)

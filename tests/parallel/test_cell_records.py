@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +117,67 @@ class TestMemoFirstSweep:
         )
 
 
+def private_dirs():
+    """The private memo directories that exist now."""
+    return set(Path(tempfile.gettempdir()).glob("repro-memo-*"))
+
+
+class TestMemoLessPipeline:
+    """Without ``memo`` a pipeline measures through a private store."""
+
+    def test_growing_a_cell_simulates_only_the_new_windows(
+        self, monkeypatch
+    ):
+        pipeline = ExperimentPipeline(SETTINGS)
+        pipeline.config_result("BT", "S", 4, (2,))
+        measured = []
+        measure = ChainRunner.measure
+
+        def spy(runner, kernels):
+            measured.append(tuple(kernels))
+            return measure(runner, kernels)
+
+        def no_application(runner):
+            raise AssertionError("the application run is memoized")
+
+        monkeypatch.setattr(ChainRunner, "measure", spy)
+        monkeypatch.setattr(ApplicationRunner, "run", no_application)
+        result = pipeline.config_result("BT", "S", 4, (2, 3))
+        flow = ControlFlow(make_benchmark("BT", "S", 4).loop_kernel_names)
+        assert sorted(measured) == sorted(flow.windows(3))
+        assert result.chain_lengths == (2, 3)
+        assert set(result.inputs.chain_times) == set(
+            flow.windows(2)
+        ) | set(flow.windows(3))
+        pipeline.close()
+
+    def test_parallel_sweep_keeps_the_private_store_until_closed(self):
+        before = private_dirs()
+        pipeline = ExperimentPipeline(SETTINGS, jobs=2)
+        root = pipeline.memo.root
+        pipeline.sweep("BT", "S", PROCS, chain_lengths=[2])
+        # The forked workers wrote into the parent's directory and left
+        # it (and only it) in place.
+        assert root.is_dir()
+        assert sorted(cell_records(root)) == [(p, (2,)) for p in PROCS]
+        assert private_dirs() - before == {root}
+        pipeline.close()
+        assert not root.exists()
+        assert not private_dirs() - before
+
+    def test_a_collected_pipeline_leaves_no_directory(self):
+        before = private_dirs()
+        pipeline = ExperimentPipeline(SETTINGS, jobs=2)
+        root = pipeline.memo.root
+        results = pipeline.sweep("BT", "S", PROCS, chain_lengths=[2])
+        assert root.is_dir()
+        del pipeline
+        gc.collect()
+        assert not root.exists()
+        assert not private_dirs() - before
+        assert [r.nprocs for r in results] == PROCS
+
+
 #: The cells a ``campaign-warm`` sweep reads, at a cheap protocol.
 CAMPAIGN = (
     ("BT", "W", [4, 9, 16]), ("SP", "W", [4, 9, 16]), ("LU", "W", [2, 4, 8]),
@@ -131,7 +195,7 @@ def campaign(cache, jobs):
 
 def chain_spans():
     return obs.get_registry().histogram(
-        "span_seconds", labels={"name": "pipeline.chains"}
+        "span_seconds", labels={"name": "parallel.cell"}
     ).count
 
 

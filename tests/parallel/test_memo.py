@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import zlib
 
@@ -10,7 +11,8 @@ import pytest
 from repro import obs
 from repro.instrument import MeasurementConfig
 from repro.parallel import CellSpec, SimulationMemoStore, measurement_key
-from repro.parallel.executor import execute_cells
+from repro.parallel.executor import CellPool, execute_cells
+from repro.parallel.worker import CellResult
 from repro.parallel.keys import SCHEMA_VERSION
 from repro.simmachine import ibm_sp_argonne
 from tests.parallel.conftest import count_serialisation
@@ -231,3 +233,80 @@ class TestCounters:
             cell.memo_stats["stores"] for cell in cold
         ]
         assert memo_hits() == stored
+
+
+#: The store a forked pool worker inherits from this (parent) process.
+_INHERITED: list = []
+
+
+def close_inherited_store(spec: CellSpec) -> CellResult:
+    """Close and collect, in a pool worker, the store it inherited by fork."""
+    _INHERITED.pop().close()
+    gc.collect()
+    return CellResult(
+        benchmark=spec.benchmark,
+        problem_class=spec.problem_class,
+        nprocs=spec.nprocs,
+        chain_lengths=spec.chain_lengths,
+        actual=0.0,
+        inputs={},
+        memo_stats={},
+        counters=(),
+        duration=0.0,
+    )
+
+
+class TestLifecycle:
+    def test_private_directory_removed_on_close(self):
+        store = SimulationMemoStore()
+        root = store.root
+        store.put({"kind": "test"}, {"v": 1})
+        assert root.is_dir()
+        store.close()
+        assert not root.exists()
+
+    def test_collected_store_removes_its_private_directory(self):
+        store = SimulationMemoStore()
+        root = store.root
+        store.put({"kind": "test"}, {"v": 1})
+        del store
+        gc.collect()
+        assert not root.exists()
+
+    def test_given_directory_left_in_place_and_usable(self, tmp_path):
+        store = SimulationMemoStore(tmp_path / "memo")
+        store.put({"kind": "test"}, {"v": 1})
+        store.close()
+        assert len(store) == 1  # still there, still usable
+        assert store.get({"kind": "test"}) == {"v": 1}
+
+    def test_empty_given_directory_is_adopted(self, tmp_path):
+        # An empty store has len() 0 (falsy); the given directory must
+        # still be the root, not a private one.
+        store = SimulationMemoStore(tmp_path)
+        assert store.root == tmp_path
+        store.close()
+        assert tmp_path.is_dir()
+
+    def test_forked_pool_worker_never_removes_the_parent_directory(self):
+        store = SimulationMemoStore()
+        store.put({"kind": "test"}, {"v": 1})
+        _INHERITED.append(store)
+        pool = CellPool(1)
+        try:
+            spec = CellSpec(
+                benchmark="BT",
+                problem_class="S",
+                nprocs=1,
+                chain_lengths=(),
+                machine=ibm_sp_argonne(),
+                measurement=MeasurementConfig(repetitions=1, warmup=0),
+                cache_dir=str(store.root),
+            )
+            pool.submit(close_inherited_store, spec).result(timeout=60)
+        finally:
+            pool.shutdown()
+            _INHERITED.clear()
+        assert store.get({"kind": "test"}) == {"v": 1}
+        store.close()
+        assert not store.root.exists()

@@ -13,7 +13,7 @@ from repro.parallel import CellSpec, run_cell
 from repro.simmachine import ibm_sp_argonne
 
 
-def small_spec(**overrides):
+def small_spec(cache_dir, **overrides):
     defaults = dict(
         benchmark="BT",
         problem_class="S",
@@ -22,28 +22,29 @@ def small_spec(**overrides):
         machine=ibm_sp_argonne(),
         measurement=MeasurementConfig(repetitions=2, warmup=0),
         application_seed=7,
+        cache_dir=str(cache_dir),
     )
     defaults.update(overrides)
     return CellSpec(**defaults)
 
 
 class TestCellSpec:
-    def test_round_trips(self):
-        spec = small_spec()
+    def test_round_trips(self, tmp_path):
+        spec = small_spec(tmp_path)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_round_trips_with_fault_plan(self):
+    def test_round_trips_with_fault_plan(self, tmp_path):
         plan = faults.plan_from_specs(
             [{"site": "sim.run.noise", "probability": 0.5, "param": 1.5}],
             seed=3,
         )
-        spec = small_spec(fault_plan=plan, cache_dir="/tmp/x")
+        spec = small_spec(tmp_path, fault_plan=plan)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestCellResult:
-    def test_round_trips(self):
-        result = run_cell(small_spec())
+    def test_round_trips(self, tmp_path):
+        result = run_cell(small_spec(tmp_path))
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert clone.inputs == result.inputs

@@ -28,7 +28,7 @@ from repro.simmachine.machine import ibm_sp_argonne
 KILL_NPROCS = 9
 
 
-def _spec(nprocs: int) -> CellSpec:
+def _spec(nprocs: int, cache_dir) -> CellSpec:
     return CellSpec(
         benchmark="BT",
         problem_class="S",
@@ -36,6 +36,7 @@ def _spec(nprocs: int) -> CellSpec:
         chain_lengths=(2,),
         machine=ibm_sp_argonne(),
         measurement=MeasurementConfig(repetitions=1, warmup=0, seed=0),
+        cache_dir=str(cache_dir),
     )
 
 
@@ -72,7 +73,7 @@ def _stub_cell(spec: CellSpec, flag_path=None) -> CellResult:
 def test_killed_worker_respawns_and_merges_once(tmp_path):
     flag = tmp_path / "kill-once"
     flag.write_text("armed")
-    specs = [_spec(n) for n in (4, 9, 16, 25)]
+    specs = [_spec(n, tmp_path) for n in (4, 9, 16, 25)]
     run = functools.partial(_stub_cell, flag_path=str(flag))
 
     profiler = obs.SamplingProfiler(interval=10.0, backend="thread").start()
@@ -96,7 +97,7 @@ def test_killed_worker_respawns_and_merges_once(tmp_path):
 
 def test_persistent_killer_exhausts_respawn_budget(tmp_path):
     flag = tmp_path / "kill-always"
-    specs = [_spec(n) for n in (4, 9, 16)]
+    specs = [_spec(n, tmp_path) for n in (4, 9, 16)]
     run = functools.partial(_stub_cell, flag_path=str(flag))
 
     flag.write_text("armed")
@@ -107,8 +108,8 @@ def test_persistent_killer_exhausts_respawn_budget(tmp_path):
     assert obs.get_registry().snapshot()["parallel_worker_respawns"] == 1
 
 
-def test_serial_path_ignores_respawn_machinery():
-    specs = [_spec(4)]
+def test_serial_path_ignores_respawn_machinery(tmp_path):
+    specs = [_spec(4, tmp_path)]
     results = execute_cells(specs, jobs=1, _run=_stub_cell)
     assert [r.nprocs for r in results] == [4]
     assert "parallel_worker_respawns" not in obs.get_registry().snapshot()

@@ -1,10 +1,12 @@
-"""LRU/TTL cache and the two-tier composition."""
+"""The L1 report LRU/TTL cache and the service's cache stats."""
 
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.service.cache import LRUCache, TieredPredictionCache
+from repro.service import PredictRequest, PredictionService
+from repro.service.cache import LRUCache
 
 
 class FakeClock:
@@ -94,39 +96,16 @@ class TestLRUCache:
         assert len(cache) <= 64
 
 
-class TestTieredPredictionCache:
-    def test_owns_and_closes_internal_database(self):
-        # Without a cache_dir the persistent tier is a private temporary
-        # memo directory, removed on close.
-        cache = TieredPredictionCache()
-        root = cache.memo.root
-        cache.memo.put({"kind": "test"}, {"v": 1})
-        assert root.is_dir()
-        cache.close()
-        assert not root.exists()
-
-    def test_external_database_left_open(self, tmp_path):
-        cache = TieredPredictionCache(cache_dir=str(tmp_path / "memo"))
-        cache.memo.put({"kind": "test"}, {"v": 1})
-        cache.close()
-        assert len(cache.memo) == 1  # still there, still usable
-        assert cache.memo.get({"kind": "test"}) == {"v": 1}
-
-    def test_external_empty_database_is_not_replaced(self, tmp_path):
-        # An empty memo store has len() 0 (falsy); the tier must still
-        # adopt the given directory, not a private one.
-        cache = TieredPredictionCache(cache_dir=str(tmp_path))
-        assert cache.memo.root == tmp_path
-        cache.close()
-        assert tmp_path.is_dir()
-
+class TestServiceCacheStats:
     def test_report_tier_and_stats(self):
-        cache = TieredPredictionCache(capacity=8)
-        key = ("BT", "S", 4, 2, 0)
-        assert cache.get_report(key) is None
-        cache.put_report(key, "report")
-        assert cache.get_report(key) == "report"
-        stats = cache.stats()
-        assert stats["l1"]["hits"] == 1
-        assert stats["l2"]["path"] == str(cache.memo.root)
-        cache.close()
+        # The analytic rung needs no simulation: its second answer is an
+        # L1 hit, and the persistent tier is a private memo directory.
+        with PredictionService(tier_policy="fast") as service:
+            request = PredictRequest("BT", "S", 4)
+            first = service.predict(request)
+            assert service.predict(request) is first
+            cache = service.stats()["cache"]
+        assert set(cache) == {"l1", "l2"}
+        assert cache["l1"]["hits"] == 1
+        assert cache["l2"] == {"path": cache["l2"]["path"]}
+        assert not Path(cache["l2"]["path"]).exists()

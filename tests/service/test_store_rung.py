@@ -337,7 +337,7 @@ class TestStaleArchive:
     def serve(self, args, tmp_path, capsys, monkeypatch):
         line = '{"benchmark": "BT", "problem_class": "S", "nprocs": 4}\n'
         monkeypatch.setattr("sys.stdin", io.StringIO(line))
-        assert main(["serve", "--executor", "inline", *args]) == 0
+        assert main(["serve", "--workers", "1", *args]) == 0
         (answer, *_) = capsys.readouterr().out.splitlines()
         return json.loads(answer)
 
