@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for independent sweep cells",
+        help="worker processes for a sweep's missing measurements",
     )
     campaign.add_argument(
         "--cache-dir", default=None, metavar="DIR",

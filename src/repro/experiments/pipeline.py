@@ -87,9 +87,11 @@ class ConfigResult:
 class ExperimentPipeline:
     """Measures configurations on demand and caches everything.
 
-    Every cell is measured the same way: one
-    :func:`~repro.parallel.worker.run_cell` through the memo store, run
-    by :func:`~repro.parallel.executor.execute_cells`. A cell asked for
+    Every cell is measured the same way, by
+    :func:`~repro.parallel.executor.execute_cells`: one
+    :func:`~repro.parallel.worker.run_cell` through the memo store, after
+    (under ``jobs > 1``) its missing measurements ran on a process pool.
+    A cell asked for
     more chain lengths than it holds is measured again at the union of
     both, and the memo's seed-keyed measurement records make that run
     simulate only the new windows — mirroring how the paper reuses one
@@ -100,8 +102,9 @@ class ExperimentPipeline:
     cell record, and every chain/application simulation is looked up
     before it runs and stored after. Without it the pipeline uses a
     private temporary store, removed by :meth:`close` or when the store
-    is collected. ``jobs > 1`` fans the sweep cells that still need
-    measuring across worker processes. Both are safe because the
+    is collected. ``jobs > 1`` fans the measurements that the cells
+    still need, one task each, across worker processes. Both are safe
+    because the
     simulation tier is deterministic (REP001): serial, parallel, and
     cache-warm runs produce bit-identical numbers.
 
@@ -232,12 +235,14 @@ class ExperimentPipeline:
 
         Each cell is first read as one verified cell record
         (:func:`~repro.parallel.keys.cell_key`, the record the serving
-        engine shares). The rest run as
-        :func:`~repro.parallel.worker.run_cell` through
-        :func:`~repro.parallel.executor.execute_cells`: inline for
-        ``jobs <= 1`` or a single cell, else across a process pool whose
-        workers re-install the active fault plan and share the memo store
-        by path. Each measured cell is written back as a cell record.
+        engine shares). The rest go to
+        :func:`~repro.parallel.executor.execute_cells` together: for
+        ``jobs > 1``, even for one cell, every measurement they lack a
+        record for runs as one task on a process pool whose workers
+        re-install the active fault plan and share the memo store by path;
+        then (at any ``jobs``) each cell is assembled inline by
+        :func:`~repro.parallel.worker.run_cell`. Each measured cell is
+        written back as a cell record.
         """
         injector = faults.get_injector()
         pending = []
@@ -320,9 +325,10 @@ class ExperimentPipeline:
 
         Cells the pipeline already holds at ``chain_lengths``, and cells
         the analytic tier answers, are not measured again. The rest are
-        measured together (see :meth:`_measure`), so a fully warm sweep
-        starts no pool. Results come back in ``proc_counts`` order either
-        way.
+        measured together (see :meth:`_measure`): under ``jobs > 1`` their
+        missing measurements share one worker pool, so the sweep's largest
+        cell does not set its wall time, and a fully warm sweep starts no
+        pool. Results come back in ``proc_counts`` order either way.
         """
         jobs = self.jobs if jobs is None else jobs
         missing = [

@@ -493,8 +493,15 @@ class SamplingProfiler:
             for tid, frame in sys._current_frames().items():
                 if tid == me:
                     continue
+                try:
+                    stack = _walk_stack(frame)
+                except AttributeError:
+                    # The thread's frame chain changed under the walk
+                    # (a link is no longer a frame): skip its sample for
+                    # this tick rather than let the sampler thread die.
+                    continue
                 self.data.record(
-                    _walk_stack(frame),
+                    stack,
                     self._spans_of(tid),
                     now,
                     tid,

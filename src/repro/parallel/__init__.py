@@ -10,10 +10,11 @@ Reproducing a full table suite means simulating many independent
   back as one cell record, any already-simulated measurement or
   application run is replayed from disk instead of re-simulated, and the
   serving engine answers archived cells from one archive record.
-* :mod:`repro.parallel.executor` / :mod:`repro.parallel.worker` — sweep
-  cells fanned out across a ``ProcessPoolExecutor`` with a deterministic
-  merge back into submission order and observability counters carried
-  across the pool boundary.
+* :mod:`repro.parallel.executor` / :mod:`repro.parallel.worker` — a
+  sweep's missing measurements fanned out across a
+  ``ProcessPoolExecutor``, one task each, then each cell assembled from
+  the stored records in submission order, with observability counters
+  carried across the pool boundary.
 
 The correctness bedrock is REP001: the simulation tier is deterministic,
 so equal cache keys imply bit-identical results, and serial, parallel, and
@@ -34,6 +35,8 @@ from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import (
     CellResult,
     CellSpec,
+    MeasureResult,
+    measure,
     measure_chain,
     prime_runner_overhead,
     run_application,
@@ -45,12 +48,14 @@ __all__ = [
     "SimulationMemoStore",
     "CellResult",
     "CellSpec",
+    "MeasureResult",
     "application_key",
     "archive_key",
     "canonical_json",
     "cell_key",
     "digest",
     "execute_cells",
+    "measure",
     "measure_chain",
     "measurement_key",
     "prime_runner_overhead",

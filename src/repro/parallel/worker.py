@@ -2,28 +2,40 @@
 
 A sweep cell — one (benchmark, problem class, nprocs) configuration plus
 the chain lengths to measure — is described by the frozen, fully picklable
-:class:`CellSpec` and executed by the module-level :func:`run_cell`, which
-the executor can hand to a ``ProcessPoolExecutor`` directly (REP007 keeps
-lambdas and captured locks out of that path). The result travels back as
-:class:`CellResult`: plain JSON-ready data (prediction inputs via
-:meth:`PredictionInputs.to_dict`), never live runner or machine objects.
+:class:`CellSpec`. Its work is a set of independent measurements (the
+empty-loop overhead, what :func:`cell_measurements` lists, and the
+application run; 19–22 of them for the NPB codes at chain lengths 2 and
+3), each one seeded, deterministic simulation stored under its own memo
+key. Two module-level entry points, both of which a
+``ProcessPoolExecutor`` can run directly (REP007 keeps lambdas and
+captured locks out of that path), work on it:
 
-:func:`run_cell` is the one way a cell is measured. The experiment
-pipeline runs it inline or on a pool
-(:func:`repro.parallel.executor.execute_cells`), and the serving engine
-runs it on the same :class:`repro.parallel.executor.CellPool`. Every cell
-measures through a memo store (:func:`measure_chain`,
-:func:`run_application`, :func:`prime_runner_overhead`), so a hit replays
-the exact floats a fresh simulation would produce (REP001 determinism),
-serial, parallel and warm-cache runs stay bit-identical, and all of them
-share one set of seed-keyed measurement records.
+* :func:`measure` simulates and stores one measurement of a cell — the
+  pool task of a parallel campaign, which runs one per measurement that
+  :func:`missing_measurements` finds without a record;
+* :func:`run_cell` is the one way a cell is assembled: it measures what
+  the store lacks and reads the rest, so after a campaign's pool tasks it
+  simulates nothing. The experiment pipeline runs it inline
+  (:func:`repro.parallel.executor.execute_cells`), and the serving engine
+  runs it on the :class:`repro.parallel.executor.CellPool`.
+
+Results travel back as plain data: :class:`CellResult` (prediction inputs
+via :meth:`PredictionInputs.to_dict`) and :class:`MeasureResult`, never
+live runner or machine objects. Every measurement goes through the memo
+store (:func:`measure_chain`, :func:`run_application`,
+:func:`prime_runner_overhead`), so a hit replays the exact floats a fresh
+simulation would produce (REP001 determinism), serial, parallel and
+warm-cache runs stay bit-identical, and all of them share one set of
+seed-keyed measurement records.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro import faults, obs
 from repro.core.kernel import ControlFlow
@@ -36,19 +48,32 @@ from repro.instrument.runner import (
     MeasurementConfig,
 )
 from repro.npb import make_benchmark
-from repro.parallel.keys import application_key, measurement_key
+from repro.parallel.keys import MemoKey, application_key, measurement_key
 from repro.parallel.memo import SimulationMemoStore
 from repro.simmachine.machine import MachineConfig
 
 __all__ = [
+    "APPLICATION",
+    "OVERHEAD",
     "CellSpec",
     "CellResult",
+    "MeasureResult",
     "run_cell",
+    "measure",
+    "missing_measurements",
     "cell_inputs",
+    "cell_measurements",
     "measure_chain",
     "run_application",
     "prime_runner_overhead",
 ]
+
+#: What :func:`measure` measures: the empty-loop overhead (``OVERHEAD``),
+#: one isolated kernel or chain window (a tuple of kernel names), or the
+#: application run (``APPLICATION``).
+Kernels = Optional[tuple[str, ...]]
+OVERHEAD: tuple[str, ...] = ()
+APPLICATION: Kernels = None
 
 
 @dataclass(frozen=True)
@@ -57,8 +82,9 @@ class CellSpec:
 
     Deliberately value-only: configs are frozen dataclasses, the memo store
     is referenced by its directory (each run opens its own handle), and
-    the fault plan rides along as data: a pool worker runs the cell under
-    exactly this plan (see :mod:`repro.parallel.executor`).
+    the fault plan rides along as data: a pool worker runs the cell, or
+    any of its measurements, under exactly this plan (see
+    :mod:`repro.parallel.executor`).
     """
 
     benchmark: str
@@ -100,7 +126,40 @@ class CellResult:
     histograms: tuple = ()
 
 
+@dataclass(frozen=True)
+class MeasureResult:
+    """One :func:`measure` task's memo counts and observability deltas.
+
+    The measured value itself stays in the memo store, where
+    :func:`run_cell` reads it; the pool absorbs the deltas like a
+    :class:`CellResult`'s.
+    """
+
+    memo_stats: dict
+    counters: tuple[tuple[str, tuple, int], ...]
+    duration: float
+    profile: Optional[dict] = None
+    histograms: tuple = ()
+
+
 # -- memo-aware measurement helpers ----------------------------------------
+
+
+def cell_measurements(
+    bench, chain_lengths: Sequence[int]
+) -> list[tuple[str, ...]]:
+    """Every kernel tuple a cell measures, once each, in protocol order.
+
+    The single enumeration of what a cell measures besides its overhead
+    and application run: isolated loop kernels, one-shot pre/post
+    kernels, then every window of every chain length.
+    """
+    flow = ControlFlow(bench.loop_kernel_names)
+    kernels = (
+        *flow.names, *bench.pre_kernel_names, *bench.post_kernel_names
+    )
+    windows = [w for n in chain_lengths for w in flow.windows(n)]
+    return list(dict.fromkeys([(k,) for k in kernels] + windows))
 
 
 def cell_inputs(
@@ -110,26 +169,49 @@ def cell_inputs(
 ) -> PredictionInputs:
     """A cell's prediction inputs, one ``mean_of(kernels)`` per measurement.
 
-    The single enumeration of what a cell measures, in protocol order:
-    isolated loop kernels, one-shot pre/post kernels, then every window of
-    every chain length.
+    ``mean_of`` is called once for each of :func:`cell_measurements`, in
+    that order.
     """
     flow = ControlFlow(bench.loop_kernel_names)
-    loop_times = {k: mean_of((k,)) for k in flow.names}
-    pre = {k: mean_of((k,)) for k in bench.pre_kernel_names}
-    post = {k: mean_of((k,)) for k in bench.post_kernel_names}
-    chain_times: dict[tuple[str, ...], float] = {}
-    for length in chain_lengths:
-        for window in flow.windows(length):
-            if window not in chain_times:
-                chain_times[window] = mean_of(window)
+    means = {
+        kernels: mean_of(kernels)
+        for kernels in cell_measurements(bench, chain_lengths)
+    }
     return PredictionInputs(
         flow=flow,
         iterations=bench.iterations,
-        loop_times=loop_times,
-        pre_times=pre,
-        post_times=post,
-        chain_times=chain_times,
+        loop_times={k: means[(k,)] for k in flow.names},
+        pre_times={k: means[(k,)] for k in bench.pre_kernel_names},
+        post_times={k: means[(k,)] for k in bench.post_kernel_names},
+        chain_times={
+            w: means[w] for n in chain_lengths for w in flow.windows(n)
+        },
+    )
+
+
+def _measurement_key(runner: ChainRunner, kernels: Sequence[str]) -> MemoKey:
+    """The memo key of one loop measurement (``()``: the overhead)."""
+    bench = runner.benchmark
+    return measurement_key(
+        runner.machine_config,
+        runner.config,
+        bench.name,
+        bench.size.problem_class,
+        bench.nprocs,
+        kernels,
+    )
+
+
+def _application_key(runner: ApplicationRunner) -> MemoKey:
+    bench = runner.benchmark
+    return application_key(
+        runner.machine_config,
+        bench.name,
+        bench.size.problem_class,
+        bench.nprocs,
+        runner.seed,
+        runner.warmup_iterations,
+        runner.measured_iterations,
     )
 
 
@@ -139,15 +221,7 @@ def prime_runner_overhead(
     """Load (or memoize) the runner's empty-loop overhead via the store."""
     if not runner.config.subtract_overhead:
         return
-    bench = runner.benchmark
-    key = measurement_key(
-        runner.machine_config,
-        runner.config,
-        bench.name,
-        bench.size.problem_class,
-        bench.nprocs,
-        (),
-    )
+    key = _measurement_key(runner, OVERHEAD)
     hit = store.get(key)
     if hit is not None:
         runner.prime_overhead(hit["overhead"])
@@ -167,14 +241,7 @@ def measure_chain(
     consume ``.mean``, and JSON round-trips the floats exactly.
     """
     bench = runner.benchmark
-    key = measurement_key(
-        runner.machine_config,
-        runner.config,
-        bench.name,
-        bench.size.problem_class,
-        bench.nprocs,
-        kernels,
-    )
+    key = _measurement_key(runner, kernels)
     hit = store.get(key)
     if hit is not None:
         return Measurement(
@@ -197,16 +264,7 @@ def run_application(
     runner: ApplicationRunner, store: SimulationMemoStore
 ) -> float:
     """The application's total time, memoized on its full identity."""
-    bench = runner.benchmark
-    key = application_key(
-        runner.machine_config,
-        bench.name,
-        bench.size.problem_class,
-        bench.nprocs,
-        runner.seed,
-        runner.warmup_iterations,
-        runner.measured_iterations,
-    )
+    key = _application_key(runner)
     hit = store.get(key)
     if hit is not None:
         return hit["total_time"]
@@ -215,7 +273,111 @@ def run_application(
     return total
 
 
-# -- the worker entry point ------------------------------------------------
+# -- the worker entry points -----------------------------------------------
+
+
+def _benchmark(spec: CellSpec):
+    """The cell's benchmark, once its chain lengths are checked."""
+    bench = make_benchmark(spec.benchmark, spec.problem_class, spec.nprocs)
+    flow = ControlFlow(bench.loop_kernel_names)
+    for length in spec.chain_lengths:
+        if not 2 <= length <= len(flow):
+            raise ExperimentError(
+                f"chain length {length} invalid for {spec.benchmark} "
+                f"(flow of {len(flow)})"
+            )
+    return bench
+
+
+def missing_measurements(spec: CellSpec) -> list[Kernels]:
+    """The measurements of ``spec``'s cell with no record in its store.
+
+    In protocol order: the overhead (when the protocol subtracts it),
+    then :func:`cell_measurements`, then the application run. Only the
+    record files' existence is checked; a corrupt one is caught and
+    healed by the :func:`run_cell` that reads it.
+    """
+    bench = _benchmark(spec)
+    store = SimulationMemoStore(spec.cache_dir)
+    runner = ChainRunner(bench, spec.machine, spec.measurement)
+    wanted: list[tuple[str, ...]] = cell_measurements(
+        bench, spec.chain_lengths
+    )
+    if spec.measurement.subtract_overhead:
+        wanted.insert(0, OVERHEAD)
+    missing: list[Kernels] = [
+        kernels
+        for kernels in wanted
+        if not os.path.exists(
+            store.path_for(_measurement_key(runner, kernels))
+        )
+    ]
+    application = ApplicationRunner(
+        bench, spec.machine, seed=spec.application_seed
+    )
+    if not os.path.exists(store.path_for(_application_key(application))):
+        missing.append(APPLICATION)
+    return missing
+
+
+@contextmanager
+def _observed(spec: CellSpec) -> Iterator[dict[str, Any]]:
+    """Profile, time and take obs deltas of one worker call.
+
+    Yields a dict that holds, once the block exits, the ``counters``,
+    ``histograms``, ``duration`` and ``profile`` fields of its result.
+    """
+    profiler = None
+    if spec.profile_interval is not None and obs.profiler_active() is None:
+        # Thread backend: pool workers may not own a usable ITIMER slot,
+        # and the thread sampler behaves identically under fork and spawn.
+        profiler = obs.SamplingProfiler(
+            interval=spec.profile_interval, backend="thread"
+        ).start()
+    before = obs.counter_snapshot()
+    histograms_before = obs.histogram_snapshot()
+    start = time.perf_counter()
+    seen: dict[str, Any] = {}
+    try:
+        yield seen
+    finally:
+        # Always uninstall, even on a raising call — a pool worker is
+        # reused for the next task and must come back profiler-free.
+        profile_data = profiler.stop() if profiler is not None else None
+    seen.update(
+        counters=obs.counter_deltas(before),
+        duration=time.perf_counter() - start,
+        profile=profile_data.to_dict() if profile_data is not None else None,
+        histograms=obs.histogram_deltas(histograms_before),
+    )
+
+
+def measure(spec: CellSpec, kernels: Kernels) -> MeasureResult:
+    """Simulate and store one measurement of ``spec``'s cell.
+
+    ``kernels`` is :data:`OVERHEAD`, one entry of
+    :func:`cell_measurements`, or :data:`APPLICATION`. A loop measurement
+    subtracts the overhead record, so a campaign stores the overhead
+    first; a measurement that already has a record simulates nothing.
+    """
+    store = SimulationMemoStore(spec.cache_dir)
+    with _observed(spec) as seen:
+        bench = make_benchmark(
+            spec.benchmark, spec.problem_class, spec.nprocs
+        )
+        if kernels is APPLICATION:
+            run_application(
+                ApplicationRunner(
+                    bench, spec.machine, seed=spec.application_seed
+                ),
+                store,
+            )
+        else:
+            runner = ChainRunner(bench, spec.machine, spec.measurement)
+            prime_runner_overhead(runner, store)
+            if kernels:
+                measure_chain(runner, kernels, store)
+    return MeasureResult(memo_stats=store.stats(), **seen)
 
 
 def run_cell(spec: CellSpec) -> CellResult:
@@ -236,27 +398,10 @@ def run_cell(spec: CellSpec) -> CellResult:
     if faults.check("worker.cell.crash") is not None:
         raise WorkerCrashError("injected worker crash (worker.cell.crash)")
     store = SimulationMemoStore(spec.cache_dir)
-    profiler = None
-    if spec.profile_interval is not None and obs.profiler_active() is None:
-        # Thread backend: pool workers may not own a usable ITIMER slot,
-        # and the thread sampler behaves identically under fork and spawn.
-        profiler = obs.SamplingProfiler(
-            interval=spec.profile_interval, backend="thread"
-        ).start()
-    before = obs.counter_snapshot()
-    histograms_before = obs.histogram_snapshot()
-    start = time.perf_counter()
-    bench = make_benchmark(spec.benchmark, spec.problem_class, spec.nprocs)
-    flow = ControlFlow(bench.loop_kernel_names)
-    for length in spec.chain_lengths:
-        if not 2 <= length <= len(flow):
-            raise ExperimentError(
-                f"chain length {length} invalid for {spec.benchmark} "
-                f"(flow of {len(flow)})"
-            )
-    runner = ChainRunner(bench, spec.machine, spec.measurement)
-    prime_runner_overhead(runner, store)
-    try:
+    with _observed(spec) as seen:
+        bench = _benchmark(spec)
+        runner = ChainRunner(bench, spec.machine, spec.measurement)
+        prime_runner_overhead(runner, store)
         with obs.span(
             "parallel.cell",
             benchmark=spec.benchmark,
@@ -274,10 +419,6 @@ def run_cell(spec: CellSpec) -> CellResult:
                 ),
                 store,
             )
-    finally:
-        # Always uninstall, even on a raising cell — a pool worker is
-        # reused for the next cell and must come back profiler-free.
-        profile_data = profiler.stop() if profiler is not None else None
     return CellResult(
         benchmark=spec.benchmark,
         problem_class=spec.problem_class,
@@ -286,10 +427,5 @@ def run_cell(spec: CellSpec) -> CellResult:
         actual=actual,
         inputs=inputs.to_dict(),
         memo_stats=store.stats(),
-        counters=obs.counter_deltas(before),
-        duration=time.perf_counter() - start,
-        profile=(
-            profile_data.to_dict() if profile_data is not None else None
-        ),
-        histograms=obs.histogram_deltas(histograms_before),
+        **seen,
     )

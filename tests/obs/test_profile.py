@@ -119,6 +119,45 @@ class TestSamplingProfiler:
         assert data.duration > 0.1
         assert any("busy" in label for label in data.cumulative_seconds())
 
+    def test_walk_stack_rejects_a_chain_with_a_non_frame_link(self):
+        frame = sys._getframe()
+        broken = type("Link", (), {})()
+        stale = type(
+            "Frame",
+            (),
+            {"f_globals": frame.f_globals, "f_code": frame.f_code,
+             "f_back": broken},
+        )()
+        with pytest.raises(AttributeError):
+            profile._walk_stack(stale)
+
+    def test_thread_sampler_survives_a_frame_chain_changing_mid_walk(
+        self, monkeypatch
+    ):
+        # A thread's frame chain can change under the walk, e.g. when a
+        # pool's manager thread exits: one link is then not a frame.
+        frame = sys._getframe()
+        stale = type(
+            "Frame",
+            (),
+            {"f_globals": frame.f_globals, "f_code": frame.f_code,
+             "f_back": object()},
+        )()
+        me = threading.get_ident()
+        monkeypatch.setattr(
+            sys, "_current_frames", lambda: {-1: stale, me: frame}
+        )
+        profiler = SamplingProfiler(interval=0.002, backend="thread")
+        with profiler:
+            time.sleep(0.1)
+            alive = profiler._sampler_thread.is_alive()
+        assert alive
+        # Every tick skipped the broken thread and sampled the healthy one.
+        assert profiler.data.sample_count > 1
+        assert all(
+            thread == me for _offset, thread, _stack in profiler.data.timeline
+        )
+
     def test_signal_backend_on_main_thread(self):
         profiler = SamplingProfiler(interval=0.002, backend="signal")
         with profiler:

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.experiments import ExperimentPipeline, ExperimentSettings
 from repro.instrument import MeasurementConfig
+from repro.instrument.runner import ChainRunner
+from repro.parallel.executor import execute_cells
+from repro.parallel.worker import (
+    OVERHEAD,
+    CellSpec,
+    measure,
+    missing_measurements,
+    run_cell,
+)
 from repro.service import PredictRequest, PredictionService
 
 SETTINGS = ExperimentSettings(
@@ -35,6 +45,23 @@ def entries_of(cache, kind):
         for path in cache.glob("*/*.json")
         if json.loads(path.read_text(encoding="utf-8"))["key"]["kind"] == kind
     )
+
+
+def slow_overhead(spec, kernels):
+    """``measure``, with the overhead simulation slow enough to race."""
+    if kernels != OVERHEAD:
+        return measure(spec, kernels)
+    simulate = ChainRunner.measure_overhead
+
+    def slowly(runner):
+        time.sleep(0.3)
+        return simulate(runner)
+
+    ChainRunner.measure_overhead = slowly
+    try:
+        return measure(spec, kernels)
+    finally:
+        ChainRunner.measure_overhead = simulate
 
 
 def assert_identical(results_a, results_b):
@@ -71,6 +98,69 @@ class TestSerialVsParallel:
             c for c in obs.get_registry().collect() if c.name == "sim_events"
         ]
         assert flushed and all(c.value > 0 for c in flushed)
+
+
+class TestColdParallelSweep:
+    """A cold ``jobs=2`` sweep fans out measurements, each simulated once."""
+
+    def test_every_measurement_is_simulated_exactly_once(
+        self, tmp_path, monkeypatch
+    ):
+        serial_pipeline, serial = sweep(memo=tmp_path / "serial", jobs=1)
+        assemblies = []
+
+        def assemble(spec):
+            before = sim_runs()
+            result = run_cell(spec)
+            assemblies.append(sim_runs() - before)
+            return result
+
+        monkeypatch.setattr("repro.parallel.executor.run_cell", assemble)
+        cache = tmp_path / "memo"
+        runs = sim_runs()
+        pipeline, parallel = sweep(memo=cache, jobs=2)
+        assert_identical(serial, parallel)
+        # One record per distinct overhead, kernel, window and application
+        # key; each was simulated and stored once, and the cell records
+        # are the only other stores.
+        keys = len(entries_of(cache, "measurement")) + len(
+            entries_of(cache, "application")
+        )
+        assert sim_runs() - runs == keys
+        stores = pipeline.memo.stats()["stores"]
+        assert stores == keys + len(entries_of(cache, "cell")) == keys + len(
+            PROCS
+        )
+        assert stores == serial_pipeline.memo.stats()["stores"]
+        # The parent only assembles each cell from the records.
+        assert assemblies == [0] * len(PROCS)
+
+    def test_loop_measurements_wait_for_their_overhead(self, tmp_path):
+        spec = CellSpec(
+            benchmark="BT",
+            problem_class="S",
+            nprocs=4,
+            chain_lengths=tuple(CHAINS),
+            machine=SETTINGS.machine,
+            measurement=SETTINGS.measurement,
+            cache_dir=str(tmp_path / "memo"),
+        )
+        keys = len(missing_measurements(spec))
+        runs = sim_runs()
+        [cell] = execute_cells([spec], jobs=2, _measure=slow_overhead)
+        # Had a loop task started before the overhead was stored, it would
+        # have simulated and stored the overhead a second time.
+        assert sim_runs() - runs == keys
+        assert cell.memo_stats["stores"] == keys
+
+    def test_single_cell_matches_its_serial_result(self):
+        serial = ExperimentPipeline(SETTINGS, jobs=1).config_result(
+            "BT", "S", 4, CHAINS
+        )
+        parallel = ExperimentPipeline(SETTINGS, jobs=2).config_result(
+            "BT", "S", 4, CHAINS
+        )
+        assert_identical([serial], [parallel])
 
 
 class TestColdVsWarmMemo:

@@ -1,11 +1,11 @@
-"""Worker death mid-cell: the pool respawns, deltas merge exactly once.
+"""Worker death mid-measurement: the pool respawns, deltas merge once.
 
 The executor's recovery contract (see :mod:`repro.parallel.executor`):
-when a worker is killed mid-cell the pool is rebuilt and only the cells
-with no result yet are resubmitted, so completed work is never re-run and
-every counter/profile delta reaches the parent registry exactly once —
-the killed attempt contributes nothing, its respawned attempt contributes
-once.
+when a worker is killed mid-measurement the pool is rebuilt and only the
+lost measurements that still have no record are resubmitted, so completed
+work is never re-run and every counter/profile delta reaches the parent
+registry exactly once — the killed attempt contributes nothing, its
+respawned attempt contributes once.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from repro import obs
 from repro.instrument import MeasurementConfig
 from repro.obs.profile import ProfileData
 from repro.parallel.executor import execute_cells
-from repro.parallel.worker import CellResult, CellSpec
+from repro.parallel.worker import CellSpec, MeasureResult, missing_measurements
 from repro.simmachine.machine import ibm_sp_argonne
 
-#: The cell the doomed worker picks up (distinguished by nprocs).
+#: The measurement the doomed worker picks up: one chain window of one
+#: cell, dispatched once that cell's overhead is stored.
 KILL_NPROCS = 9
+KILL_KERNELS = ("X_SOLVE", "Y_SOLVE")
 
 
 def _spec(nprocs: int, cache_dir) -> CellSpec:
@@ -40,31 +42,31 @@ def _spec(nprocs: int, cache_dir) -> CellSpec:
     )
 
 
-def _stub_cell(spec: CellSpec, flag_path=None) -> CellResult:
+def _stub_measurement(
+    spec: CellSpec, kernels, flag_path=None
+) -> MeasureResult:
     """Module-level executor seam (REP007: picklable, no captured state).
 
-    The first worker to pick up the ``KILL_NPROCS`` cell removes the flag
-    file and SIGKILLs itself mid-cell — the same failure shape as an OOM
-    kill. The resubmitted attempt finds no flag and completes normally.
+    The first worker to pick up the ``KILL_KERNELS`` window of the
+    ``KILL_NPROCS`` cell removes the flag file and SIGKILLs itself
+    mid-measurement — the same failure shape as an OOM kill. The
+    resubmitted attempt finds no flag and completes normally. The stub
+    writes no record, so every measurement it completes is counted by its
+    delta alone, and the parent's assembly simulates the cells itself.
     """
     if (
         flag_path is not None
         and spec.nprocs == KILL_NPROCS
+        and kernels == KILL_KERNELS
         and os.path.exists(flag_path)
     ):
         os.remove(flag_path)
         os.kill(os.getpid(), signal.SIGKILL)
     profile = ProfileData(0.01)
-    profile.record(("worker:cell",), ("cell.span",), 0.0, 1)
-    return CellResult(
-        benchmark=spec.benchmark,
-        problem_class=spec.problem_class,
-        nprocs=spec.nprocs,
-        chain_lengths=spec.chain_lengths,
-        actual=float(spec.nprocs),
-        inputs={},
+    profile.record(("worker:measurement",), ("measure.span",), 0.0, 1)
+    return MeasureResult(
         memo_stats={},
-        counters=(("respawn_test_cells", (), 1),),
+        counters=(("respawn_test_measurements", (), 1),),
         duration=0.01,
         profile=profile.to_dict(),
     )
@@ -74,42 +76,44 @@ def test_killed_worker_respawns_and_merges_once(tmp_path):
     flag = tmp_path / "kill-once"
     flag.write_text("armed")
     specs = [_spec(n, tmp_path) for n in (4, 9, 16, 25)]
-    run = functools.partial(_stub_cell, flag_path=str(flag))
+    measurements = sum(len(missing_measurements(s)) for s in specs)
+    run = functools.partial(_stub_measurement, flag_path=str(flag))
 
     profiler = obs.SamplingProfiler(interval=10.0, backend="thread").start()
     try:
-        results = execute_cells(specs, jobs=2, _run=run)
+        results = execute_cells(specs, jobs=2, _measure=run)
     finally:
         data = profiler.stop()
 
-    # Every cell completed, in submission order, exactly once.
+    # Every cell completed, in submission order.
     assert [r.nprocs for r in results] == [4, 9, 16, 25]
     assert not flag.exists()  # the kill really happened
 
     snapshot = obs.get_registry().snapshot()
-    # One pool rebuild, and one delta per cell despite the lost attempt.
+    # One pool rebuild, and one delta per measurement despite the lost
+    # attempts: completed measurements never re-ran, lost ones re-ran.
     assert snapshot["parallel_worker_respawns"] == 1
-    assert snapshot["respawn_test_cells"] == len(specs)
-    # Worker profiles crossed the boundary exactly once per cell too.
-    assert data.samples[("worker:cell",)] == len(specs)
-    assert data.span_samples[("cell.span",)] == len(specs)
+    assert snapshot["respawn_test_measurements"] == measurements
+    # Worker profiles crossed the boundary exactly once per task too.
+    assert data.samples[("worker:measurement",)] == measurements
+    assert data.span_samples[("measure.span",)] == measurements
 
 
 def test_persistent_killer_exhausts_respawn_budget(tmp_path):
     flag = tmp_path / "kill-always"
     specs = [_spec(n, tmp_path) for n in (4, 9, 16)]
-    run = functools.partial(_stub_cell, flag_path=str(flag))
+    run = functools.partial(_stub_measurement, flag_path=str(flag))
 
     flag.write_text("armed")
     with pytest.raises(BrokenProcessPool):
         # Re-arm the flag after each pool break via max_respawns=0: the
         # first break must propagate instead of retrying forever.
-        execute_cells(specs, jobs=2, max_respawns=0, _run=run)
+        execute_cells(specs, jobs=2, max_respawns=0, _measure=run)
     assert obs.get_registry().snapshot()["parallel_worker_respawns"] == 1
 
 
 def test_serial_path_ignores_respawn_machinery(tmp_path):
     specs = [_spec(4, tmp_path)]
-    results = execute_cells(specs, jobs=1, _run=_stub_cell)
+    results = execute_cells(specs, jobs=1, _measure=_stub_measurement)
     assert [r.nprocs for r in results] == [4]
     assert "parallel_worker_respawns" not in obs.get_registry().snapshot()
