@@ -36,7 +36,6 @@ __all__ = [
     "AnalyticPredictor",
     "AnalyticReport",
     "POLICIES",
-    "SUPPORTED_BENCHMARKS",
     "TIER_ANALYTIC",
     "TIER_MEMO",
     "TIER_SIMULATION",
@@ -53,7 +52,6 @@ _LAZY = {
     "AnalyticModel": "repro.analytic.model",
     "AnalyticPredictor": "repro.analytic.model",
     "AnalyticReport": "repro.analytic.model",
-    "SUPPORTED_BENCHMARKS": "repro.analytic.descriptors",
     "describe": "repro.analytic.descriptors",
 }
 

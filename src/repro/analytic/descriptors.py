@@ -24,7 +24,6 @@ from repro.errors import PredictionError
 from repro.npb import workloads as w
 
 __all__ = [
-    "SUPPORTED_BENCHMARKS",
     "RankWork",
     "HaloPhase",
     "RingPhase",
@@ -35,12 +34,6 @@ __all__ = [
     "BenchmarkDescriptors",
     "describe",
 ]
-
-#: Benchmarks the analytic tier can describe. Anything else (CG, MG, ...)
-#: raises :class:`~repro.errors.PredictionError` from :func:`describe`,
-#: which the serving ladder treats as an escalation to simulation.
-SUPPORTED_BENCHMARKS = ("BT", "LU", "SP")
-
 
 @dataclass(frozen=True)
 class RankWork:
@@ -338,14 +331,15 @@ _SPECS: dict[str, tuple[dict, dict, Callable, Callable]] = {
 def describe(bench) -> BenchmarkDescriptors:
     """Descriptors for a live :class:`~repro.npb.base.Benchmark`.
 
-    Raises :class:`~repro.errors.PredictionError` for benchmarks without
-    analytic tables (the tier ladder escalates those to simulation).
+    Every registered NPB benchmark has tables; any other application
+    (a :class:`~repro.npb.custom.CustomApplication`, say) raises
+    :class:`~repro.errors.PredictionError`.
     """
     spec = _SPECS.get(bench.name)
     if spec is None:
         raise PredictionError(
             f"no analytic descriptors for benchmark {bench.name!r}; "
-            f"supported: {SUPPORTED_BENCHMARKS}"
+            f"supported: {sorted(_SPECS)}"
         )
     flops_per_point, touch_table, phase_fn, work_calls_fn = spec
     phase_table = phase_fn(bench)

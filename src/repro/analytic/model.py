@@ -410,7 +410,7 @@ class AnalyticPredictor:
     def __init__(self, machine: MachineConfig, benchmark) -> None:
         self.machine = machine
         self.benchmark = benchmark
-        self.desc = describe(benchmark)  # PredictionError for CG/MG/...
+        self.desc = describe(benchmark)  # PredictionError without tables
         self.profile = machine.analytic_profile()
 
     @classmethod

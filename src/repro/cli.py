@@ -25,13 +25,14 @@ from typing import Optional, Sequence
 from repro._version import __version__
 from repro.analytic.tiers import tier_policy_name
 from repro.errors import ReproError
+from repro.npb import BENCHMARKS
 
 __all__ = ["main", "build_parser"]
 
 #: Canonical (upper-case) choice lists; arguments use ``type=str.upper`` so
 #: lower-case spellings normalize before the choices check instead of each
 #: list carrying both cases.
-BENCHMARK_CHOICES = ["BT", "SP", "LU", "CG", "MG"]
+BENCHMARK_CHOICES = list(BENCHMARKS)
 CLASS_CHOICES = ["S", "W", "A", "B", "C"]
 
 

@@ -150,10 +150,9 @@ class ExperimentPipeline:
     ) -> Optional[ConfigResult]:
         """The closed-form tier's answer, or None to escalate to simulation.
 
-        Escalates when the benchmark has no descriptor tables, when a chain
-        length is invalid (the simulation path raises the matching
-        :class:`~repro.errors.ExperimentError`), or when the self-reported
-        confidence misses the policy's error budget.
+        Escalates when a chain length is invalid (the simulation path
+        raises the matching :class:`~repro.errors.ExperimentError`) or when
+        the self-reported confidence misses the policy's error budget.
         """
         from repro.errors import PredictionError
 

@@ -17,7 +17,6 @@ verification (:mod:`repro.npb.verify`).
 
 from repro.npb.base import Benchmark, KernelInstance, Layout
 from repro.npb.bt import BT
-from repro.npb.cg import CG
 from repro.npb.classes import (
     CLASS_NAMES,
     ProblemSize,
@@ -25,14 +24,13 @@ from repro.npb.classes import (
     problem_size,
 )
 from repro.npb.lu import LU
-from repro.npb.mg import MG
 from repro.npb.sp import SP
 
-BENCHMARKS = {"BT": BT, "SP": SP, "LU": LU, "CG": CG, "MG": MG}
+BENCHMARKS = {"BT": BT, "SP": SP, "LU": LU}
 
 
 def make_benchmark(name: str, problem_class: str, nprocs: int) -> Benchmark:
-    """Instantiate a benchmark by name ("BT" | "SP" | "LU" | "CG" | "MG")."""
+    """Instantiate a benchmark by name ("BT" | "SP" | "LU")."""
     try:
         cls = BENCHMARKS[name.upper()]
     except KeyError:
@@ -46,12 +44,10 @@ __all__ = [
     "BENCHMARKS",
     "BT",
     "Benchmark",
-    "CG",
     "CLASS_NAMES",
     "KernelInstance",
     "LU",
     "Layout",
-    "MG",
     "ProblemSize",
     "SP",
     "iterations_for",

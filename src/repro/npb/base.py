@@ -108,21 +108,13 @@ class Benchmark(ABC):
     name: str = ""
 
     def __init__(self, problem_class: str, nprocs: int):
-        self.size: ProblemSize = self._problem_size(problem_class)
+        self.size: ProblemSize = problem_size(self.name, problem_class)
         self.nprocs = nprocs
         self.grid: CartGrid = self._make_grid(nprocs)
         self.layout = Layout(self.size, self.grid)
         self._regions: Dict[tuple[int, str], DataRegion] = {}
         self._kernels: Dict[str, KernelInstance] = {}
         self._build_kernels()
-
-    def _problem_size(self, problem_class: str) -> ProblemSize:
-        """Resolve the problem size; cubic NPB grids by default.
-
-        Benchmarks with non-cubic data (e.g. CG's sparse system) override
-        this instead of fighting the grid table.
-        """
-        return problem_size(self.name, problem_class)
 
     # -- to be provided by subclasses ---------------------------------------
 

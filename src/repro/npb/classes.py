@@ -66,14 +66,6 @@ _GRIDS: dict[str, dict[str, tuple[int, int]]] = {
         "B": (102, 250),
         "C": (162, 250),
     },
-    # MG (library extension): V-cycle multigrid, power-of-two grids.
-    "MG": {
-        "S": (32, 4),
-        "W": (128, 4),
-        "A": (256, 4),
-        "B": (256, 20),
-        "C": (512, 20),
-    },
 }
 
 

@@ -1,4 +1,4 @@
-"""Executable numerical methods behind the NPB work-alikes.
+"""Executable numerical methods behind the BT, SP and LU work-alikes.
 
 The simulator charges kernels by operation counts; this subpackage contains
 the *actual math* those counts describe, in NumPy:
@@ -11,11 +11,7 @@ the *actual math* those counts describe, in NumPy:
   ADI-style sweep drivers that string the line solvers together the way
   BT/SP do;
 * :mod:`repro.npb.numerics.blockadi` — the coupled 5-component (5x5-block)
-  ADI structure of BT, executable;
-* :mod:`repro.npb.numerics.krylov` — conjugate gradient with CG's exact
-  kernel decomposition, plus a NAS-style random SPD sparse matrix;
-* :mod:`repro.npb.numerics.multigrid` — a geometric V-cycle with MG's
-  kernel structure and mesh-independent convergence.
+  ADI structure of BT, executable.
 
 Everything is validated against SciPy (tests) and runnable end-to-end at
 class-S scale (:mod:`repro.npb.verify`).
@@ -24,22 +20,9 @@ class-S scale (:mod:`repro.npb.verify`).
 from repro.npb.numerics.grids import (
     Grid3D,
     adi_diffusion_step,
-    laplacian_3d,
     manufactured_solution,
-    residual_norm,
 )
 from repro.npb.numerics.blockadi import block_adi_step
-from repro.npb.numerics.krylov import (
-    CGResult,
-    conjugate_gradient,
-    nas_style_sparse_matrix,
-)
-from repro.npb.numerics.multigrid import (
-    mg_solve,
-    prolong_field,
-    restrict_field,
-    v_cycle,
-)
 from repro.npb.numerics.ssor import ssor_solve, ssor_sweep
 from repro.npb.numerics.tridiag import (
     solve_block_tridiagonal,
@@ -49,19 +32,10 @@ from repro.npb.numerics.tridiag import (
 )
 
 __all__ = [
-    "CGResult",
     "Grid3D",
     "block_adi_step",
-    "conjugate_gradient",
-    "mg_solve",
-    "nas_style_sparse_matrix",
-    "prolong_field",
-    "restrict_field",
-    "v_cycle",
     "adi_diffusion_step",
-    "laplacian_3d",
     "manufactured_solution",
-    "residual_norm",
     "solve_block_tridiagonal",
     "solve_lines_along_axis",
     "solve_pentadiagonal",

@@ -20,8 +20,6 @@ from repro.npb.numerics.tridiag import solve_lines_along_axis
 __all__ = [
     "Grid3D",
     "manufactured_solution",
-    "laplacian_3d",
-    "residual_norm",
     "adi_diffusion_step",
 ]
 
@@ -66,26 +64,6 @@ def manufactured_solution(grid: Grid3D) -> np.ndarray:
     """``sin(pi x) sin(pi y) sin(pi z)`` — vanishes on the boundary."""
     x, y, z = grid.coordinates()
     return np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
-
-
-def laplacian_3d(u: np.ndarray, grid: Grid3D) -> np.ndarray:
-    """Second-order 7-point Laplacian with homogeneous Dirichlet walls."""
-    if u.shape != grid.shape:
-        raise ConfigurationError(
-            f"field shape {u.shape} != grid shape {grid.shape}"
-        )
-    hx, hy, hz = grid.spacing
-    out = np.zeros_like(u, dtype=np.float64)
-    pad = np.pad(u, 1)
-    out += (pad[2:, 1:-1, 1:-1] - 2 * u + pad[:-2, 1:-1, 1:-1]) / hx**2
-    out += (pad[1:-1, 2:, 1:-1] - 2 * u + pad[1:-1, :-2, 1:-1]) / hy**2
-    out += (pad[1:-1, 1:-1, 2:] - 2 * u + pad[1:-1, 1:-1, :-2]) / hz**2
-    return out
-
-
-def residual_norm(u: np.ndarray, rhs: np.ndarray, grid: Grid3D) -> float:
-    """L2 norm of ``rhs - Laplacian(u)`` (the verification quantity)."""
-    return float(np.linalg.norm(rhs - laplacian_3d(u, grid)))
 
 
 def adi_diffusion_step(

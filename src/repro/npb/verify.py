@@ -5,9 +5,7 @@ method on the class-S grid:
 
 * BT — ADI diffusion sweeps built from (block-)tridiagonal line solves;
 * SP — the same sweep skeleton with pentadiagonal lines along x;
-* LU — SSOR iterations on the 7-point operator;
-* CG — conjugate gradient on a NAS-style random SPD sparse system;
-* MG — V-cycles with mesh-independent residual contraction.
+* LU — SSOR iterations on the 7-point operator.
 
 ``verify(benchmark)`` runs the mini-app and checks the solution against
 analytic behaviour, mirroring NPB's own verification stage (the FINAL /
@@ -28,8 +26,6 @@ from repro.npb.numerics.grids import (
     adi_diffusion_step,
     manufactured_solution,
 )
-from repro.npb.numerics.krylov import conjugate_gradient, nas_style_sparse_matrix
-from repro.npb.numerics.multigrid import mg_solve
 from repro.npb.numerics.ssor import apply_operator, ssor_solve
 from repro.npb.numerics.tridiag import solve_pentadiagonal
 
@@ -131,56 +127,8 @@ def _verify_lu() -> VerificationResult:
     )
 
 
-def _verify_cg() -> VerificationResult:
-    """CG must solve a NAS-style random SPD sparse system."""
-    import numpy as np
-
-    n, nnz = 1400, 7  # the class-S spec
-    matrix = nas_style_sparse_matrix(n, nnz, seed=7)
-    rng = np.random.default_rng(11)
-    x_true = rng.standard_normal(n)
-    rhs = matrix @ x_true
-    result = conjugate_gradient(lambda v: matrix @ v, rhs, tolerance=1e-10)
-    err = float(
-        np.max(np.abs(result.x - x_true)) / np.max(np.abs(x_true))
-    )
-    tol = 1e-7
-    return VerificationResult(
-        "CG",
-        result.converged and err < tol,
-        err,
-        tol,
-        f"sparse SPD solve, n={n}, {result.iterations} iterations "
-        f"(residual {result.residual_norms[0]:.2e} -> "
-        f"{result.residual_norms[-1]:.2e})",
-    )
-
-
-def _verify_mg() -> VerificationResult:
-    """V-cycles must contract the residual at a mesh-independent rate."""
-    import numpy as np
-
-    diag, offdiag = 7.0, 1.0
-    rates = []
-    for n in (16, 32):
-        rng = np.random.default_rng(n)
-        rhs = rng.standard_normal((n, n, n))
-        _, history = mg_solve(rhs, diag, offdiag, cycles=6)
-        rates.append((history[-1] / history[0]) ** (1.0 / 6))
-    err = abs(rates[1] - rates[0])
-    tol = 0.12  # contraction factor drift between meshes
-    converging = all(rate < 0.6 for rate in rates)
-    return VerificationResult(
-        "MG",
-        converging and err < tol,
-        err,
-        tol,
-        f"V-cycle contraction {rates[0]:.3f} @16^3 vs {rates[1]:.3f} @32^3",
-    )
-
-
 def verify(benchmark: str) -> VerificationResult:
-    """Run the mini-app verification for a benchmark (BT/SP/LU/CG/MG)."""
+    """Run the mini-app verification for a benchmark (BT/SP/LU)."""
     name = benchmark.upper()
     if name == "BT":
         return _verify_bt()
@@ -188,8 +136,4 @@ def verify(benchmark: str) -> VerificationResult:
         return _verify_sp()
     if name == "LU":
         return _verify_lu()
-    if name == "CG":
-        return _verify_cg()
-    if name == "MG":
-        return _verify_mg()
     raise ConfigurationError(f"unknown benchmark {benchmark!r}")

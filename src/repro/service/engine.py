@@ -455,9 +455,8 @@ class PredictionService:
     ) -> Optional[PredictionReport]:
         """One fresh closed-form evaluation, or None (counted escalation).
 
-        Escalates on unsupported benchmarks (the descriptor tables cover
-        BT/SP/LU), on invalid chain lengths (the simulation path raises the
-        matching typed error to the waiter), and whenever the self-reported
+        Escalates on invalid chain lengths (the simulation path raises the
+        matching typed error to the waiter) and whenever the self-reported
         confidence misses the policy's error budget.
         """
         from repro.analytic.model import AnalyticPredictor

@@ -6,6 +6,7 @@ import pytest
 
 from repro import quick_prediction
 from repro.analytic.tiers import POLICIES, TierPolicy
+from repro.errors import ExperimentError, PredictionError
 from repro.experiments import ExperimentPipeline, ExperimentSettings
 from repro.instrument import MeasurementConfig
 from repro.parallel.keys import SCHEMA_VERSION, cell_key, digest
@@ -47,10 +48,12 @@ class TestPipelineLadder:
         assert exact.actual == default.actual
         assert exact.inputs == default.inputs
 
-    def test_unsupported_benchmark_escalates_to_simulation(self):
+    def test_overlong_chain_escalates_to_simulation(self):
+        # BT's flow has 5 loop kernels: the analytic tier declines a
+        # 6-kernel chain and the simulation path raises the typed error.
         pipeline = ExperimentPipeline(_settings(), tier_policy="fast")
-        result = pipeline.config_result("CG", "S", 4, (2,))
-        assert result.tier == "simulation"
+        with pytest.raises(ExperimentError, match="chain length 6"):
+            pipeline.config_result("BT", "S", 4, (6,))
 
     def test_low_confidence_escalates_to_simulation(self):
         tight = TierPolicy("tight", use_analytic=True, max_rel_error=1e-6)
@@ -101,10 +104,10 @@ class TestServiceLadder:
         assert signed["count"] == 1
         assert abs(signed["mean"]) < 1.0
 
-    def test_unsupported_benchmark_escalates(self):
+    def test_overlong_chain_escalates(self):
         with _service(tier_policy="fast") as service:
-            report = service.predict(PredictRequest("CG", "S", 4))
-            assert report.tier == "simulation"
+            with pytest.raises(PredictionError, match="exceeds the BT flow"):
+                service.predict(PredictRequest("BT", "S", 4, chain_length=6))
             stats = service.stats()
         assert stats["analytic_escalations"] == 1
 

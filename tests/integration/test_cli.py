@@ -30,8 +30,19 @@ class TestParser:
         args = build_parser().parse_args(["profile", "lu", "a", "8"])
         assert args.benchmark == "LU"
         assert args.problem_class == "A"
-        args = build_parser().parse_args(["campaign", "cg", "--classes", "s,w"])
-        assert args.benchmark == "CG"
+        args = build_parser().parse_args(["campaign", "sp", "--classes", "s,w"])
+        assert args.benchmark == "SP"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["predict", "CG", "S", "4"], ["campaign", "cg"]],
+        ids=["predict", "campaign"],
+    )
+    def test_unregistered_benchmark_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option", [["--shards", "2"], ["--admission-limit", "1"]]

@@ -1,15 +1,14 @@
-"""3D grids, Laplacian, ADI sweeps, and mini-app verification."""
+"""3D grids, ADI sweeps, and mini-app verification."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.npb import BENCHMARKS
 from repro.npb.numerics.grids import (
     Grid3D,
     adi_diffusion_step,
-    laplacian_3d,
     manufactured_solution,
-    residual_norm,
 )
 from repro.npb.verify import verify
 
@@ -29,40 +28,6 @@ class TestGrid:
         x, y, z = grid.coordinates()
         assert x.min() > 0.0 and x.max() < 1.0
         assert x.shape == grid.shape
-
-
-class TestLaplacian:
-    def test_manufactured_eigenfunction(self):
-        """sin products are eigenfunctions of the discrete Laplacian."""
-        grid = Grid3D(15, 15, 15)
-        u = manufactured_solution(grid)
-        lap = laplacian_3d(u, grid)
-        # Discrete eigenvalue: -sum_axis 4/h^2 sin^2(pi h / 2).
-        lam = sum(
-            -4.0 / h**2 * np.sin(np.pi * h / 2) ** 2 for h in grid.spacing
-        )
-        np.testing.assert_allclose(lap, lam * u, rtol=1e-10, atol=1e-12)
-
-    def test_second_order_convergence(self):
-        """Error vs -3pi^2 u must shrink ~4x when h halves."""
-        errors = []
-        for n in (7, 15):
-            grid = Grid3D(n, n, n)
-            u = manufactured_solution(grid)
-            lap = laplacian_3d(u, grid)
-            exact = -3.0 * np.pi**2 * u
-            errors.append(np.max(np.abs(lap - exact)))
-        assert errors[0] / errors[1] > 3.0
-
-    def test_shape_checked(self):
-        with pytest.raises(ConfigurationError):
-            laplacian_3d(np.zeros((3, 3, 3)), Grid3D(4, 4, 4))
-
-    def test_residual_norm_zero_for_consistent_pair(self):
-        grid = Grid3D(8, 8, 8)
-        u = manufactured_solution(grid)
-        rhs = laplacian_3d(u, grid)
-        assert residual_norm(u, rhs, grid) < 1e-10
 
 
 class TestADI:
@@ -94,7 +59,7 @@ class TestADI:
 class TestVerification:
     """The class-S mini-apps (NPB's verification stage equivalent)."""
 
-    @pytest.mark.parametrize("bench_name", ["BT", "SP", "LU"])
+    @pytest.mark.parametrize("bench_name", sorted(BENCHMARKS))
     def test_passes(self, bench_name):
         result = verify(bench_name)
         assert result.passed, result.detail
