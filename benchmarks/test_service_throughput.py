@@ -5,18 +5,20 @@ The serving subsystem exists so that a repeated workload — the same few
 for a fresh measurement campaign per question.  This benchmark drives a
 100-request workload cycling over four distinct configurations through
 
-* a single warm :class:`~repro.service.PredictionService` (batched,
-  cached, single-flight), and
+* a single warm :class:`~repro.service.PredictionService` (cached,
+  single-flight, measurements shared between cells), and
 * 100 cold one-shots, each building a fresh pipeline with the same
   measurement protocol,
 
 and asserts the service answers at least 10x faster, backed by the
-service's own metrics (cache hit ratio, batch sizes).
+service's own metrics (cache hit ratio, simulations per record).
 """
 
 from __future__ import annotations
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +29,9 @@ from repro.service import PredictRequest, PredictionService
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1, seed=0)
 
-#: Four distinct questions, cycled 25 times = 100 requests. Two share a
-#: measurement cell (chain lengths 2 and 3 of BT/S/4), so a burst
-#: dispatches them as one cell even on the cold pass.
+#: Four distinct questions, cycled 25 times = 100 requests. Two share
+#: measurements (chain lengths 2 and 3 of BT/S/4): each is its own cell,
+#: and the worker pool simulates what they share once.
 DISTINCT = [
     PredictRequest("BT", "S", 4, chain_length=2),
     PredictRequest("BT", "S", 4, chain_length=3),
@@ -68,6 +70,10 @@ def test_warm_service_beats_cold_one_shots_10x():
             warm_reports.extend(service.predict_many(DISTINCT, timeout=120))
         warm_seconds = time.perf_counter() - t0
         stats = service.stats()
+        records = [
+            json.loads(path.read_text(encoding="utf-8"))["key"]["kind"]
+            for path in Path(stats["cache"]["l2"]["path"]).glob("*/*.json")
+        ]
 
     assert len(warm_reports) == TOTAL
     # Same answers as the cold pipelines (same measurement protocol).
@@ -87,10 +93,12 @@ def test_warm_service_beats_cold_one_shots_10x():
     # Only the first cycle can miss; everything after is served from L1.
     assert stats["cache_hit_ratio"] >= 0.9
     assert stats["l1_hits"] >= TOTAL - len(DISTINCT)
-    # Batching actually grouped the distinct cold requests: the two
-    # chain lengths of BT/S/4 share one measurement plan.
-    assert stats["batches"] >= 1
-    assert stats["batch_size"]["max"] >= 2.0
+    # Each cold request ran its own cell, and the cells simulated every
+    # measurement they share (the two chain lengths of BT/S/4) once.
+    assert stats["batches"] == len(DISTINCT)
+    assert stats["simulations"] == sum(
+        kind in ("measurement", "application") for kind in records
+    )
     assert stats["simulations"] > 0  # the cold pass did real work
 
 

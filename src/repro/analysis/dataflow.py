@@ -77,13 +77,6 @@ class TaintAnalysis:
 
     # -- queries -----------------------------------------------------------
 
-    def is_tainted(self, qualname: str) -> bool:
-        return qualname in self._cause
-
-    def is_directly_tainted(self, qualname: str) -> bool:
-        """Tainted by its *own* external reference, not a callee's."""
-        return isinstance(self._cause.get(qualname), ExternalRef)
-
     def cause(self, qualname: str) -> Optional[WitnessStep]:
         return self._cause.get(qualname)
 

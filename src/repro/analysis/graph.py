@@ -231,13 +231,6 @@ class ProjectGraph:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def module_names(self) -> list[str]:
-        return sorted(self._modules)
-
-    def callees(self, qualname: str) -> list[CallEdge]:
-        return self.edges.get(qualname, [])
-
     def callers_of(self, qualname: str) -> list[CallEdge]:
         if self._reverse is None:
             reverse: dict[str, list[CallEdge]] = {}
@@ -249,20 +242,6 @@ class ProjectGraph:
 
     def external_refs(self, qualname: str) -> list[ExternalRef]:
         return self.external.get(qualname, [])
-
-    def methods_of(self, prefix: str) -> list[FunctionInfo]:
-        """Public functions directly under a class or module ``prefix``."""
-        out = []
-        lead = prefix + "."
-        for qualname, info in self.functions.items():
-            if not qualname.startswith(lead):
-                continue
-            if "." in qualname[len(lead):]:
-                continue
-            if info.name == MODULE_BODY:
-                continue
-            out.append(info)
-        return sorted(out, key=lambda f: f.qualname)
 
     def suppressed(self, path: str, rule: str, line: int) -> bool:
         """Whether ``rule`` is inline-suppressed at ``path:line``."""

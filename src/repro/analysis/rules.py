@@ -74,15 +74,6 @@ class ImportMap:
             return name
         return f"{target}.{rest}" if rest else target
 
-    def imported_from(self, module: str) -> set[str]:
-        """Local names whose canonical path lives directly under ``module``."""
-        prefix = module + "."
-        return {
-            local
-            for local, target in self._aliases.items()
-            if target.startswith(prefix) and "." not in target[len(prefix):]
-        }
-
 
 class FileContext:
     """Everything a rule may consult while one file is being walked."""

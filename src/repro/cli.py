@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from repro._version import __version__
 from repro.analytic.tiers import tier_policy_name
 from repro.errors import ReproError
-from repro.npb import BENCHMARKS
+from repro.npb import BENCHMARKS, CLASS_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -33,7 +33,7 @@ __all__ = ["main", "build_parser"]
 #: lower-case spellings normalize before the choices check instead of each
 #: list carrying both cases.
 BENCHMARK_CHOICES = list(BENCHMARKS)
-CLASS_CHOICES = ["S", "W", "A", "B", "C"]
+CLASS_CHOICES = list(CLASS_NAMES)
 
 
 def _add_configuration_arguments(

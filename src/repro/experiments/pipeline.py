@@ -1,4 +1,10 @@
-"""Shared measurement/prediction pipeline for the experiment drivers."""
+"""Shared measurement/prediction pipeline for the experiment drivers.
+
+A pipeline with ``jobs > 1`` owns one
+:class:`~repro.parallel.executor.CellPool`, started by its first cold
+cell and stopped by :meth:`ExperimentPipeline.close` (or when the
+pipeline is collected); the cold cells of all its sweeps share it.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from repro.core.predictor import (
     SummationPredictor,
 )
 from repro.instrument.runner import MeasurementConfig
-from repro.parallel.executor import execute_cells
+from repro.parallel.executor import CellPool, execute_cells
 from repro.parallel.keys import cell_key
 from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import CellSpec
@@ -87,11 +93,10 @@ class ConfigResult:
 class ExperimentPipeline:
     """Measures configurations on demand and caches everything.
 
-    Every cell is measured the same way, by
-    :func:`~repro.parallel.executor.execute_cells`: one
-    :func:`~repro.parallel.worker.run_cell` through the memo store, after
-    (under ``jobs > 1``) its missing measurements ran on a process pool.
-    A cell asked for
+    Every cell is measured by
+    :func:`~repro.parallel.executor.execute_cells`: inline with
+    :func:`~repro.parallel.worker.run_cell` through the memo store, or
+    (under ``jobs > 1``) on the pipeline's worker pool. A cell asked for
     more chain lengths than it holds is measured again at the union of
     both, and the memo's seed-keyed measurement records make that run
     simulate only the new windows — mirroring how the paper reuses one
@@ -103,10 +108,9 @@ class ExperimentPipeline:
     before it runs and stored after. Without it the pipeline uses a
     private temporary store, removed by :meth:`close` or when the store
     is collected. ``jobs > 1`` fans the measurements that the cells
-    still need, one task each, across worker processes. Both are safe
-    because the
-    simulation tier is deterministic (REP001): serial, parallel, and
-    cache-warm runs produce bit-identical numbers.
+    still need, one task each, across ``jobs`` worker processes. Both
+    are safe because the simulation tier is deterministic (REP001):
+    serial, parallel, and cache-warm runs produce bit-identical numbers.
 
     ``tier_policy`` (a :class:`~repro.analytic.tiers.TierPolicy` or name)
     turns on the closed-form fast path: under ``fast``/``balanced``,
@@ -131,6 +135,7 @@ class ExperimentPipeline:
             else SimulationMemoStore(memo)
         )
         self.jobs = jobs
+        self._pool: Optional[CellPool] = None
         self.tier_policy = resolve_tier_policy(tier_policy)
         self._results: dict[tuple[str, str, int], ConfigResult] = {}
         #: Analytic answers are per-(config, chain lengths) — more windows
@@ -138,7 +143,9 @@ class ExperimentPipeline:
         self._analytic_results: dict[tuple, ConfigResult] = {}
 
     def close(self) -> None:
-        """Close the memo store; a private one is removed with its records."""
+        """Stop the worker pool; close the memo store (a private one goes)."""
+        if self._pool is not None:
+            self._pool.shutdown()
         self.memo.close()
 
     def _analytic_result(
@@ -208,9 +215,7 @@ class ExperimentPipeline:
                 return analytic
         key = (benchmark, problem_class, nprocs)
         if not self._holds(key, chain_lengths):
-            self._measure(
-                benchmark, problem_class, [nprocs], chain_lengths, self.jobs
-            )
+            self._measure(benchmark, problem_class, [nprocs], chain_lengths)
         return self._results[key]
 
     def _holds(
@@ -228,20 +233,16 @@ class ExperimentPipeline:
         problem_class: str,
         proc_counts: Sequence[int],
         chain_lengths: Sequence[int],
-        jobs: int,
     ) -> None:
         """Measure cells at the union of their held and new chain lengths.
 
         Each cell is first read as one verified cell record
         (:func:`~repro.parallel.keys.cell_key`, the record the serving
         engine shares). The rest go to
-        :func:`~repro.parallel.executor.execute_cells` together: for
-        ``jobs > 1``, even for one cell, every measurement they lack a
-        record for runs as one task on a process pool whose workers
-        re-install the active fault plan and share the memo store by path;
-        then (at any ``jobs``) each cell is assembled inline by
-        :func:`~repro.parallel.worker.run_cell`. Each measured cell is
-        written back as a cell record.
+        :func:`~repro.parallel.executor.execute_cells` together, inline or
+        (for ``jobs > 1``, even for one cell) on the pipeline's pool, whose
+        workers re-install the active fault plan and share the memo store
+        by path. Each measured cell is written back as a cell record.
         """
         injector = faults.get_injector()
         pending = []
@@ -282,7 +283,9 @@ class ExperimentPipeline:
             pending.append((record_key, spec))
         if not pending:
             return
-        cells = execute_cells([spec for _, spec in pending], jobs=jobs)
+        if self.jobs > 1 and self._pool is None:
+            self._pool = CellPool(self.jobs)
+        cells = execute_cells([spec for _, spec in pending], self._pool)
         for (record_key, _), cell in zip(pending, cells):
             self.memo.absorb(cell.memo_stats)
             record = {"inputs": cell.inputs, "actual": cell.actual}
@@ -318,18 +321,17 @@ class ExperimentPipeline:
         problem_class: str,
         proc_counts: Sequence[int],
         chain_lengths: Sequence[int] = (),
-        jobs: Optional[int] = None,
     ) -> list[ConfigResult]:
         """Config results across processor counts (one table column each).
 
         Cells the pipeline already holds at ``chain_lengths``, and cells
         the analytic tier answers, are not measured again. The rest are
         measured together (see :meth:`_measure`): under ``jobs > 1`` their
-        missing measurements share one worker pool, so the sweep's largest
-        cell does not set its wall time, and a fully warm sweep starts no
-        pool. Results come back in ``proc_counts`` order either way.
+        missing measurements share the pipeline's worker pool, so the
+        sweep's largest cell does not set its wall time, and a fully warm
+        sweep starts no worker. Results come back in ``proc_counts`` order
+        either way.
         """
-        jobs = self.jobs if jobs is None else jobs
         missing = [
             p
             for p in proc_counts
@@ -346,7 +348,7 @@ class ExperimentPipeline:
                 )
                 is None
             ]
-        self._measure(benchmark, problem_class, missing, chain_lengths, jobs)
+        self._measure(benchmark, problem_class, missing, chain_lengths)
         return [
             self.config_result(benchmark, problem_class, p, chain_lengths)
             for p in proc_counts

@@ -46,7 +46,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 __all__ = [
     "ProfileData",
@@ -543,8 +543,3 @@ def merge_child_profile(data: Optional[dict]) -> bool:
         return False
     profiler.data.merge(ProfileData.from_dict(data))
     return True
-
-
-def _iter_stacks(data: ProfileData) -> Iterator[tuple[tuple[str, ...], int]]:
-    """Testing/reporting helper: deterministic stack iteration order."""
-    return iter(sorted(data.samples.items()))

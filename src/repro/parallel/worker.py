@@ -11,13 +11,14 @@ key. Two module-level entry points, both of which a
 captured locks out of that path), work on it:
 
 * :func:`measure` simulates and stores one measurement of a cell — the
-  pool task of a parallel campaign, which runs one per measurement that
-  :func:`missing_measurements` finds without a record;
+  pool task that the cold-work scheduler
+  (:class:`repro.parallel.executor.CellPool`) runs once per measurement
+  that :func:`missing_measurements` finds without a record;
 * :func:`run_cell` is the one way a cell is assembled: it measures what
-  the store lacks and reads the rest, so after a campaign's pool tasks it
-  simulates nothing. The experiment pipeline runs it inline
-  (:func:`repro.parallel.executor.execute_cells`), and the serving engine
-  runs it on the :class:`repro.parallel.executor.CellPool`.
+  the store lacks and reads the rest. The scheduler runs it as a cell's
+  last task, after that cell's measurements, so there it simulates
+  nothing; a serial pipeline and the service's inline kind run it
+  alone.
 
 Results travel back as plain data: :class:`CellResult` (prediction inputs
 via :meth:`PredictionInputs.to_dict`) and :class:`MeasureResult`, never
@@ -289,8 +290,8 @@ def _benchmark(spec: CellSpec):
     return bench
 
 
-def missing_measurements(spec: CellSpec) -> list[Kernels]:
-    """The measurements of ``spec``'s cell with no record in its store.
+def missing_measurements(spec: CellSpec) -> list[tuple[Kernels, str]]:
+    """The measurements of ``spec``'s cell with no record, and their paths.
 
     In protocol order: the overhead (when the protocol subtracts it),
     then :func:`cell_measurements`, then the application run. Only the
@@ -305,19 +306,17 @@ def missing_measurements(spec: CellSpec) -> list[Kernels]:
     )
     if spec.measurement.subtract_overhead:
         wanted.insert(0, OVERHEAD)
-    missing: list[Kernels] = [
-        kernels
+    records: list[tuple[Kernels, str]] = [
+        (kernels, str(store.path_for(_measurement_key(runner, kernels))))
         for kernels in wanted
-        if not os.path.exists(
-            store.path_for(_measurement_key(runner, kernels))
-        )
     ]
     application = ApplicationRunner(
         bench, spec.machine, seed=spec.application_seed
     )
-    if not os.path.exists(store.path_for(_application_key(application))):
-        missing.append(APPLICATION)
-    return missing
+    records.append(
+        (APPLICATION, str(store.path_for(_application_key(application))))
+    )
+    return [(k, path) for k, path in records if not os.path.exists(path)]
 
 
 @contextmanager

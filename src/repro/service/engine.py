@@ -11,12 +11,14 @@ layer:
    :func:`~repro.parallel.keys.archive_key`) — no worker, no write;
 3. the rest must simulate: identical requests in flight share one
    future (single-flight), and the request that opened it dispatches its
-   cell from its own thread as :func:`~repro.parallel.worker.run_cell` on
-   a bounded pool of worker processes (:mod:`repro.service.workers`)
-   through the same memo store, which then archives each chain length's
-   answer. :meth:`PredictionService.predict_many` (a wire array line)
-   dispatches one cell per configuration, so its chain lengths share one
-   measurement plan;
+   own cell from its own thread to the bounded worker pool
+   (:mod:`repro.service.workers`), through the same memo store, then
+   archives its answer. On worker processes a cell's measurements run
+   as separate tasks of the one cold-work scheduler
+   (:class:`~repro.parallel.executor.CellPool`), which simulates a
+   measurement that several cells share once — so requests for one
+   configuration at several chain lengths, concurrent or in one wire
+   array line, share their overhead, kernels and application run;
 4. every step is measured (:mod:`repro.service.metrics`).
 
 **Seeds.** A request's seed selects its measurement-noise stream, but an
@@ -75,6 +77,11 @@ from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 __all__ = ["PredictRequest", "PredictionService"]
 
 
+def _fail(future: Future, exc: BaseException) -> None:
+    if not future.done():
+        future.set_exception(exc)
+
+
 @dataclass(frozen=True)
 class PredictRequest:
     """One prediction to serve.
@@ -123,11 +130,6 @@ class PredictRequest:
             self.seed,
         )
 
-    @property
-    def config_key(self) -> tuple:
-        """Cell identity: requests sharing it share one measurement plan."""
-        return (self.benchmark, self.problem_class, self.nprocs, self.seed)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "benchmark": self.benchmark,
@@ -158,10 +160,6 @@ class PredictRequest:
             raise ServiceError(f"malformed request: {exc}") from None
 
 
-#: One request waiting on a cell, and the future its waiters share.
-Flight = tuple[PredictRequest, Future]
-
-
 class PredictionService:
     """Cached, single-flight, metered serving of prediction reports.
 
@@ -171,10 +169,11 @@ class PredictionService:
     protocol shared by every cell (``machine`` / ``measurement`` /
     ``application_seed``).
 
-    ``executor`` is ``"process"`` (default: cells run on a long-lived
-    pool of ``max_workers`` worker processes) or ``"inline"`` (cells run
-    one at a time on one in-process cell thread). ``execute`` swaps the
-    cell function, a callable from
+    ``executor`` is ``"process"`` (default: each cell's missing
+    measurements, then the cell function, run as tasks on a long-lived
+    pool of ``max_workers`` worker processes) or ``"inline"`` (the cell
+    function alone runs each cell, one at a time, on one in-process cell
+    thread). ``execute`` swaps the cell function, a callable from
     :class:`~repro.parallel.worker.CellSpec` to
     :class:`~repro.parallel.worker.CellResult` (default
     :func:`~repro.parallel.worker.run_cell`); under ``"process"`` it must
@@ -300,7 +299,7 @@ class PredictionService:
             return outcome
         with obs.span("service.predict", benchmark=request.benchmark):
             if lead:
-                self._dispatch([(request, outcome)])
+                self._dispatch(request, outcome)
             return self._await(outcome, t0, timeout)
 
     def predict_many(
@@ -309,45 +308,32 @@ class PredictionService:
         timeout: Optional[float] = None,
         return_exceptions: bool = False,
     ) -> list:
-        """Serve a burst of requests, one cell per configuration.
+        """Serve a burst of requests, each cold one as its own cell.
 
-        Requests sharing a :attr:`PredictRequest.config_key` that must
-        simulate are dispatched as one cell, so their chain lengths share
-        one measurement plan.
+        The cells' shared measurements are simulated once: the worker
+        pool awaits a measurement already in flight.
         """
         outcomes = []
-        cells: dict[tuple, list[Flight]] = {}
-        try:
-            for request in requests:
-                try:
-                    outcome, t0, lead = self._submit(request)
-                except ServiceError as exc:
-                    if not return_exceptions:
-                        raise
-                    outcomes.append((exc, None))
-                    continue
-                if lead:
-                    cells.setdefault(request.config_key, []).append(
-                        (request, outcome)
-                    )
-                outcomes.append((outcome, t0))
-        finally:
-            # Every future this burst opened is dispatched, even when a
-            # later request raised: an undispatched one would hold its
-            # key in flight forever.
-            for flights in cells.values():
-                self._dispatch(flights)
+        for request in requests:
+            try:
+                outcome, t0, lead = self._submit(request)
+            except ServiceError as exc:
+                if not return_exceptions:
+                    raise
+                outcome, t0, lead = exc, 0.0, False
+            if lead:
+                self._dispatch(request, outcome)
+            outcomes.append((outcome, t0))
         results = []
         for outcome, t0 in outcomes:
-            if isinstance(outcome, (PredictionReport, Exception)):
-                results.append(outcome)
-                continue
             try:
-                results.append(self._await(outcome, t0, timeout))
+                if isinstance(outcome, Future):
+                    outcome = self._await(outcome, t0, timeout)
             except Exception as exc:  # noqa: BLE001 — caller opted in
                 if not return_exceptions:
                     raise
-                results.append(exc)
+                outcome = exc
+            results.append(outcome)
         return results
 
     def _submit(self, request: PredictRequest):
@@ -491,9 +477,7 @@ class PredictionService:
         if self._closed:
             raise ServiceClosedError("service is shut down")
         with obs.span("service.store", benchmark=request.benchmark):
-            archived = self._memo.get(
-                self._archive_key(request, request.chain_length)
-            )
+            archived = self._memo.get(self._archive_key(request))
             if archived is None:
                 return None
             inputs = PredictionInputs.from_dict(archived["inputs"])
@@ -504,17 +488,15 @@ class PredictionService:
         self.metrics.record_tier(report.tier, dt)
         return report
 
-    def _archive_key(
-        self, request: PredictRequest, chain_length: int
-    ) -> MemoKey:
-        """The seed-free archive key of one cell at one chain length."""
+    def _archive_key(self, request: PredictRequest) -> MemoKey:
+        """The seed-free archive key of the request's cell and length."""
         return archive_key(
             self.machine,
             self.measurement,
             request.benchmark,
             request.problem_class,
             request.nprocs,
-            chain_length,
+            request.chain_length,
             self.application_seed,
         )
 
@@ -548,66 +530,46 @@ class PredictionService:
 
     # -- dispatch (calling thread) --------------------------------------------
 
-    def _dispatch(self, flights: list[Flight]) -> None:
-        """Turn one cell's flights into a cell task on the pool.
+    def _dispatch(self, request: PredictRequest, future: Future) -> None:
+        """Turn the request's flight into a cell on the worker pool.
 
-        Runs on the thread of the request that opened the flights, so the
-        dispatch span (and the cell's) joins that request's trace. Any
-        failure is relayed to the flights' waiters.
+        Runs on the request's own thread, so the dispatch span (and the
+        cell's) joins its trace. Any failure is relayed to the waiters.
         """
-        first = flights[0][0]
         try:
             with obs.span(
                 "service.dispatch",
-                benchmark=first.benchmark,
-                cls=first.problem_class,
-                nprocs=first.nprocs,
-                batch=len(flights),
+                benchmark=request.benchmark,
+                cls=request.problem_class,
+                nprocs=request.nprocs,
             ):
-                self._dispatch_cell(flights)
+                self._start_cell(request, future)
         except BaseException as exc:  # noqa: BLE001 — relay to waiters
-            self._fail(flights, exc)
+            _fail(future, exc)
 
-    def _dispatch_cell(self, flights: list[Flight]) -> None:
-        first = flights[0][0]
+    def _start_cell(self, request: PredictRequest, future: Future) -> None:
         if faults.check("engine.dispatch.error") is not None:
-            self._fail(
-                flights,
-                InjectedFaultError(
-                    "injected engine dispatch failure (engine.dispatch.error)"
-                ),
+            raise InjectedFaultError(
+                "injected engine dispatch failure (engine.dispatch.error)"
             )
-            return
-        self.metrics.record_batch(len(flights))
-        # Validate per-request chain lengths against the flow now, so one
-        # impossible request fails alone instead of poisoning its cell.
-        bench = make_benchmark(first.benchmark, first.problem_class, first.nprocs)
+        self.metrics.record_batch(1)
+        bench = make_benchmark(
+            request.benchmark, request.problem_class, request.nprocs
+        )
         flow_length = len(bench.loop_kernel_names)
-        viable = []
-        for request, future in flights:
-            if request.chain_length > flow_length:
-                self._fail(
-                    [(request, future)],
-                    PredictionError(
-                        f"chain_length {request.chain_length} exceeds "
-                        f"the {first.benchmark} flow of {flow_length} kernels"
-                    ),
-                )
-            else:
-                viable.append((request, future))
-        flights = viable
-        if not flights:
-            return
+        if request.chain_length > flow_length:
+            raise PredictionError(
+                f"chain_length {request.chain_length} exceeds "
+                f"the {request.benchmark} flow of {flow_length} kernels"
+            )
         injector = faults.get_injector()
         spec = CellSpec(
-            benchmark=first.benchmark,
-            problem_class=first.problem_class,
-            nprocs=first.nprocs,
-            chain_lengths=tuple(
-                sorted({request.chain_length for request, _ in flights})
-            ),
+            benchmark=request.benchmark,
+            problem_class=request.problem_class,
+            nprocs=request.nprocs,
+            chain_lengths=(request.chain_length,),
             machine=self.machine,
-            measurement=replace(self.measurement, seed=first.seed),
+            measurement=replace(self.measurement, seed=request.seed),
             application_seed=self.application_seed,
             cache_dir=str(self._memo.root),
             fault_plan=injector.plan if injector else None,
@@ -624,98 +586,60 @@ class PredictionService:
         record = self._memo.get(record_key)
         if record is not None:
             self.metrics.cell_seconds.observe(0.0)
-            self._finish(
-                flights,
-                PredictionInputs.from_dict(record["inputs"]),
-                record["actual"],
-                simulations=0,
-            )
+            self._finish(request, future, record, simulations=0)
             return
         try:
-            pool_future = self._pool.submit(self._execute, spec)
-        except ServiceError as exc:
-            self._fail(flights, exc)
-            return
+            cell = self._pool.submit(self._execute, spec)
+        except ServiceError:
+            raise
         except Exception as exc:  # noqa: BLE001 — keep waiter errors typed
-            self._fail(
-                flights, ServiceError(f"worker submission failed: {exc}")
-            )
-            return
+            raise ServiceError(f"worker submission failed: {exc}") from exc
         started = self._clock()
 
-        def _done(fut: Future) -> None:
+        def _done(cell: Future) -> None:
             self.metrics.cell_seconds.observe(self._clock() - started)
             try:
-                # repro: ignore[REP003] — done-callback: fut already resolved
-                result = fut.result()
-                self._memo.put(
-                    record_key,
-                    {"inputs": result.inputs, "actual": result.actual},
+                # repro: ignore[REP003] — done-callback: cell already resolved
+                result = cell.result()
+                record = {"inputs": result.inputs, "actual": result.actual}
+                self._memo.put(record_key, record)
+                self._finish(
+                    request,
+                    future,
+                    record,
+                    simulations=result.memo_stats.get("stores", 0),
                 )
             except BaseException as exc:  # noqa: BLE001 — relay to waiters
-                self._fail(flights, exc)
-                return
-            self._finish(
-                flights,
-                PredictionInputs.from_dict(result.inputs),
-                result.actual,
-                simulations=result.memo_stats.get("stores", 0),
-            )
+                _fail(future, exc)
 
-        pool_future.add_done_callback(_done)
+        cell.add_done_callback(_done)
 
     def _finish(
         self,
-        flights: list[Flight],
-        inputs: PredictionInputs,
-        actual: float,
+        request: PredictRequest,
+        future: Future,
+        record: dict,
         simulations: int,
     ) -> None:
-        """Archive the cell's answer per chain length, then answer waiters.
+        """Archive the cell's answer, then answer the request's waiters.
 
-        Each chain length's record is created only if absent, so when an
-        earlier cell (at any seed) archived it first, this cell's waiters
-        get that record's numbers like every later request.
+        The archive record is created only if absent, so when an earlier
+        cell (at any seed) archived it first, the waiters get that
+        record's numbers like every later request.
         """
         self.metrics.simulations.inc(simulations)
-        self._record_analytic_error(flights[0][0], actual)
-        warm = simulations == 0
-        answers: dict[int, tuple[PredictionInputs, float]] = {}
-        for request, future in flights:
-            try:
-                if request.chain_length not in answers:
-                    answers[request.chain_length] = self._archive(
-                        request, inputs, actual
-                    )
-                report = self._report(
-                    request, *answers[request.chain_length], warm
-                )
-            except Exception as exc:  # noqa: BLE001 — relay to this waiter
-                self._fail([(request, future)], exc)
-                continue
-            if not future.done():
-                future.set_result(report)
-
-    def _archive(
-        self, request: PredictRequest, inputs: PredictionInputs, actual: float
-    ) -> tuple[PredictionInputs, float]:
-        """The archived ``(inputs, actual)`` of the request's chain length."""
-        length = request.chain_length
-        own_inputs = replace(
-            inputs,
-            chain_times={
-                window: t
-                for window, t in inputs.chain_times.items()
-                if len(window) == length
-            },
-        )
-        own = {"inputs": own_inputs.to_dict(), "actual": actual}
+        self._record_analytic_error(request, record["actual"])
         archived = self._memo.put_if_absent(
-            self._archive_key(request, length), own
+            self._archive_key(request), record
         )
-        if archived is own:
-            return own_inputs, actual
-        return PredictionInputs.from_dict(archived["inputs"]), archived["actual"]
+        report = self._report(
+            request,
+            PredictionInputs.from_dict(archived["inputs"]),
+            archived["actual"],
+            warm=simulations == 0,
+        )
+        if not future.done():
+            future.set_result(report)
 
     def _report(
         self,
@@ -766,12 +690,6 @@ class PredictionService:
         self.metrics.record_signed_error(
             (analytic.actual - actual) / actual
         )
-
-    @staticmethod
-    def _fail(flights: list[Flight], exc: BaseException) -> None:
-        for _, future in flights:
-            if not future.done():
-                future.set_exception(exc)
 
     def _retry_after_estimate(self) -> float:
         """Expected drain time of the current queue, floored at 100 ms."""

@@ -2,13 +2,13 @@
 
 The expensive part of a prediction is the discrete-event simulation of
 one cell's measurement protocol (isolated kernels, chain windows,
-one-shots) plus the full application run,
-:func:`repro.parallel.worker.run_cell`. :class:`WorkerPool` runs those
-cells on the process pool campaigns use
-(:class:`repro.parallel.executor.CellPool`), so one server simulates on
-``max_workers`` CPUs, or on one in-process cell thread. Workers share the
-service's memo directory; its atomic writes make concurrent writers
-safe.
+one-shots) plus the full application run. :class:`WorkerPool` hands each
+cell to the cold-work scheduler campaigns use
+(:class:`repro.parallel.executor.CellPool`), which runs the cell's
+missing measurements, then its cell function, on ``max_workers`` worker
+processes; or it runs the cell function alone on one in-process cell
+thread. Workers share the service's memo directory; its atomic writes
+make concurrent writers safe.
 
 The pool itself lives on the server's threads: it rejects new work with a
 retry-after hint once the queue is full (backpressure instead of
@@ -45,21 +45,21 @@ class WorkerPool:
     beyond that raises
     :class:`~repro.errors.ServiceSaturatedError` carrying a retry-after
     estimate instead of queueing unboundedly. ``kind`` selects
-    ``"process"`` (default: a long-lived pool of ``max_workers`` worker
-    processes, started by the first submit) or ``"inline"`` (cells run one
-    at a time on one in-process cell thread, for debugging and for tests
-    that observe the cell in-process). An inline cell runs in a copy of
-    the submitter's context, so its spans join the submitter's trace; it
-    never runs on the submitting thread, so a caller's deadline still
-    bounds its wait.
+    ``"process"`` (default: a long-lived scheduler over ``max_workers``
+    worker processes, started by the first cell) or ``"inline"`` (cells
+    run one at a time on one in-process cell thread, for debugging and
+    for tests that observe the cell in-process). An inline cell runs in
+    a copy of the submitter's context, so its spans join the submitter's
+    trace; it never runs on the submitting thread, so a caller's
+    deadline still bounds its wait.
 
     **Worker death.** A worker process that dies mid-cell breaks the
     process pool: every cell then in flight fails with
-    :class:`~repro.errors.WorkerCrashError`, the pool is rebuilt once and
-    counted in ``worker_respawns``, and the next cell runs on fresh
-    workers. A cell that raises ``WorkerCrashError`` itself (the
-    ``worker.cell.crash`` fault site) counts as a death and a respawn
-    too, though its worker survives. After ``crash_threshold``
+    :class:`~repro.errors.WorkerCrashError` (the service retries no lost
+    task), the pool is rebuilt once and counted in ``worker_respawns``,
+    and the next cell runs on fresh workers. A cell that raises
+    ``WorkerCrashError`` itself (the ``worker.cell.crash`` fault site)
+    counts as a death and a respawn too, though its worker survives. After ``crash_threshold``
     *consecutive* deaths the pool declares itself unhealthy
     (:attr:`healthy` — the engine's degraded-mode signal). Any
     successfully completed cell restores health.
@@ -214,7 +214,7 @@ class WorkerPool:
                 )
             else:
                 assert self._cells is not None
-                outcome = self._cells.submit(run, spec)
+                (outcome,) = self._cells.submit([spec], run)
         except BaseException:  # noqa: BLE001 — undo the reservation, re-raise
             with self._lock:
                 self._outstanding -= 1

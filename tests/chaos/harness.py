@@ -138,12 +138,14 @@ def synthetic_execute(spec) -> CellResult:
 def serving(**kwargs):
     """A service behind ``serve_socket`` on an ephemeral port.
 
-    Unlike :func:`run_chaos`, cells run on the service's worker processes
-    unless ``executor="inline"`` is passed.
+    Cells run inline, like :func:`run_chaos`'s, unless
+    ``executor="process"`` is passed; then the cell function runs on a
+    worker process after the cell's real measurements.
     """
     defaults = dict(
         measurement=MeasurementConfig(repetitions=2, warmup=1),
         execute=synthetic_execute,
+        executor="inline",
     )
     defaults.update(kwargs)
     with PredictionService(**defaults) as service:

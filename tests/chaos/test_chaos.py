@@ -294,6 +294,7 @@ def test_sigkill_mid_soak_respawns_and_answers_every_request(tmp_path):
     }
     with serving(
         execute=functools.partial(park_until_killed, pidfile),
+        executor="process",
         max_workers=2,
         queue_depth=16,
     ) as (service, address):

@@ -1,23 +1,31 @@
-"""The cell process pool: clean workers, exact fault plans, merged obs.
+"""The cell scheduler's pool: clean workers, exact fault plans, merged obs.
 
 :class:`~repro.parallel.executor.CellPool` forks its workers from a
-process whose other threads may hold locks at that moment, runs each cell
+process whose other threads may hold locks at that moment, runs each task
 under exactly the fault plan its spec carries, and folds each completed
-cell's counters and span histograms into this process exactly once.
+task's counters and span histograms into this process exactly once. A
+cell function given to it runs as the cell's last task, after the
+cell's real measurements.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
+import json
 import multiprocessing
 import os
 import signal
+import sys
 import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import faults, obs
+from repro.experiments import ExperimentPipeline, ExperimentSettings
 from repro.faults import FaultPlan, FaultSpec
 from repro.instrument import MeasurementConfig
 from repro.parallel.executor import CellPool, execute_cells
@@ -84,15 +92,14 @@ class TestFaultPlans:
         pool = CellPool(1)
         try:
             with faults.active(inherited):
-                bare = pool.submit(
-                    report_plan, _spec(tmp_path)
-                ).result(timeout=60)
-                planned = pool.submit(
-                    report_plan, _spec(tmp_path, fault_plan=carried)
-                ).result(timeout=60)
-                again = pool.submit(
-                    report_plan, _spec(tmp_path)
-                ).result(timeout=60)
+                [bare, planned, again] = [
+                    pool.submit([spec], report_plan)[0].result(timeout=60)
+                    for spec in (
+                        _spec(tmp_path),
+                        _spec(tmp_path, fault_plan=carried),
+                        _spec(tmp_path),
+                    )
+                ]
         finally:
             pool.shutdown()
         assert bare.inputs["plan"] is None
@@ -108,12 +115,12 @@ class TestObservability:
         run = functools.partial(observe_then_maybe_die, str(flag))
         pool = CellPool(1)
         try:
-            pool.submit(run, _spec(tmp_path, 1)).result(timeout=60)
+            pool.submit([_spec(tmp_path, 1)], run)[0].result(timeout=60)
             flag.write_text("armed")
             with pytest.raises(Exception):
-                pool.submit(run, _spec(tmp_path, 4)).result(timeout=60)
+                pool.submit([_spec(tmp_path, 4)], run)[0].result(timeout=60)
             assert not flag.exists()  # the lost attempt really ran
-            pool.submit(run, _spec(tmp_path, 9)).result(timeout=60)
+            pool.submit([_spec(tmp_path, 9)], run)[0].result(timeout=60)
         finally:
             pool.shutdown()
         registry = obs.get_registry()
@@ -142,9 +149,11 @@ class TestObservability:
         ]
         profiler = obs.SamplingProfiler(interval=0.001, backend="thread")
         profiler.start()
+        pool = CellPool(2)
         try:
-            results = execute_cells(specs, jobs=2)
+            results = execute_cells(specs, pool)
         finally:
+            pool.shutdown()
             profiler.stop()
         assert all(result.profile is not None for result in results)
 
@@ -177,7 +186,7 @@ class TestForkSafety:
         assert held.wait(timeout=10)
         pool = CellPool(1)
         try:
-            future = pool.submit(run_cell, _spec(tmp_path))
+            [future] = pool.submit([_spec(tmp_path)])
             release.set()
             holder.join(timeout=10)
             result = future.result(timeout=30)
@@ -189,3 +198,103 @@ class TestForkSafety:
             pool.shutdown(wait=False)
         assert result.actual > 0
         assert registry.counter("sim_runs").value > 0
+
+
+class TestOwnerPool:
+    """A pipeline keeps one pool for its lifetime, and it ends with it."""
+
+    CHEAP = ExperimentSettings(
+        measurement=MeasurementConfig(repetitions=1, warmup=0)
+    )
+
+    def test_a_campaign_constructs_one_process_pool(
+        self, tmp_path, monkeypatch
+    ):
+        started = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.parallel.executor.ProcessPoolExecutor", Counted
+        )
+        pipeline = ExperimentPipeline(
+            self.CHEAP, memo=tmp_path / "memo", jobs=2
+        )
+        try:
+            for benchmark, procs in (("BT", [1, 4]), ("SP", [1, 4]),
+                                     ("LU", [2, 4])):
+                pipeline.sweep(benchmark, "S", procs, chain_lengths=[2])
+        finally:
+            pipeline.close()
+        assert len(started) == 1
+
+    def test_a_dropped_pipeline_leaves_no_worker_process(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        pipeline = ExperimentPipeline(
+            self.CHEAP, memo=tmp_path / "memo", jobs=2
+        )
+        pipeline.sweep("BT", "S", [1, 4], chain_lengths=[2])
+        workers = set(multiprocessing.active_children()) - before
+        assert workers  # the pool outlives the sweep
+        del pipeline
+        gc.collect()
+        deadline = time.monotonic() + 30
+        while any(worker.is_alive() for worker in workers):
+            assert time.monotonic() < deadline, "a worker outlived its pool"
+            time.sleep(0.01)
+
+
+class TestSingleFlight:
+    @pytest.mark.timeout(120)
+    def test_overlapping_cells_from_many_threads_store_each_record_once(
+        self, tmp_path
+    ):
+        """More workers than CPUs, six submitting threads, fast switching:
+        a measurement submitted twice would be stored twice."""
+        cache = tmp_path / "memo"
+        variants = [
+            dataclasses.replace(_spec(cache, nprocs), chain_lengths=lengths)
+            for nprocs in (1, 4)
+            for lengths in ((2,), (3,), (2, 3))
+        ]
+        pool = CellPool(3)
+        cells: dict = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def submit(t):
+                futures = pool.submit(variants[t:] + variants[:t])
+                cells[t] = [f.result(timeout=90) for f in futures]
+
+            threads = [
+                threading.Thread(target=submit, args=(t,)) for t in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=100)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+            pool.shutdown()
+        stores = sum(
+            cell.memo_stats["stores"] for done in cells.values() for cell in done
+        )
+        records = [
+            json.loads(path.read_text(encoding="utf-8"))["key"]["kind"]
+            for path in cache.glob("*/*.json")
+        ]
+        assert stores == len(records) > 0
+        assert set(records) == {"measurement", "application"}
+        serial = {spec: run_cell(dataclasses.replace(
+            spec, cache_dir=str(tmp_path / "serial"))) for spec in variants}
+        for t, done in cells.items():
+            for spec, cell in zip(variants[t:] + variants[:t], done):
+                expected = serial[spec]
+                assert (cell.actual, cell.inputs) == (
+                    expected.actual, expected.inputs
+                )

@@ -240,11 +240,16 @@ class TestRecordsCrossPaths:
     ):
         cache = tmp_path / "memo"
         self.serve(cache, bench, chains)
-        assert sorted(cell_records(cache)) == [(4, chains)]
+        # Each request ran its own cell and wrote its own record.
+        assert sorted(cell_records(cache)) == [(4, (n,)) for n in chains]
         runs = sim_runs()
         pipeline, warm = sweep(cache, bench, [4], chains)
         assert sim_runs() == runs
-        assert pipeline.memo.stats()["hits"] == 1
+        # One chain length reads the service's cell record; more read its
+        # measurement records and store the union's cell record.
+        stats = pipeline.memo.stats()
+        assert stats["stores"] == len(chains) - 1
+        assert stats["hits"] >= 1
         baseline = ExperimentPipeline(SETTINGS).sweep(
             bench, "S", [4], chain_lengths=list(chains)
         )
@@ -258,7 +263,10 @@ class TestRecordsCrossPaths:
         _, cold = sweep(cache, bench, [4], chains)
         reports, stats = self.serve(cache, bench, chains)
         assert stats["simulations"] == 0
-        assert stats["memo"]["hits"] == 1
+        # A one-length request reads the pipeline's cell record; requests
+        # at one of its several lengths assemble their cells on a worker
+        # from its measurement records.
+        assert stats["memo"]["hits"] == (len(chains) == 1)
         (result,) = cold
         for length, report in zip(chains, reports):
             assert report.actual == result.actual

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -10,7 +11,7 @@ import pytest
 from repro.experiments import ExperimentPipeline, ExperimentSettings
 from repro.instrument import MeasurementConfig
 from repro.instrument.runner import ChainRunner
-from repro.parallel.executor import execute_cells
+from repro.parallel.executor import CellPool, execute_cells
 from repro.parallel.worker import (
     OVERHEAD,
     CellSpec,
@@ -45,6 +46,18 @@ def entries_of(cache, kind):
         for path in cache.glob("*/*.json")
         if json.loads(path.read_text(encoding="utf-8"))["key"]["kind"] == kind
     )
+
+
+def assemble_only(spec):
+    """``run_cell`` as a cell's last pool task, where it must not simulate.
+
+    Counts itself in ``test_assemblies``, which the pool absorbs.
+    """
+    before = sim_runs()
+    result = run_cell(spec)
+    assert sim_runs() == before, "the cell task simulated"
+    counted = (("test_assemblies", (), 1),)
+    return dataclasses.replace(result, counters=result.counters + counted)
 
 
 def slow_overhead(spec, kernels):
@@ -106,16 +119,10 @@ class TestColdParallelSweep:
     def test_every_measurement_is_simulated_exactly_once(
         self, tmp_path, monkeypatch
     ):
+        from repro import obs
+
         serial_pipeline, serial = sweep(memo=tmp_path / "serial", jobs=1)
-        assemblies = []
-
-        def assemble(spec):
-            before = sim_runs()
-            result = run_cell(spec)
-            assemblies.append(sim_runs() - before)
-            return result
-
-        monkeypatch.setattr("repro.parallel.executor.run_cell", assemble)
+        monkeypatch.setattr("repro.parallel.executor.run_cell", assemble_only)
         cache = tmp_path / "memo"
         runs = sim_runs()
         pipeline, parallel = sweep(memo=cache, jobs=2)
@@ -132,10 +139,15 @@ class TestColdParallelSweep:
             PROCS
         )
         assert stores == serial_pipeline.memo.stats()["stores"]
-        # The parent only assembles each cell from the records.
-        assert assemblies == [0] * len(PROCS)
+        # Each cell's last task only assembled it from the records.
+        assert obs.get_registry().counter("test_assemblies").value == len(
+            PROCS
+        )
+        pipeline.close()
 
-    def test_loop_measurements_wait_for_their_overhead(self, tmp_path):
+    def test_loop_measurements_wait_for_their_overhead(
+        self, tmp_path, monkeypatch
+    ):
         spec = CellSpec(
             benchmark="BT",
             problem_class="S",
@@ -147,7 +159,12 @@ class TestColdParallelSweep:
         )
         keys = len(missing_measurements(spec))
         runs = sim_runs()
-        [cell] = execute_cells([spec], jobs=2, _measure=slow_overhead)
+        monkeypatch.setattr("repro.parallel.executor.measure", slow_overhead)
+        pool = CellPool(2)
+        try:
+            [cell] = execute_cells([spec], pool)
+        finally:
+            pool.shutdown()
         # Had a loop task started before the overhead was stored, it would
         # have simulated and stored the overhead a second time.
         assert sim_runs() - runs == keys

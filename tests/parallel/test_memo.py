@@ -224,11 +224,15 @@ class TestCounters:
             )
             for nprocs in (4, 9)
         ]
-        cold = execute_cells(specs, jobs=1)
+        cold = execute_cells(specs)
         stored = sum(cell.memo_stats["stores"] for cell in cold)
         assert stored > 0
         obs.reset()
-        warm = execute_cells(specs, jobs=2)
+        pool = CellPool(2)
+        try:
+            warm = execute_cells(specs, pool)
+        finally:
+            pool.shutdown()
         assert [cell.memo_stats["hits"] for cell in warm] == [
             cell.memo_stats["stores"] for cell in cold
         ]
@@ -303,7 +307,8 @@ class TestLifecycle:
                 measurement=MeasurementConfig(repetitions=1, warmup=0),
                 cache_dir=str(store.root),
             )
-            pool.submit(close_inherited_store, spec).result(timeout=60)
+            [cell] = pool.submit([spec], close_inherited_store)
+            cell.result(timeout=60)
         finally:
             pool.shutdown()
             _INHERITED.clear()

@@ -1,5 +1,6 @@
 """The prediction service engine: caching, coalescing, backpressure."""
 
+import json
 import threading
 
 import pytest
@@ -19,6 +20,15 @@ from repro.parallel.worker import run_cell
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
 
+def measured_records(cache) -> int:
+    """The measurement and application records in a memo directory."""
+    kinds = [
+        json.loads(path.read_text(encoding="utf-8"))["key"]["kind"]
+        for path in cache.glob("*/*.json")
+    ]
+    return sum(kind in ("measurement", "application") for kind in kinds)
+
+
 def make_service(**kwargs):
     kwargs.setdefault("measurement", MEASUREMENT)
     return PredictionService(**kwargs)
@@ -35,9 +45,6 @@ class TestPredictRequest:
         b = PredictRequest("BT", "S", 4, chain_length=3, seed=0)
         c = PredictRequest("BT", "S", 4, chain_length=2, seed=1)
         assert len({a.key, b.key, c.key}) == 3
-        # …but the same measurement plan group for equal seeds:
-        assert a.config_key == b.config_key
-        assert a.config_key != c.config_key
 
     def test_validation(self):
         with pytest.raises(ServiceError, match="unknown benchmark"):
@@ -85,8 +92,9 @@ class TestServing:
             assert stats["misses"] == 1
             assert stats["cache_hit_ratio"] == pytest.approx(0.5)
 
-    def test_chain_lengths_share_one_measurement_plan(self):
-        with make_service(executor="inline") as service:
+    def test_chain_lengths_share_one_measurement_plan(self, tmp_path):
+        cache = tmp_path / "memo"
+        with make_service(cache_dir=str(cache), executor="inline") as service:
             reports = service.predict_many(
                 [
                     PredictRequest("BT", "S", 4, chain_length=2),
@@ -96,8 +104,9 @@ class TestServing:
             assert len(reports) == 2
             assert reports[0].actual == pytest.approx(reports[1].actual)
             stats = service.stats()
-            assert stats["batches"] == 1
-            assert stats["batch_size"]["max"] == 2.0
+        # Two cells, and every measurement they share simulated once.
+        assert stats["batches"] == 2
+        assert stats["simulations"] == measured_records(cache)
 
     def test_l2_reconstruction_across_restart(self, tmp_path):
         cache = str(tmp_path / "memo")
@@ -246,8 +255,9 @@ class TestRequestPath:
         assert stats["batch_size"]["count"] == 1
         assert stats["batch_size"]["max"] == 1.0
 
-    def test_a_burst_dispatches_one_cell_per_configuration(self):
-        with make_service(executor="inline") as service:
+    def test_a_burst_dispatches_one_cell_per_request(self, tmp_path):
+        cache = tmp_path / "memo"
+        with make_service(cache_dir=str(cache), executor="inline") as service:
             reports = service.predict_many(
                 [
                     PredictRequest("BT", "S", 4, chain_length=2),
@@ -258,9 +268,9 @@ class TestRequestPath:
             )
             stats = service.stats()
         assert reports[0].actual == reports[2].actual != reports[1].actual
-        assert stats["batches"] == 2
-        assert stats["batch_size"]["max"] == 2.0
-        assert stats["batch_size"]["mean"] == 1.5
+        assert stats["batches"] == 3
+        assert stats["batch_size"]["max"] == 1.0
+        assert stats["simulations"] == measured_records(cache)
 
     def test_dispatch_and_cell_join_the_request_trace(self):
         from repro.service import handle_line
@@ -294,16 +304,17 @@ class TestRequestPath:
                 outcomes = service.predict_many(
                     burst, timeout=60, return_exceptions=True
                 )
-                assert all(
-                    isinstance(o, InjectedFaultError) for o in outcomes
-                )
-                # The failed flights are closed: the retry opens new ones.
+                # Each request dispatches its own cell: only the first
+                # dispatch fails.
+                assert isinstance(outcomes[0], InjectedFaultError)
+                assert outcomes[1].actual > 0
+                # The failed flight is closed: the retry opens a new one.
                 retried = service.predict_many(burst, timeout=60)
             stats = service.stats()
         assert all(r.actual > 0 for r in retried)
-        assert stats["errors"] == 2
+        assert stats["errors"] == 1
         assert stats["coalesced"] == 0
-        assert stats["batches"] == 1
+        assert stats["batches"] == 2
 
     def test_close_during_a_cell_still_answers_its_waiter(self):
         started = threading.Event()

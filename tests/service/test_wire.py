@@ -1,8 +1,8 @@
 """The wire path of one server: TCP, ordering, array lines, retry,
 reconnection.
 
-Runs :func:`~repro.service.serve_socket` over a service whose worker
-processes run the synthetic cell function, and talks to it with
+Runs :func:`~repro.service.serve_socket` over a service that runs the
+synthetic cell function inline, and talks to it with
 :class:`~repro.service.LineClient` and raw sockets.
 """
 
@@ -95,7 +95,6 @@ def test_client_retry_honours_retry_after_and_recovers(tmp_path):
     gate = str(tmp_path / "gate")
     with serving(
         execute=functools.partial(gated_synthetic, gate),
-        max_workers=1,
         queue_depth=1,
     ) as (service, address):
         blocked = LineClient(*address)

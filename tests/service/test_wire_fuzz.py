@@ -7,8 +7,8 @@ integers) — go to :func:`repro.service.api.handle_line` and through one
 must get one JSON reply carrying ``ok`` (and ``error_type`` when ``ok``
 is false), and a valid request afterwards must still be answered. The
 socket also gets one line of bytes that are not UTF-8.
-The service runs the synthetic cell function on its worker processes,
-so generated valid requests never simulate.
+The service runs the synthetic cell function inline, so generated valid
+requests never simulate.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ def make_service(**kwargs) -> PredictionService:
     return PredictionService(
         measurement=MeasurementConfig(repetitions=2, warmup=1),
         execute=synthetic_execute,
+        executor="inline",
         **kwargs,
     )
 

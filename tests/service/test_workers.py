@@ -23,6 +23,7 @@ from repro.parallel.worker import CellResult, CellSpec, run_cell
 from repro.service import PredictRequest, PredictionService
 from repro.service.workers import WorkerPool
 from repro.simmachine import ibm_sp_argonne
+from tests.service.test_engine import measured_records
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
@@ -120,18 +121,18 @@ class TestWorkerPool:
             future.result(timeout=5)
         pool.shutdown()
 
-    def test_process_pool_runs_work(self):
+    def test_process_pool_runs_work(self, tmp_path):
+        # Each stub runs as its cell's last task, after the cell's real
+        # measurements.
         pool = WorkerPool(max_workers=2)
-        futures = [pool.submit(square_nprocs, cell_spec(nprocs=n))
-                   for n in range(1, 6)]
-        assert [f.result(timeout=30).actual for f in futures] == [
-            1, 4, 9, 16, 25
-        ]
+        futures = [pool.submit(square_nprocs, cell_spec(tmp_path, nprocs=n))
+                   for n in (1, 4, 9)]
+        assert [f.result(timeout=60).actual for f in futures] == [1, 16, 81]
         pool.shutdown()
 
     def test_saturation_rejects_with_retry_after(self, tmp_path):
         gate = str(tmp_path / "gate")
-        pool = WorkerPool(max_workers=1, queue_depth=2, retry_after=2.5)
+        pool = WorkerPool(kind="inline", queue_depth=2, retry_after=2.5)
         blocked = [
             pool.submit(functools.partial(wait_for_gate, gate), cell_spec())
             for _ in range(2)
@@ -147,16 +148,17 @@ class TestWorkerPool:
         pool.shutdown()
 
     def test_outstanding_drains_after_completion(self):
-        pool = WorkerPool(max_workers=1, queue_depth=4)
+        pool = WorkerPool(kind="inline", queue_depth=4)
         fut = pool.submit(square_nprocs, cell_spec(nprocs=3))
         assert fut.result(timeout=30).actual == 9
         assert pool.outstanding == 0
         pool.shutdown()
 
     def test_concurrent_submitters_keep_the_queue_count(self):
-        """More workers than CPUs, eight submitting threads, fast switching:
-        a lost update to the outstanding count would leave it nonzero."""
-        pool = WorkerPool(max_workers=3, queue_depth=200)
+        """Eight submitting threads against the cell thread, fast
+        switching: a lost update to the outstanding count would leave it
+        nonzero."""
+        pool = WorkerPool(kind="inline", queue_depth=200)
         results: dict = {}
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -209,28 +211,28 @@ class TestWorkerPool:
         gate = str(tmp_path / "gate")
         pool = WorkerPool(max_workers=1)
         future = pool.submit(
-            functools.partial(wait_for_gate, gate), cell_spec(nprocs=7)
+            functools.partial(wait_for_gate, gate), cell_spec(tmp_path)
         )
         shutter = threading.Thread(target=pool.shutdown, kwargs={"wait": True})
         shutter.start()
         shutter.join(timeout=0.5)
         assert shutter.is_alive()  # blocked on the in-flight cell
         open(gate, "w").close()
-        shutter.join(timeout=30)
+        shutter.join(timeout=60)
         assert not shutter.is_alive()
-        assert future.result(timeout=0).actual == 7
+        assert future.result(timeout=0).actual == 4
 
     def test_shutdown_nowait_returns_immediately(self, tmp_path):
         gate = str(tmp_path / "gate")
         pool = WorkerPool(max_workers=1)
         future = pool.submit(
-            functools.partial(wait_for_gate, gate), cell_spec()
+            functools.partial(wait_for_gate, gate), cell_spec(tmp_path)
         )
         started = time.monotonic()
         pool.shutdown(wait=False)  # must not block on the running cell
         assert time.monotonic() - started < 5
         open(gate, "w").close()
-        assert future.result(timeout=30).actual == 4
+        assert future.result(timeout=60).actual == 4
 
 
 class TestWorkerHealth:
@@ -267,12 +269,14 @@ class TestWorkerHealth:
         assert pool.crashes == 0
         pool.shutdown()
 
-    def test_process_pool_counts_crashes_and_respawns(self):
+    def test_process_pool_counts_crashes_and_respawns(self, tmp_path):
         pool = WorkerPool(max_workers=1, crash_threshold=3)
-        futures = [pool.submit(crash_in_band, cell_spec()) for _ in range(2)]
+        futures = [
+            pool.submit(crash_in_band, cell_spec(tmp_path)) for _ in range(2)
+        ]
         for f in futures:
             with pytest.raises(WorkerCrashError):
-                f.result(timeout=30)
+                f.result(timeout=60)
         # The worker survived its in-band deaths: accounting only.
         assert pool.crashes == 2
         assert pool.respawns == 2
@@ -322,3 +326,69 @@ class TestWorkerDeath:
             stats = service.stats()
         assert stats["worker_crashes"] == 2
         assert stats["worker_respawns"] == 2
+
+
+class TestSharedMeasurements:
+    """Cold cells on worker processes share their measurements."""
+
+    def test_concurrent_chain_lengths_simulate_each_record_once(
+        self, tmp_path
+    ):
+        cache = tmp_path / "memo"
+        requests = [
+            PredictRequest("BT", "S", 4, chain_length=n) for n in (2, 3)
+        ]
+        answers: dict = {}
+        with PredictionService(
+            measurement=MEASUREMENT, cache_dir=str(cache)
+        ) as service:
+            start = threading.Barrier(len(requests))
+
+            def ask(request):
+                start.wait(timeout=30)
+                answers[request.chain_length] = service.predict(
+                    request, timeout=120
+                )
+
+            threads = [
+                threading.Thread(target=ask, args=(request,))
+                for request in requests
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=150)
+            stats = service.stats()
+        assert stats["simulations"] == measured_records(cache)
+        with PredictionService(
+            measurement=MEASUREMENT, executor="inline"
+        ) as serial:
+            expected = {
+                request.chain_length: serial.predict(request, timeout=120)
+                for request in requests
+            }
+        assert answers == expected
+
+    def test_close_during_a_cold_cell_answers_its_waiter(self, tmp_path):
+        cache = tmp_path / "memo"
+        service = PredictionService(
+            measurement=MEASUREMENT, cache_dir=str(cache)
+        )
+        answered: list = []
+
+        def ask():
+            report = service.predict(PredictRequest("BT", "S", 16), 120)
+            answered.append((time.monotonic(), report))
+
+        waiter = threading.Thread(target=ask)
+        waiter.start()
+        deadline = time.monotonic() + 60
+        while not any(cache.glob("*/*.json")):
+            assert time.monotonic() < deadline, "the cell never started"
+            time.sleep(0.005)
+        closing = time.monotonic()
+        service.close()
+        waiter.join(timeout=60)
+        [(at, report)] = answered
+        assert at > closing  # the cell was still running at close
+        assert report.actual > 0
