@@ -161,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling period in seconds (profile run)",
     )
     profile.add_argument(
-        "--backend", choices=["auto", "signal", "thread"], default="auto",
-        help="sampler backend (profile run)",
-    )
-    profile.add_argument(
         "--jobs", type=int, default=1,
         help="campaign worker processes; their samples merge back "
         "(profile run)",
@@ -572,9 +568,7 @@ def _cmd_profile_run(args) -> int:
         ),
         jobs=args.jobs,
     )
-    profiler = obs.start_profiler(
-        interval=args.interval, backend=args.backend
-    )
+    profiler = obs.start_profiler(interval=args.interval)
     started = time.perf_counter()
     try:
         pipeline.sweep(

@@ -82,6 +82,21 @@ def _fail(future: Future, exc: BaseException) -> None:
         future.set_exception(exc)
 
 
+def _exact_int(name: str, value: Any) -> int:
+    """``value`` as an int when it is one exactly (``4``, ``4.0``, ``"4"``).
+
+    Booleans and floats with a fraction are malformed rather than rounded
+    to some other cell (``4.5`` is not 4 ranks).
+    """
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ServiceError(
+            f"malformed request: {name} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PredictRequest:
     """One prediction to serve.
@@ -150,9 +165,9 @@ class PredictRequest:
             return cls(
                 benchmark=data["benchmark"],
                 problem_class=data["problem_class"],
-                nprocs=int(data["nprocs"]),
-                chain_length=int(data.get("chain_length", 2)),
-                seed=int(data.get("seed", 0)),
+                nprocs=_exact_int("nprocs", data["nprocs"]),
+                chain_length=_exact_int("chain_length", data.get("chain_length", 2)),
+                seed=_exact_int("seed", data.get("seed", 0)),
             )
         except KeyError as exc:
             raise ServiceError(f"request missing field {exc.args[0]!r}") from None

@@ -1,13 +1,14 @@
 """Service observability: counters, gauges, and latency histograms.
 
-Since the :mod:`repro.obs` substrate landed, this module is a thin layer
-over :class:`repro.obs.registry.MetricsRegistry`: the instrument classes
+This module is a thin layer over
+:class:`repro.obs.registry.MetricsRegistry`: the instrument classes
 re-exported here *are* the obs ones, and :class:`ServiceMetrics` creates
 its instruments inside a ``service``-namespaced registry so the TCP
 ``metrics`` command and ``repro metrics`` can export them alongside the
 global registry (spans, simulator counters) in one Prometheus/JSON
-document. The public API — named attributes, :meth:`ServiceMetrics.stats`,
-:func:`render_stats` — is unchanged.
+document. Callers read the instruments as named attributes of
+:class:`ServiceMetrics`, a JSON-friendly snapshot from
+:meth:`ServiceMetrics.stats`, and text from :func:`render_stats`.
 """
 
 from __future__ import annotations

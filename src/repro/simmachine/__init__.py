@@ -13,7 +13,7 @@ approximate the Argonne IBM SP used in the paper: 120 MHz P2SC processors
 and a multistage switch.
 """
 
-from repro.simmachine.engine import AnyOf, Event, Process, Simulator, Timeout
+from repro.simmachine.engine import Event, Process, Simulator, Timeout
 from repro.simmachine.machine import (
     CacheLevelConfig,
     MachineConfig,
@@ -29,7 +29,6 @@ from repro.simmachine.noise import NoiseModel
 from repro.simmachine.process import Machine, RankContext
 
 __all__ = [
-    "AnyOf",
     "CacheLevelConfig",
     "DataRegion",
     "Event",

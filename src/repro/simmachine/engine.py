@@ -6,7 +6,6 @@ large experiments push millions of events through this queue:
 
 * :class:`Event` — one-shot triggerable occurrence with callbacks;
 * :class:`Timeout` — event scheduled a fixed delay in the future;
-* :class:`AnyOf` — first completion among a set of events;
 * :class:`Process` — a Python generator that ``yield``\\ s events and is
   resumed when they fire; a process is itself an event that triggers on
   completion with the generator's return value;
@@ -28,7 +27,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro import faults
 from repro.errors import DeadlockError, SimulationError
 
-__all__ = ["Event", "Timeout", "AnyOf", "Process", "Simulator"]
+__all__ = ["Event", "Timeout", "Process", "Simulator"]
 
 _PENDING = object()
 
@@ -162,33 +161,6 @@ class Timeout(Event):
         heappush(sim._queue, (sim.now + delay, seq, self))
 
 
-class AnyOf(Event):
-    """Fires when the first child event is processed.
-
-    The value is ``(index, value)`` of the first completed child. Later
-    children completing is fine (their callbacks simply find this event
-    already triggered). A failing first child propagates its exception.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._children = list(events)
-        if not self._children:
-            raise SimulationError("AnyOf needs at least one event")
-        for index, ev in enumerate(self._children):
-            ev.add_callback(lambda e, i=index: self._on_child(i, e))
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self.succeed((index, event.value))
-
-
 class Process(Event):
     """Drives a generator of events; completes with the generator's return.
 
@@ -284,10 +256,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create a first-completion event over ``events``."""
-        return AnyOf(self, events)
 
     def process(
         self, gen: Generator[Event, Any, Any], name: str = "process"

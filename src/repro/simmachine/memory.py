@@ -236,10 +236,10 @@ class MemoryHierarchy:
     def disturb(self, nbytes: int) -> None:
         """Model unrelated code streaming ``nbytes`` through the hierarchy.
 
-        Used by the measurement harness to re-create the application context
-        around an isolated kernel loop (the paper's protocol runs the kernel
-        loop *inside* the application). Evicts LRU data as a real
-        interfering working set would, without costing simulated time.
+        Evicts LRU data as a real interfering working set would, without
+        costing simulated time. The measurement harness does not call it;
+        the LRU-stack oracle (``tests/simmachine/test_memory_stack_oracle.py``)
+        does, as one more region install.
         """
         check_non_negative("disturb nbytes", nbytes)
         if nbytes == 0:

@@ -158,10 +158,6 @@ class RankContext:
             )
         return self.sim.timeout(compute + mem_time)
 
-    def idle(self, seconds: float) -> Event:
-        """Pure delay (no counters) — used by harness padding."""
-        return self.sim.timeout(seconds)
-
     # -- accounting hooks used by simmpi ------------------------------------
 
     def account_send(self, nbytes: int) -> None:

@@ -12,9 +12,12 @@ See the package docstring for usage. Implementation notes:
   (every rank calls the same collectives in the same order) is assumed, as
   in MPI.
 * Collectives are real algorithms over point-to-point messages: binomial
-  trees for ``bcast``/``reduce``/``barrier``, a ring for ``allgather``,
-  pairwise exchanges for ``alltoall`` — their simulated cost therefore
-  scales with ``P`` the way real MPI implementations do.
+  trees for ``bcast``/``reduce``/``barrier``, and for ``allreduce``
+  recursive doubling on a power-of-two communicator, otherwise a binomial
+  reduce then broadcast — their simulated cost therefore scales with
+  ``P`` the way real MPI implementations do. BT, SP and LU call
+  ``barrier`` and ``allreduce``; ``bcast`` and ``reduce`` are the two
+  halves of the tree ``allreduce``.
 * Every send, blocking or not, goes through :meth:`Comm.isend`, and every
   receive through :meth:`Comm.irecv`. A :class:`Request` is itself the
   engine event of its operation: blocking calls yield it directly, and
@@ -202,20 +205,6 @@ class Comm:
         self.ctx.account_wait(sim.now - t0)
         return value
 
-    def waitany(
-        self, requests: Iterable[Request]
-    ) -> Generator[Event, Any, tuple[int, Any]]:
-        """Block until the first request completes.
-
-        Returns ``(index, payload)`` of the completed request; the others
-        remain pending and must still be waited on eventually.
-        """
-        reqs = list(requests)
-        t0 = self.sim.now
-        index, value = yield self.sim.any_of(reqs)
-        self.ctx.account_wait(self.sim.now - t0)
-        return index, value
-
     def waitall(
         self, requests: Iterable[Request]
     ) -> Generator[Event, Any, list[Any]]:
@@ -386,31 +375,18 @@ class Comm:
         value: Any,
         nbytes: int,
         op: Callable[[Any, Any], Any] = lambda a, b: a + b,
-        algorithm: str = "auto",
     ) -> Generator[Event, Any, Any]:
         """Reduce across ranks; every rank returns the result.
 
-        Algorithms (as in real MPI implementations):
+        The algorithm follows from P, as in real MPI implementations:
 
-        * ``"recursive_doubling"`` — log2(P) pairwise exchange rounds;
-          power-of-two communicators only. Requires a *commutative* op
+        * P a power of two — recursive doubling, log2(P) pairwise exchange
+          rounds (P·log2 P messages). Requires a *commutative* op
           (partner order differs across ranks).
-        * ``"tree"`` — binomial reduce to rank 0 + binomial broadcast
-          (2 log2(P) rounds); any size and op ordering.
-        * ``"auto"`` — recursive doubling when P is a power of two,
-          otherwise tree.
+        * otherwise — binomial reduce to rank 0, then binomial broadcast
+          (2 log2(P) rounds, 2(P-1) messages); any op ordering.
         """
-        if algorithm not in ("auto", "tree", "recursive_doubling"):
-            raise CommunicationError(
-                f"unknown allreduce algorithm {algorithm!r}"
-            )
-        pow2 = self.size & (self.size - 1) == 0
-        if algorithm == "recursive_doubling" and not pow2:
-            raise CommunicationError(
-                "recursive doubling needs a power-of-two communicator, "
-                f"got {self.size}"
-            )
-        if algorithm == "tree" or (algorithm == "auto" and not pow2):
+        if self.size & (self.size - 1):
             tag = self._next_coll_tag()
             result = yield from self._reduce_impl(value, nbytes, tag, 0, op)
             result = yield from self._bcast_impl(nbytes, 0, tag, result)
@@ -434,113 +410,6 @@ class Comm:
             mask <<= 1
             round_no += 1
         return value
-
-    def allgather(
-        self, value: Any, nbytes: int
-    ) -> Generator[Event, Any, list[Any]]:
-        """Ring allgather; every rank returns ``[value_0, ..., value_{P-1}]``."""
-        tag = self._next_coll_tag()
-        size = self.size
-        blocks: list[Any] = [None] * size
-        blocks[self.rank] = value
-        right = (self.rank + 1) % size
-        left = (self.rank - 1) % size
-        send_idx = self.rank
-        for _step in range(size - 1):
-            recv_idx = (send_idx - 1) % size
-            got = yield from self.sendrecv(
-                right,
-                nbytes,
-                send_tag=tag,
-                source=left,
-                payload=(send_idx, blocks[send_idx]),
-                _collective=True,
-            )
-            idx, val = got
-            if idx != recv_idx:
-                raise CommunicationError(
-                    f"allgather ring out of sync: expected block {recv_idx}, "
-                    f"got {idx}"
-                )
-            blocks[recv_idx] = val
-            send_idx = recv_idx
-        return blocks
-
-    def alltoall(
-        self, values: list[Any], nbytes_each: int
-    ) -> Generator[Event, Any, list[Any]]:
-        """Pairwise-exchange all-to-all; ``values[d]`` goes to rank ``d``."""
-        if len(values) != self.size:
-            raise CommunicationError(
-                f"alltoall needs {self.size} values, got {len(values)}"
-            )
-        tag = self._next_coll_tag()
-        # Pairwise exchange uses `size - 1` distinct tags; advance the
-        # sequence so the next collective cannot collide with them.
-        self._coll_seq += self.size
-        size = self.size
-        result: list[Any] = [None] * size
-        result[self.rank] = values[self.rank]
-        for step in range(1, size):
-            dst = (self.rank + step) % size
-            src = (self.rank - step) % size
-            result[src] = yield from self.sendrecv(
-                dst,
-                nbytes_each,
-                send_tag=tag + step,
-                source=src,
-                payload=values[dst],
-                _collective=True,
-            )
-        return result
-
-    def gather(
-        self, value: Any, nbytes: int, root: int = 0
-    ) -> Generator[Event, Any, Optional[list[Any]]]:
-        """Gather one value per rank to ``root`` (binomial tree)."""
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        size = self.size
-        relrank = (self.rank - root) % size
-        # Each node accumulates (rank, value) pairs from its subtree.
-        acc: list[tuple[int, Any]] = [(self.rank, value)]
-        mask = 1
-        while mask < size:
-            if relrank & mask:
-                dst = ((relrank & ~mask) + root) % size
-                yield from self.send(
-                    dst, nbytes * len(acc), tag, acc, _collective=True
-                )
-                return None
-            peer = relrank | mask
-            if peer < size:
-                got = yield from self.recv((peer + root) % size, tag, _collective=True)
-                acc.extend(got)
-            mask <<= 1
-        out: list[Any] = [None] * size
-        for rank, val in acc:
-            out[rank] = val
-        return out
-
-    def scatter(
-        self, values: Optional[list[Any]], nbytes: int, root: int = 0
-    ) -> Generator[Event, Any, Any]:
-        """Scatter one value per rank from ``root`` (linear)."""
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise CommunicationError(
-                    f"scatter at root needs {self.size} values"
-                )
-            requests = [
-                self.isend(dst, nbytes, tag, values[dst], _collective=True)
-                for dst in range(self.size)
-                if dst != root
-            ]
-            yield from self.waitall(requests)
-            return values[root]
-        return (yield from self.recv(root, tag, _collective=True))
 
 
 def attach_world(machine: Machine) -> World:

@@ -5,6 +5,8 @@ import json
 import socket
 import threading
 
+import pytest
+
 from repro.instrument import MeasurementConfig
 from repro.service import PredictionService, serve_jsonl, serve_socket
 from repro.service.api import handle_line
@@ -61,10 +63,15 @@ class TestHandleLine:
             )
             assert bad["ok"] is False and "unknown request fields" in bad["error"]
 
-    def test_overflowing_number_is_a_typed_error(self):
+    @pytest.mark.parametrize("literal", ["1e400", "4.5", "true"])
+    @pytest.mark.parametrize("field", ["nprocs", "chain_length"])
+    def test_overflowing_number_is_a_typed_error(self, field, literal):
+        """No number that is not an exact integer is rounded into a cell."""
+        fields = {"nprocs": "4", "chain_length": "2", field: literal}
         line = (
-            '{"benchmark": "BT", "problem_class": "S", "nprocs": 4, '
-            '"chain_length": 1e400}'
+            '{"benchmark": "BT", "problem_class": "S", '
+            f'"nprocs": {fields["nprocs"]}, '
+            f'"chain_length": {fields["chain_length"]}}}'
         )
         with make_service() as service:
             single = json.loads(handle_line(service, line))

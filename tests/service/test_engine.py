@@ -60,6 +60,13 @@ class TestPredictRequest:
         request = PredictRequest("BT", "W", 9, chain_length=3, seed=5)
         assert PredictRequest.from_dict(request.to_dict()) == request
 
+    def test_from_dict_accepts_exact_integers(self):
+        for nprocs in (4, 4.0, "4"):
+            request = PredictRequest.from_dict(
+                {"benchmark": "BT", "problem_class": "S", "nprocs": nprocs}
+            )
+            assert request.nprocs == 4 and type(request.nprocs) is int
+
     def test_from_dict_rejects_unknown_and_missing_fields(self):
         with pytest.raises(ServiceError, match="unknown request fields"):
             PredictRequest.from_dict({"benchmark": "BT", "bogus": 1})

@@ -278,52 +278,6 @@ class TestRun:
         assert build() == build()
 
 
-class TestAnyOf:
-    def test_first_completion_wins(self, eng, sim):
-        slow = sim.timeout(5.0, value="slow")
-        fast = sim.timeout(1.0, value="fast")
-        seen = []
-
-        def proc():
-            result = yield eng.AnyOf(sim, [slow, fast])
-            seen.append((sim.now, result))
-
-        sim.process(proc())
-        sim.run()
-        assert seen == [(1.0, (1, "fast"))]
-
-    def test_empty_rejected(self, eng, sim):
-        with pytest.raises(SimulationError):
-            eng.AnyOf(sim, [])
-
-    def test_failure_of_first_child_propagates(self, sim):
-        bad = sim.event()
-        slow = sim.timeout(10.0)
-
-        def proc():
-            with pytest.raises(RuntimeError):
-                yield sim.any_of([bad, slow])
-
-        sim.process(proc())
-        bad.fail(RuntimeError("boom"))
-        sim.run()
-
-    def test_later_completions_harmless(self, sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(2.0, value="b")
-
-        def proc():
-            idx, val = yield sim.any_of([a, b])
-            assert (idx, val) == (0, "a")
-            # b fires later without error.
-            yield b
-            return "done"
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == "done"
-
-
 class TestBaselineParity:
     """Bit-identical behaviour against the frozen pre-optimisation engine."""
 
@@ -360,8 +314,6 @@ class TestBaselineParity:
             for ev in events:
                 vals.append((yield ev))
             log.append(("all", sim.now, tuple(vals)))
-            first = yield sim.any_of(list(events))
-            log.append(("any", sim.now, first))
 
         workers = [sim.process(worker(n), name=f"w{n}") for n in range(4)]
         evs = []
@@ -377,7 +329,7 @@ class TestBaselineParity:
 
     def test_identical_event_schedules(self, baseline):
         log = self._schedule_log(engine.Simulator)
-        assert len(log) == 86
+        assert len(log) == 85
         # Exact equality, floats included: same arithmetic, same order.
         assert log == self._schedule_log(baseline.Simulator)
 
@@ -390,7 +342,6 @@ class TestBaselineParity:
                 lambda: sim.event().succeed().succeed(),
                 lambda: sim.event().trigger_at(None, -2),
                 lambda: sim.event().value,
-                lambda: mod.AnyOf(sim, []),
                 lambda: sim.process(object()),
             ):
                 with pytest.raises(SimulationError) as exc:

@@ -131,7 +131,7 @@ def _switching_program(ctx):
             continue  # set but never charged
         yield ctx.work(flops=1000 * len(label), regions=[(region, None, False)])
         yield from comm.sendrecv(peer, 256 * len(label), source=(ctx.rank - 1) % comm.size)
-        yield ctx.idle(1e-6 * ctx.rank)
+        yield ctx.sim.timeout(1e-6 * ctx.rank)
 
 
 def _label_totals(config):

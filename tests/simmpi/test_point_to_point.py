@@ -241,31 +241,6 @@ class TestErrors:
         assert world.unmatched_messages() == 1
 
 
-class TestWaitany:
-    def test_returns_first_arrival(self, machine4):
-        results = []
-
-        def program(ctx):
-            comm = ctx.comm
-            if comm.rank == 0:
-                r1 = comm.irecv(1, tag=1)
-                r2 = comm.irecv(2, tag=1)
-                idx, val = yield from comm.waitany([r1, r2])
-                results.append((idx, val))
-                # Drain the other request so nothing leaks.
-                yield from comm.waitall([r1 if idx == 1 else r2])
-            elif comm.rank == 1:
-                yield ctx.sim.timeout(1e-2)
-                yield from comm.send(0, 10, tag=1, payload="slow")
-            elif comm.rank == 2:
-                yield from comm.send(0, 10, tag=1, payload="fast")
-            else:
-                yield ctx.sim.timeout(0.0)
-
-        run(machine4, program)
-        assert results == [(1, "fast")]
-
-
 def spy_send_timing(machine):
     """Record ``(src, dst, timing)`` for every message the network times."""
     log = []
@@ -441,29 +416,6 @@ class TestArrivedReceive:
         assert late["done"] == late["post"] == 1.0
         assert late["wait"] == 0.0
         assert late["events"] == early["events"] - 1
-
-    def test_waitany_returns_the_arrived_index(self):
-        machine = make_machine(linear_test_machine(3), 3)
-        results = []
-
-        def program(ctx):
-            comm = ctx.comm
-            if comm.rank == 0:
-                pending = comm.irecv(1, tag=1)
-                yield ctx.sim.timeout(1.0)
-                arrived = comm.irecv(2, tag=1)
-                assert arrived.complete and not pending.complete
-                results.append((yield from comm.waitany([pending, arrived])))
-                results.append(ctx.sim.now)
-                yield from comm.wait(pending)
-            elif comm.rank == 1:
-                yield ctx.sim.timeout(2.0)
-                yield from comm.send(0, 10, tag=1, payload="late")
-            else:
-                yield from comm.send(0, 10, tag=1, payload="early")
-
-        machine.run(program)
-        assert results == [(1, "early"), 1.0]
 
     @pytest.mark.parametrize("blocking", ["recv", "wait"])
     def test_many_arrived_receives_do_not_recurse(self, blocking):

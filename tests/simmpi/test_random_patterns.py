@@ -69,7 +69,7 @@ def test_matched_schedule_never_deadlocks(bundle):
 @given(
     st.integers(2, 6),
     st.lists(
-        st.sampled_from(["barrier", "bcast", "allreduce", "allgather"]),
+        st.sampled_from(["barrier", "bcast", "allreduce"]),
         min_size=1,
         max_size=6,
     ),
@@ -94,9 +94,6 @@ def test_random_collective_sequences(size, sequence):
             elif op == "allreduce":
                 total = yield from comm.allreduce(1, 8)
                 checks.append(total == comm.size)
-            elif op == "allgather":
-                blocks = yield from comm.allgather(comm.rank, 8)
-                checks.append(blocks == list(range(comm.size)))
 
     machine.run(program)
     assert all(checks)
