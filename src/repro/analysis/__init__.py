@@ -19,28 +19,28 @@ REP010    transitive determinism: prediction tiers must not *reach* wall
           rule; findings carry a witness call path)
 ========  ==================================================================
 
-Analysis runs in two phases: phase 1 walks each file's AST once for the
-per-file rules and builds a project-wide call graph
-(:mod:`repro.analysis.graph`); phase 2 runs dataflow rules
-(:mod:`repro.analysis.dataflow`) over that graph.
+Analysis runs in two phases: phase 1 reads, parses and walks each file
+once for the per-file rules, then builds a project-wide call graph
+(:mod:`repro.analysis.graph`) from those same parsed trees; phase 2 runs
+dataflow rules (:mod:`repro.analysis.dataflow`) over that graph.
 
 Run it as ``repro lint src/`` (exit 0 = clean, 1 = findings / stale
-baseline entries / stale suppressions, 2 = usage error).  Findings can be
-suppressed inline (``# repro: ignore[REP001]``) or grandfathered in
-``analysis-baseline.json``; see docs/DEVELOPMENT.md.
+suppressions, 2 = usage error).  A run keeps no state: there is no
+baseline and no cache.  Intentional exceptions are suppressed inline
+(``# repro: ignore[REP001]``) with a justification; see
+docs/DEVELOPMENT.md.
 """
 
-from repro.analysis.baseline import Baseline, split_against_baseline
 from repro.analysis.dataflow import TaintAnalysis
-from repro.analysis.findings import Finding, assign_stable_ids
+from repro.analysis.findings import Finding
 from repro.analysis.graph import (
     CallEdge,
     ExternalRef,
     FunctionInfo,
+    ParsedModule,
     ProjectGraph,
     UnresolvedCall,
     build_graph,
-    load_cached,
 )
 from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import (
@@ -59,12 +59,12 @@ from repro.analysis.visitor import (
 
 __all__ = [
     "Analyzer",
-    "Baseline",
     "CallEdge",
     "ExternalRef",
     "FileContext",
     "Finding",
     "FunctionInfo",
+    "ParsedModule",
     "ProjectGraph",
     "Rule",
     "TaintAnalysis",
@@ -72,13 +72,10 @@ __all__ = [
     "UnusedSuppression",
     "all_rules",
     "analyze_paths",
-    "assign_stable_ids",
     "build_graph",
     "iter_python_files",
-    "load_cached",
     "register",
     "render_json",
     "render_text",
     "select_rules",
-    "split_against_baseline",
 ]

@@ -1,16 +1,12 @@
 """The ``repro lint`` subcommand.
 
-Exit codes follow linter convention: **0** clean (every finding fixed,
-suppressed, or baselined), **1** at least one non-baselined finding, a
-stale baseline entry, or a stale suppression comment (both kinds of debt
-must shrink as it is paid), **2** usage/configuration errors (bad path,
-unknown rule id, broken baseline).
+Exit codes follow linter convention: **0** clean (every finding fixed or
+suppressed), **1** at least one finding or a stale suppression comment
+(one that excused nothing, so it must go), **2** usage/configuration
+errors (bad path, unknown rule id).
 
-The project call graph (analysis phase 1) can be built once and cached:
-``--graph PATH`` loads a previously saved graph when every file
-fingerprint still matches (and rebuilds + saves it otherwise), and
-``--graph-only`` stops after the build — CI uses the pair to split the
-cached graph-build step from the rule-run step.
+Each run starts from the source alone: every file is read and parsed
+once, and no state is kept between runs.
 """
 
 from __future__ import annotations
@@ -20,16 +16,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline, split_against_baseline
-from repro.analysis.graph import build_graph, load_cached
 from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import select_rules
 from repro.analysis.visitor import Analyzer, iter_python_files
-from repro.errors import ConfigurationError
 
-__all__ = ["add_lint_arguments", "run_lint", "DEFAULT_BASELINE"]
-
-DEFAULT_BASELINE = "analysis-baseline.json"
+__all__ = ["add_lint_arguments", "run_lint"]
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -51,37 +42,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--rule", action="append", default=None, metavar="REPNNN",
-        help=(
-            "run only this rule (repeatable; comma lists accepted; "
-            "combines with --select)"
-        ),
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="append per-rule finding counts and wall time to the report",
-    )
-    parser.add_argument(
-        "--graph", default=None, metavar="PATH",
-        help=(
-            "call-graph cache: load it when file fingerprints match, "
-            "otherwise rebuild and save it here"
-        ),
-    )
-    parser.add_argument(
-        "--graph-only", action="store_true",
-        help="build and save the call graph (requires --graph), skip rules",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to the current findings and exit 0",
     )
     parser.add_argument(
         "-o", "--output", default=None, metavar="PATH",
@@ -89,82 +51,26 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _selected_rule_ids(args: argparse.Namespace) -> Optional[list[str]]:
-    """Merge ``--select`` and ``--rule`` into one id list (None = all)."""
-    tokens: list[str] = []
-    if args.select is not None:
-        tokens.extend(args.select.split(","))
-    for value in args.rule or ():
-        tokens.extend(value.split(","))
-    return tokens or None
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute ``repro lint``; returns the process exit code."""
     try:
-        rules = select_rules(_selected_rule_ids(args))
+        rules = select_rules(
+            args.select.split(",") if args.select is not None else None
+        )
         files = iter_python_files(args.paths)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.graph_only and not args.graph:
-        print("error: --graph-only requires --graph PATH", file=sys.stderr)
-        return EXIT_USAGE
-
     # Anchor module names (and finding paths) at the invocation cwd so
     # `repro lint .` resolves cross-module imports exactly like
     # `repro lint src` does from the repo root.
-    root = os.getcwd()
-    graph = None
-    if args.graph:
-        graph = load_cached(args.graph, files, root=root)
-        if graph is None:
-            graph = build_graph(files, root=root)
-            graph.save(args.graph)
-            print(
-                f"built call graph: {graph.stats()['functions']} "
-                f"function(s), {graph.stats()['edges']} edge(s) "
-                f"-> {args.graph}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"loaded cached call graph from {args.graph}",
-                  file=sys.stderr)
-    if args.graph_only:
-        return EXIT_CLEAN
-
-    analyzer = Analyzer(rules, graph=graph)
-    findings = analyzer.run(files, root=root)
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE):
-        baseline_path = DEFAULT_BASELINE
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        Baseline.save(target, findings)
-        print(
-            f"wrote {target} with {len(findings)} grandfathered finding(s)",
-            file=sys.stderr,
-        )
-        return EXIT_CLEAN
-    try:
-        baseline = (
-            Baseline.load(baseline_path)
-            if baseline_path is not None
-            else Baseline.empty()
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    fresh, known, stale = split_against_baseline(findings, baseline)
+    analyzer = Analyzer(rules)
+    findings = analyzer.run(files, root=os.getcwd())
     unused = analyzer.unused_suppressions
     if args.format == "json":
         report = render_json(
-            fresh,
-            grandfathered=known,
-            stale_baseline=stale,
+            findings,
             files_analyzed=len(files),
             rules=rules,
             unused_suppressions=unused,
@@ -172,9 +78,7 @@ def run_lint(args: argparse.Namespace) -> int:
         )
     else:
         report = render_text(
-            fresh,
-            grandfathered=known,
-            stale_baseline=stale,
+            findings,
             files_analyzed=len(files),
             unused_suppressions=unused,
             stats=analyzer.stats if args.stats else None,
@@ -184,7 +88,7 @@ def run_lint(args: argparse.Namespace) -> int:
             handle.write(report + "\n")
     else:
         print(report)
-    return EXIT_FINDINGS if fresh or stale or unused else EXIT_CLEAN
+    return EXIT_FINDINGS if findings or unused else EXIT_CLEAN
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

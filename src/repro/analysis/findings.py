@@ -1,22 +1,14 @@
-"""Findings: what a rule reports, with baseline-stable identities.
+"""Findings: what a rule reports, pinned to a source location.
 
-A :class:`Finding` pins a rule violation to ``path:line:col``.  Its
-:attr:`Finding.stable_id` deliberately excludes the line number: it hashes
-``(rule, path, scope, message)`` so a finding keeps its identity while
-unrelated edits shift the file, which is what lets a committed baseline
-grandfather old violations without pinning byte offsets.  Two identical
-violations in the same scope are disambiguated by an occurrence index
-(assigned in line order), so fixing one of them retires exactly one
-baseline entry.
+A :class:`Finding` pins a rule violation to ``path:line:col`` and names
+its enclosing scope.  Graph rules add a witness call path.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass
 
-__all__ = ["Finding", "assign_stable_ids"]
+__all__ = ["Finding"]
 
 #: Pseudo-rule used for files the analyzer cannot parse.
 PARSE_ERROR_RULE = "REP000"
@@ -33,33 +25,14 @@ class Finding:
     message: str
     #: Dotted enclosing scope (``Class.method``), "" at module level.
     scope: str = ""
-    #: Occurrence index among identical (rule, path, scope, message) keys.
-    occurrence: int = 0
-    #: Populated by :func:`assign_stable_ids`.
-    stable_id: str = field(default="", compare=False)
-    #: Witness call path for graph findings (``caller -> callee`` hops),
-    #: excluded from identity so edge-line drift never churns baselines.
-    witness: tuple[str, ...] = field(default=(), compare=False)
-
-    @property
-    def identity(self) -> tuple[str, str, str, str]:
-        return (self.rule, self.path, self.scope, self.message)
-
-    def compute_stable_id(self) -> str:
-        digest = hashlib.sha256(
-            "|".join(
-                (self.rule, self.path, self.scope, self.message,
-                 str(self.occurrence))
-            ).encode("utf-8")
-        ).hexdigest()[:12]
-        return f"{self.rule}:{digest}"
+    #: Witness call path for graph findings (``caller -> callee`` hops).
+    witness: tuple[str, ...] = ()
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
     def to_dict(self) -> dict:
         data = {
-            "id": self.stable_id,
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
@@ -70,19 +43,3 @@ class Finding:
         if self.witness:
             data["witness"] = list(self.witness)
         return data
-
-
-def assign_stable_ids(findings: Iterable[Finding]) -> list[Finding]:
-    """Sort findings and stamp occurrence indices + stable IDs."""
-    ordered = sorted(
-        findings, key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    seen: dict[tuple, int] = {}
-    out: list[Finding] = []
-    for finding in ordered:
-        index = seen.get(finding.identity, 0)
-        seen[finding.identity] = index + 1
-        stamped = replace(finding, occurrence=index)
-        object.__setattr__(stamped, "stable_id", stamped.compute_stable_id())
-        out.append(stamped)
-    return out

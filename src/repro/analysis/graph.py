@@ -5,7 +5,7 @@ a time, so it can only flag nondeterminism *spelled out* in the file it is
 looking at.  This module builds the cross-file picture the dataflow rules
 (phase 2) run over:
 
-1. **Index.**  Every target module is parsed once and indexed: module-level
+1. **Index.**  Every target module's tree is indexed: module-level
    functions, classes with their methods and bases, and an import table
    with relative imports resolved against the module's own dotted name.
 2. **Link.**  Names are resolved through the import tables — including
@@ -28,40 +28,33 @@ project-local bases, ``super().method()`` through the bases, and
 :attr:`ProjectGraph.unresolved` as warnings; a meta-test pins their count
 so resolver regressions surface as test failures, not silent blind spots.
 
-The graph serializes to JSON with per-file content fingerprints so CI can
-cache the build step (:meth:`ProjectGraph.save` / :func:`load_cached`):
-a cached graph is only reused when the file set and every hash match.
+The builder parses nothing itself: it indexes the :class:`ParsedModule`
+records the per-file pass (:class:`repro.analysis.visitor.Analyzer`) has
+already made, and shares their suppression indexes, so each file is read,
+parsed and scanned for suppressions once per run.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import time
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 from repro.analysis.rules import dotted_name
-from repro.analysis.suppressions import (
-    SuppressionIndex,
-    comment_lines,
-    parse_suppressions,
-)
+from repro.analysis.suppressions import SuppressionIndex
 
 __all__ = [
     "CallEdge",
     "ExternalRef",
     "FunctionInfo",
+    "ParsedModule",
     "ProjectGraph",
     "UnresolvedCall",
     "build_graph",
-    "load_cached",
     "module_name_for",
 ]
-
-#: Bump when the serialized form changes; stale caches rebuild.
-GRAPH_SCHEMA_VERSION = 2
 
 #: Longest alias/re-export chain the resolver follows before giving up.
 _MAX_ALIAS_DEPTH = 16
@@ -100,29 +93,6 @@ class FunctionInfo:
     class_name: Optional[str] = None
     is_async: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "path": self.path,
-            "line": self.line,
-            "name": self.name,
-            "class_name": self.class_name,
-            "is_async": self.is_async,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"],
-            module=data["module"],
-            path=data["path"],
-            line=data["line"],
-            name=data["name"],
-            class_name=data.get("class_name"),
-            is_async=data.get("is_async", False),
-        )
-
 
 @dataclass(frozen=True)
 class CallEdge:
@@ -132,14 +102,6 @@ class CallEdge:
     callee: str
     path: str
     line: int
-
-    def to_dict(self) -> dict:
-        return {
-            "caller": self.caller,
-            "callee": self.callee,
-            "path": self.path,
-            "line": self.line,
-        }
 
 
 @dataclass(frozen=True)
@@ -152,15 +114,6 @@ class ExternalRef:
     line: int
     is_call: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "owner": self.owner,
-            "target": self.target,
-            "path": self.path,
-            "line": self.line,
-            "is_call": self.is_call,
-        }
-
 
 @dataclass(frozen=True)
 class UnresolvedCall:
@@ -171,13 +124,16 @@ class UnresolvedCall:
     path: str
     line: int
 
-    def to_dict(self) -> dict:
-        return {
-            "owner": self.owner,
-            "target": self.target,
-            "path": self.path,
-            "line": self.line,
-        }
+
+class ParsedModule(NamedTuple):
+    """One file as the per-file pass read it: the graph's only input."""
+
+    #: Display path (relative to the lint root, ``/``-separated).
+    path: str
+    tree: ast.Module
+    #: The analyzer's own index: a comment a graph rule consults counts
+    #: as used in the analyzer's stale-suppression check.
+    suppressions: SuppressionIndex
 
 
 class _ClassIndex:
@@ -225,7 +181,6 @@ class ProjectGraph:
         self.build_seconds = 0.0
         self._modules: dict[str, _ModuleIndex] = {}
         self._packages: set[str] = set()
-        self._fingerprints: dict[str, str] = {}
         self._suppressions: dict[str, SuppressionIndex] = {}
         self._reverse: Optional[dict[str, list[CallEdge]]] = None
 
@@ -259,86 +214,14 @@ class ProjectGraph:
             "build_seconds": round(self.build_seconds, 4),
         }
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "version": GRAPH_SCHEMA_VERSION,
-            "fingerprints": dict(sorted(self._fingerprints.items())),
-            "functions": [
-                self.functions[q].to_dict() for q in sorted(self.functions)
-            ],
-            "edges": [
-                edge.to_dict()
-                for caller in sorted(self.edges)
-                for edge in self.edges[caller]
-            ],
-            "external": [
-                ref.to_dict()
-                for owner in sorted(self.external)
-                for ref in self.external[owner]
-            ],
-            "unresolved": [u.to_dict() for u in self.unresolved],
-            "dynamic_calls": self.dynamic_calls,
-            "suppressions": {
-                path: {
-                    str(line): None if rules is None else sorted(rules)
-                    for line, rules in index._by_line.items()
-                }
-                for path, index in sorted(self._suppressions.items())
-            },
-            "stats": self.stats(),
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProjectGraph":
-        graph = cls()
-        graph._fingerprints = dict(data.get("fingerprints", {}))
-        for raw in data.get("functions", ()):
-            info = FunctionInfo.from_dict(raw)
-            graph.functions[info.qualname] = info
-        for raw in data.get("edges", ()):
-            edge = CallEdge(raw["caller"], raw["callee"], raw["path"],
-                            raw["line"])
-            graph.edges.setdefault(edge.caller, []).append(edge)
-        for raw in data.get("external", ()):
-            ref = ExternalRef(raw["owner"], raw["target"], raw["path"],
-                              raw["line"], raw["is_call"])
-            graph.external.setdefault(ref.owner, []).append(ref)
-        graph.unresolved = [
-            UnresolvedCall(raw["owner"], raw["target"], raw["path"],
-                           raw["line"])
-            for raw in data.get("unresolved", ())
-        ]
-        graph.dynamic_calls = data.get("dynamic_calls", 0)
-        for path, by_line in data.get("suppressions", {}).items():
-            graph._suppressions[path] = SuppressionIndex(
-                {
-                    int(line): None if rules is None else frozenset(rules)
-                    for line, rules in by_line.items()
-                }
-            )
-        return graph
-
     # -- construction ------------------------------------------------------
 
-    def _index_module(self, display: str, source: str,
-                      tree: ast.Module) -> None:
-        name = module_name_for(display)
-        module = _ModuleIndex(name, display, tree)
+    def _index_module(self, parsed: ParsedModule) -> None:
+        name = module_name_for(parsed.path)
+        module = _ModuleIndex(name, parsed.path, parsed.tree)
         self._modules[name] = module
         self._packages.add(name.split(".")[0])
-        self._fingerprints[display] = hashlib.sha256(
-            source.encode("utf-8")
-        ).hexdigest()
-        self._suppressions[display] = parse_suppressions(
-            source.splitlines(), comment_lines=comment_lines(source)
-        )
+        self._suppressions[parsed.path] = parsed.suppressions
         _collect_imports(module)
         _collect_defs(module, self)
 
@@ -739,59 +622,13 @@ class _EdgeCollector(ast.NodeVisitor):
 _BUILTIN_CALLS = frozenset({"open", "input", "exec", "eval", "__import__"})
 
 
-def build_graph(
-    files: Sequence[str], root: Optional[str] = None
-) -> ProjectGraph:
-    """Index ``files`` and build the project call graph (phase 1)."""
-    import time as _time  # wall time is reporting-only, never in results
-
-    started = _time.perf_counter()
+def build_graph(modules: Sequence[ParsedModule]) -> ProjectGraph:
+    """Index already-parsed ``modules`` and build the call graph (phase 1)."""
+    started = time.perf_counter()  # reporting only, never in results
     graph = ProjectGraph()
-    for path in files:
-        display = os.path.relpath(path, root) if root else path
-        display = display.replace(os.sep, "/")
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            tree = ast.parse(source, filename=path)
-        except (OSError, SyntaxError, ValueError):
-            continue  # the per-file visitor reports parse errors (REP000)
-        graph._index_module(display, source, tree)
+    for parsed in modules:
+        graph._index_module(parsed)
     for module in graph._modules.values():
         _EdgeCollector(module, graph).visit(module.tree)
-    graph.build_seconds = _time.perf_counter() - started
-    return graph
-
-
-def load_cached(
-    cache_path: str, files: Sequence[str], root: Optional[str] = None
-) -> Optional[ProjectGraph]:
-    """Load a saved graph if it exactly matches the current file set."""
-    if not os.path.exists(cache_path):
-        return None
-    try:
-        with open(cache_path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    if data.get("version") != GRAPH_SCHEMA_VERSION:
-        return None
-    saved = data.get("fingerprints", {})
-    current: dict[str, str] = {}
-    for path in files:
-        display = os.path.relpath(path, root) if root else path
-        display = display.replace(os.sep, "/")
-        try:
-            with open(path, "rb") as handle:
-                current[display] = hashlib.sha256(handle.read()).hexdigest()
-        except OSError:
-            return None
-    if saved != current:
-        return None
-    graph = ProjectGraph.from_dict(data)
-    # The serialized module index is not retained; rebuild cheap queries
-    # only.  Rules consume functions/edges/external/suppressions, all of
-    # which round-trip.
+    graph.build_seconds = time.perf_counter() - started
     return graph

@@ -13,8 +13,6 @@ __all__ = ["render_text", "render_json"]
 
 def render_text(
     findings: Sequence[Finding],
-    grandfathered: Sequence[Finding] = (),
-    stale_baseline: Sequence[str] = (),
     files_analyzed: int = 0,
     unused_suppressions: Sequence[UnusedSuppression] = (),
     stats: Optional[dict] = None,
@@ -22,16 +20,9 @@ def render_text(
     """Human-readable report: one ``path:line:col`` line per finding."""
     lines = []
     for f in findings:
-        lines.append(f"{f.location()}: {f.rule} {f.message}  [{f.stable_id}]")
+        lines.append(f"{f.location()}: {f.rule} {f.message}")
         for hop in f.witness:
             lines.append(f"    via {hop}")
-    if stale_baseline:
-        lines.append("")
-        lines.append(
-            "stale baseline entries (fixed or renamed — regenerate with "
-            "--update-baseline):"
-        )
-        lines.extend(f"  {stale_id}" for stale_id in stale_baseline)
     if unused_suppressions:
         lines.append("")
         lines.append(
@@ -68,7 +59,6 @@ def render_text(
     summary = (
         f"{len(findings)} finding(s) in {files_analyzed} file(s)"
         + (f" ({breakdown})" if breakdown else "")
-        + (f"; {len(grandfathered)} baselined" if grandfathered else "")
         + (
             f"; {len(unused_suppressions)} stale suppression(s)"
             if unused_suppressions
@@ -81,8 +71,6 @@ def render_text(
 
 def render_json(
     findings: Sequence[Finding],
-    grandfathered: Sequence[Finding] = (),
-    stale_baseline: Sequence[str] = (),
     files_analyzed: int = 0,
     rules: Optional[Sequence] = None,
     unused_suppressions: Sequence[UnusedSuppression] = (),
@@ -93,11 +81,9 @@ def render_json(
     for finding in findings:
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
     document = {
-        "version": 2,
+        "version": 3,
         "files_analyzed": files_analyzed,
         "findings": [f.to_dict() for f in findings],
-        "baselined": [f.to_dict() for f in grandfathered],
-        "stale_baseline": list(stale_baseline),
         "unused_suppressions": [
             entry.to_dict() for entry in unused_suppressions
         ],

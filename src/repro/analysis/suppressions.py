@@ -48,8 +48,7 @@ class SuppressionIndex:
     """Per-file map of line number -> suppressed rule IDs (None = all).
 
     The index remembers which comment lines actually suppressed a finding
-    (:attr:`used`), which is what lets the CLI flag stale suppressions the
-    same way it flags stale baseline entries.
+    (:attr:`used`), which is what lets the CLI flag stale suppressions.
     """
 
     def __init__(self, by_line: dict[int, Optional[frozenset[str]]]):
@@ -81,7 +80,7 @@ class SuppressionIndex:
 
         When the analyzer ran a *filtered* rule set, only comments naming
         at least one active rule can be judged — a ``REP001`` suppression
-        is not stale just because ``--rule REP010`` skipped REP001.  Bare
+        is not stale just because ``--select REP010`` skipped REP001.  Bare
         ``# repro: ignore`` comments are only judged on a ``complete`` run.
         """
         stale: list[tuple[int, Optional[frozenset[str]]]] = []

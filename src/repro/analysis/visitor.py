@@ -1,18 +1,19 @@
 """The shared single-pass walker and the two-phase analyzer driver.
 
 ``Analyzer`` owns one instance of each active rule and runs analysis in
-two phases.  **Phase 1** walks every target file's AST exactly once,
-dispatching each node to the rules registered for its type, and — when
-any active rule sets ``needs_graph`` — builds the project-wide call graph
-(:mod:`repro.analysis.graph`) over the same file set.  **Phase 2** hands
-that graph to the graph rules, whose findings (witness paths included)
-honour the suppression comments of the file they anchor to, exactly like
-per-file findings.
+two phases.  **Phase 1** reads and parses every target file once, scans
+it for suppression comments once, and walks its AST once, dispatching
+each node to the rules registered for its type.  When any active rule
+sets ``needs_graph``, the parsed files then feed the project-wide call
+graph (:mod:`repro.analysis.graph`); nothing is parsed twice.  **Phase
+2** hands that graph to the graph rules, whose findings (witness paths
+included) honour the suppression comments of the file they anchor to,
+exactly like per-file findings.
 
 The analyzer also keeps the books the CLI reports on: per-rule wall time
 and finding counts (``--stats``), and which suppression comments actually
-excused something — the rest are *stale* and fail the run the same way
-stale baseline entries do.
+excused something — the rest are *stale* and fail the run.  Nothing
+carries over from one :meth:`Analyzer.run` to the next.
 """
 
 from __future__ import annotations
@@ -22,12 +23,8 @@ import os
 import time
 from typing import Iterable, Optional, Sequence
 
-from repro.analysis.findings import (
-    PARSE_ERROR_RULE,
-    Finding,
-    assign_stable_ids,
-)
-from repro.analysis.graph import ProjectGraph, build_graph
+from repro.analysis.findings import PARSE_ERROR_RULE, Finding
+from repro.analysis.graph import ParsedModule, ProjectGraph, build_graph
 from repro.analysis.rules import FileContext, Rule, all_rules, select_rules
 from repro.analysis.suppressions import (
     SuppressionIndex,
@@ -85,15 +82,10 @@ class UnusedSuppression:
 class Analyzer:
     """Run a set of rules over a set of files, one AST pass per file."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        graph: Optional[ProjectGraph] = None,
-    ):
+    def __init__(self, rules: Optional[Sequence[Rule]] = None):
         self.rules = list(rules) if rules is not None else select_rules()
-        #: Pre-built (cached) call graph; built on demand when None and a
-        #: graph rule is active.
-        self.graph = graph
+        #: The last run's call graph; None when no graph rule was active.
+        self.graph: Optional[ProjectGraph] = None
         self._findings: list[Finding] = []
         self._suppressions: dict[str, SuppressionIndex] = {}
         self._rule_seconds: dict[str, float] = {}
@@ -106,28 +98,24 @@ class Analyzer:
         """Analyze ``files``; paths in findings are relative to ``root``."""
         started = time.perf_counter()
         file_list = list(files)
+        self.graph = None
         self._findings = []
         self._suppressions = {}
         self._rule_seconds = {rule.rule_id: 0.0 for rule in self.rules}
         self.unused_suppressions = []
-        for path in file_list:
-            self._run_file(path, root)
-        # Phase 2: build (or reuse) the project graph for graph rules.
+        parsed = [self._run_file(path, root) for path in file_list]
+        # Phase 2: the graph rules run over a graph of the parsed files.
+        # It shares their suppression indexes, so a comment consulted only
+        # through the graph (a justified primitive stopping REP010 taint
+        # at its seed) counts as used.
         graph_rules = [rule for rule in self.rules if rule.needs_graph]
-        if graph_rules and self.graph is None:
-            self.graph = build_graph(file_list, root=root)
+        if graph_rules:
+            self.graph = build_graph([m for m in parsed if m is not None])
         late: list[Finding] = []
         for rule in graph_rules:
             t0 = time.perf_counter()
             rule.run_graph(self.graph, late.append)
             self._rule_seconds[rule.rule_id] += time.perf_counter() - t0
-        if self.graph is not None:
-            # Suppressions consulted through the graph (e.g. a justified
-            # primitive stopping REP010 taint at its seed) count as used.
-            for path, gindex in self.graph._suppressions.items():
-                mine = self._suppressions.get(path)
-                if mine is not None:
-                    mine.used |= gindex.used
         # Cross-file findings honour the suppression comments of the file
         # they anchor to, same as per-file ones.
         for rule in self.rules:
@@ -140,7 +128,10 @@ class Analyzer:
                 finding.rule, finding.line
             ):
                 self._findings.append(finding)
-        findings = assign_stable_ids(self._findings)
+        findings = sorted(
+            self._findings,
+            key=lambda f: (f.path, f.line, f.col, f.rule, f.message),
+        )
         self._collect_unused_suppressions()
         self._collect_stats(findings, len(file_list), started)
         return findings
@@ -176,7 +167,10 @@ class Analyzer:
         if self.graph is not None:
             self.stats["graph"] = self.graph.stats()
 
-    def _run_file(self, path: str, root: Optional[str]) -> None:
+    def _run_file(
+        self, path: str, root: Optional[str]
+    ) -> Optional[ParsedModule]:
+        """Parse and walk one file; None when it cannot be parsed."""
         display = os.path.relpath(path, root) if root else path
         display = display.replace(os.sep, "/")
         try:
@@ -193,17 +187,18 @@ class Analyzer:
                     message=f"cannot analyze file: {exc}",
                 )
             )
-            return
+            return None
         lines = source.splitlines()
         suppressions = parse_suppressions(
             lines, comment_lines=comment_lines(source)
         )
         self._suppressions[display] = suppressions
+        parsed = ParsedModule(display, tree, suppressions)
         collected: list[Finding] = []
         ctx = FileContext(display, tree, lines, collected.append)
         active = [rule for rule in self.rules if rule.applies_to(display)]
         if not active:
-            return
+            return parsed
         dispatch: dict[type, list[Rule]] = {}
         for rule in active:
             rule.start_file(ctx)
@@ -215,6 +210,7 @@ class Analyzer:
         for finding in collected:
             if not suppressions.is_suppressed(finding.rule, finding.line):
                 self._findings.append(finding)
+        return parsed
 
     def _walk(
         self,

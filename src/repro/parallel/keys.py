@@ -233,20 +233,18 @@ def cell_key(
     nprocs: int,
     chain_lengths: Sequence[int],
     application_seed: int,
-    tier: str = "simulation",
 ) -> MemoKey:
     """Identity of a whole sweep cell (inputs for every predictor + actual).
 
-    ``tier`` names the serving-ladder rung that produced the numbers; it is
-    part of the canonical key material so results from different rungs
-    (analytic closed forms vs discrete-event simulation) occupy distinct
-    addresses in the memo store.
+    Only the simulation tier writes cell records, so the key's ``tier``
+    field is the constant ``"simulation"``; it stays in the key material
+    so the addresses of stored records do not move.
     """
     return MemoKey(
         _cell_text(
             "cell", machine, measurement, (), benchmark, problem_class,
             nprocs, tuple(sorted(set(int(n) for n in chain_lengths))),
-            application_seed, str(tier),
+            application_seed,
         )
     )
 
@@ -270,7 +268,6 @@ def archive_key(
         _cell_text(
             "archive", machine, measurement, ("seed",), benchmark,
             problem_class, nprocs, (int(chain_length),), application_seed,
-            "simulation",
         )
     )
 
@@ -286,7 +283,6 @@ def _cell_text(
     nprocs: int,
     chain_lengths: tuple[int, ...],
     application_seed: int,
-    tier: str,
 ) -> str:
     return _render(
         {
@@ -297,7 +293,7 @@ def _cell_text(
             "nprocs": nprocs,
             "chain_lengths": list(chain_lengths),
             "application_seed": application_seed,
-            "tier": tier,
+            "tier": "simulation",
         },
         machine=_fingerprint_json(machine),
         measurement=_fingerprint_json(measurement, dropped),

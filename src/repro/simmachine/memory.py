@@ -232,18 +232,3 @@ class MemoryHierarchy:
         """Invalidate everything (cold caches)."""
         for level in self.levels:
             level.flush()
-
-    def disturb(self, nbytes: int) -> None:
-        """Model unrelated code streaming ``nbytes`` through the hierarchy.
-
-        Evicts LRU data as a real interfering working set would, without
-        costing simulated time. The measurement harness does not call it;
-        the LRU-stack oracle (``tests/simmachine/test_memory_stack_oracle.py``)
-        does, as one more region install.
-        """
-        check_non_negative("disturb nbytes", nbytes)
-        if nbytes == 0:
-            return
-        scratch = DataRegion("__disturbance__", nbytes)
-        for level in self.levels:
-            level.install(scratch.name, nbytes)

@@ -195,16 +195,6 @@ class Comm:
         waiting.append(req)
         return req
 
-    def wait(self, request: Request) -> Generator[Event, Any, Any]:
-        """Block until ``request`` completes; returns the payload (recv)."""
-        if request.processed:
-            return request._value
-        sim = self.sim
-        t0 = sim.now
-        value = yield request
-        self.ctx.account_wait(sim.now - t0)
-        return value
-
     def waitall(
         self, requests: Iterable[Request]
     ) -> Generator[Event, Any, list[Any]]:

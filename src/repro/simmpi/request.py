@@ -17,8 +17,7 @@ class Request(Event):
     the matching send with the message payload as its value; when the
     message has already arrived at post time, :meth:`Comm.irecv` returns it
     processed, with no queue entry. Yield it directly, or use
-    ``yield from comm.wait(req)`` / ``comm.waitall(reqs)`` inside a rank
-    program.
+    ``yield from comm.waitall(reqs)`` inside a rank program.
     """
 
     __slots__ = ("kind", "peer", "tag", "nbytes")

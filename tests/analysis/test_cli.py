@@ -1,10 +1,13 @@
-"""``repro lint`` exit codes, reporters, and baseline workflow."""
+"""``repro lint`` exit codes, reporters, rule selection and suppressions."""
 
 from __future__ import annotations
 
+import ast
 import json
 
-from repro.analysis.cli import DEFAULT_BASELINE, main
+import pytest
+
+from repro.analysis.cli import main
 from tests.analysis.conftest import write_tree
 
 CLEAN = {
@@ -53,6 +56,25 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main([".", "--select", "REP001"]) == 0
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--graph", "g.json"],
+            ["--graph-only"],
+            ["--baseline", "bl.json"],
+            ["--update-baseline"],
+            ["--rule", "REP001"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_removed_option_is_usage_error(self, tmp_path, monkeypatch,
+                                           option):
+        write_tree(tmp_path, CLEAN)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([".", *option])
+        assert exc.value.code == 2
+
     def test_unparseable_file_reports_rep000(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -68,7 +90,8 @@ class TestJsonReport:
         monkeypatch.chdir(tmp_path)
         assert main([".", "--format", "json", "-o", "report.json"]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["version"] == 2
+        assert report["version"] == 3
+        assert "baselined" not in report and "stale_baseline" not in report
         assert report["files_analyzed"] == 1
         assert report["summary"] == {
             "total": 1,
@@ -79,29 +102,12 @@ class TestJsonReport:
         (finding,) = report["findings"]
         assert finding["rule"] == "REP003"
         assert finding["path"].endswith("service/pipe.py")
-        assert finding["id"].startswith("REP003:")
+        assert "id" not in finding
         catalog = {rule["id"] for rule in report["rules"]}
         assert {"REP001", "REP006"} <= catalog
 
 
 class TestRuleFilterAndStats:
-    def test_rule_flag_restricts_rules(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, VIOLATING)
-        monkeypatch.chdir(tmp_path)
-        assert main([".", "--rule", "REP001"]) == 0
-        assert main([".", "--rule", "REP003"]) == 1
-
-    def test_rule_flag_repeats_and_merges_with_select(
-        self, tmp_path, monkeypatch
-    ):
-        write_tree(tmp_path, VIOLATING)
-        monkeypatch.chdir(tmp_path)
-        assert main(
-            [".", "--select", "REP001", "--rule", "REP002,REP004",
-             "--rule", "REP003"]
-        ) == 1
-        assert main([".", "--select", "REP001", "--rule", "REP002"]) == 0
-
     def test_stats_section_in_text_report(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -142,24 +148,19 @@ class TestGraphRulesThroughCli:
         # here silently drops cross-module edges and REP010 goes blind.
         write_tree(tmp_path, TWO_HOP_CLOCK)
         monkeypatch.chdir(tmp_path)
-        assert main([".", "--rule", "REP010"]) == 1
+        assert main([".", "--select", "REP010"]) == 1
         out = capsys.readouterr().out
         assert "REP010" in out
         assert "time.time" in out
         assert "simmachine.clock.advance -> util.timing.stamp" in out
 
-    def test_witness_survives_the_graph_cache(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_json_report_carries_the_witness(self, tmp_path, monkeypatch):
         write_tree(tmp_path, TWO_HOP_CLOCK)
         monkeypatch.chdir(tmp_path)
-        assert main([".", "--graph", "g.json", "--graph-only"]) == 0
-        capsys.readouterr()
         assert main(
-            [".", "--graph", "g.json", "--rule", "REP010", "--format",
-             "json", "-o", "report.json"]
+            [".", "--select", "REP010", "--format", "json",
+             "-o", "report.json"]
         ) == 1
-        assert "loaded cached call graph" in capsys.readouterr().err
         report = json.loads((tmp_path / "report.json").read_text())
         (finding,) = report["findings"]
         assert finding["rule"] == "REP010"
@@ -168,34 +169,36 @@ class TestGraphRulesThroughCli:
         )
 
 
-class TestGraphCache:
-    def test_graph_only_builds_and_saves(self, tmp_path, monkeypatch, capsys):
-        write_tree(tmp_path, CLEAN)
-        monkeypatch.chdir(tmp_path)
-        assert main([".", "--graph", "graph.json", "--graph-only"]) == 0
-        assert "built call graph" in capsys.readouterr().err
-        document = json.loads((tmp_path / "graph.json").read_text())
-        assert document["fingerprints"]
-
-    def test_graph_only_requires_graph(self, tmp_path, monkeypatch, capsys):
-        write_tree(tmp_path, CLEAN)
-        monkeypatch.chdir(tmp_path)
-        assert main([".", "--graph-only"]) == 2
-        assert "--graph" in capsys.readouterr().err
-
-    def test_cached_graph_is_reused_until_files_change(
+class TestOneParsePerFile:
+    def test_each_file_is_parsed_once_and_graph_suppressions_count(
         self, tmp_path, monkeypatch, capsys
     ):
-        write_tree(tmp_path, CLEAN)
+        # util/ is outside REP001's scope, so only REP010's graph walk
+        # consults this suppression; it must still count as used.
+        tree = dict(TWO_HOP_CLOCK)
+        tree["util/timing.py"] = """\
+        import time
+
+        def stamp(state):
+            return raw()
+
+        def raw():
+            return time.time()  # repro: ignore[REP010] — reporting clock
+        """
+        write_tree(tmp_path, tree)
         monkeypatch.chdir(tmp_path)
-        assert main([".", "--graph", "graph.json", "--graph-only"]) == 0
-        capsys.readouterr()
-        assert main([".", "--graph", "graph.json"]) == 0
-        assert "loaded cached call graph" in capsys.readouterr().err
-        # Any file change invalidates the fingerprints -> rebuild.
-        write_tree(tmp_path, {"service/pipe.py": "def drain(q):\n    return 1\n"})
-        assert main([".", "--graph", "graph.json"]) == 0
-        assert "built call graph" in capsys.readouterr().err
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["."]) == 0
+        assert "stale suppressions" not in capsys.readouterr().out
+        assert len(parsed) == len(tree)
+        assert len(set(parsed)) == len(tree)
 
 
 class TestStaleSuppressions:
@@ -259,8 +262,8 @@ class TestStaleSuppressions:
             },
         )
         monkeypatch.chdir(tmp_path)
-        assert main([".", "--rule", "REP001"]) == 0
-        assert main([".", "--rule", "REP003"]) == 1
+        assert main([".", "--select", "REP001"]) == 0
+        assert main([".", "--select", "REP003"]) == 1
 
     def test_json_report_lists_unused_suppressions(
         self, tmp_path, monkeypatch
@@ -281,43 +284,3 @@ class TestStaleSuppressions:
         assert entry["path"].endswith("service/pipe.py")
         assert entry["rules"] == ["REP003"]
         assert report["summary"]["stale_suppressions"] == 1
-
-
-class TestBaselineWorkflow:
-    def test_update_then_clean_then_stale(self, tmp_path, monkeypatch, capsys):
-        write_tree(tmp_path, VIOLATING)
-        monkeypatch.chdir(tmp_path)
-
-        # Grandfather the existing violation.
-        assert main([".", "--update-baseline"]) == 0
-        baseline = json.loads((tmp_path / DEFAULT_BASELINE).read_text())
-        assert len(baseline["findings"]) == 1
-        capsys.readouterr()
-
-        # The default baseline in cwd is picked up automatically.
-        assert main(["."]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-        # Fixing the violation turns the entry stale: the baseline must
-        # shrink as debt is paid, so this still fails the run.
-        write_tree(tmp_path, CLEAN)
-        assert main(["."]) == 1
-        assert "stale baseline" in capsys.readouterr().out
-        assert main([".", "--update-baseline"]) == 0
-        assert main(["."]) == 0
-
-    def test_explicit_baseline_path(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, VIOLATING)
-        monkeypatch.chdir(tmp_path)
-        assert main([".", "--update-baseline", "--baseline", "bl.json"]) == 0
-        assert main([".", "--baseline", "bl.json"]) == 0
-        assert main(["."]) == 1  # without the baseline the finding is live
-
-    def test_corrupt_baseline_is_usage_error(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        write_tree(tmp_path, CLEAN)
-        (tmp_path / "bl.json").write_text("{", encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        assert main([".", "--baseline", "bl.json"]) == 2
-        assert "invalid baseline" in capsys.readouterr().err

@@ -1,14 +1,8 @@
-"""Framework behavior: suppressions, stable IDs, baseline round-trips."""
+"""Framework behavior: inline suppressions."""
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
-from repro.analysis import Baseline, split_against_baseline
 from repro.analysis.suppressions import parse_suppressions
-from repro.errors import ConfigurationError
 
 VIOLATION = {
     "service/pipe.py": """\
@@ -95,72 +89,3 @@ class TestSuppressions:
             select=["REP004"],
         )
         assert findings == []
-
-
-class TestStableIds:
-    def test_duplicate_findings_get_distinct_ids(self, lint):
-        findings = lint(
-            {
-                "service/pipe.py": """\
-                def drain(q):
-                    q.get()
-                    q.get()
-                """
-            },
-            select=["REP003"],
-        )
-        ids = [f.stable_id for f in findings]
-        assert len(ids) == 2
-        assert len(set(ids)) == 2
-        assert [f.occurrence for f in findings] == [0, 1]
-
-    def test_ids_survive_line_shifts(self, lint, tmp_path):
-        before = lint(VIOLATION, select=["REP003"])
-        shifted = {
-            "service/pipe.py": """\
-            # a new leading comment
-            # shifting everything down
-
-            def drain(q):
-                return q.get()
-            """
-        }
-        after = lint(shifted, select=["REP003"])
-        assert [f.stable_id for f in before] == [f.stable_id for f in after]
-        assert before[0].line != after[0].line
-
-
-class TestBaseline:
-    def test_round_trip_grandfathers_findings(self, lint, tmp_path):
-        findings = lint(VIOLATION, select=["REP003"])
-        path = tmp_path / "baseline.json"
-        Baseline.save(str(path), findings)
-        fresh, known, stale = split_against_baseline(
-            findings, Baseline.load(str(path))
-        )
-        assert fresh == []
-        assert [f.stable_id for f in known] == [f.stable_id for f in findings]
-        assert stale == []
-
-    def test_fixed_finding_goes_stale(self, lint, tmp_path):
-        findings = lint(VIOLATION, select=["REP003"])
-        path = tmp_path / "baseline.json"
-        Baseline.save(str(path), findings)
-        fresh, known, stale = split_against_baseline(
-            [], Baseline.load(str(path))
-        )
-        assert fresh == [] and known == []
-        assert stale == [findings[0].stable_id]
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        baseline = Baseline.load(str(tmp_path / "nope.json"))
-        assert baseline.ids == frozenset()
-
-    def test_invalid_baseline_raises(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("not json", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="invalid baseline"):
-            Baseline.load(str(bad))
-        bad.write_text(json.dumps({"version": 99}), encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="v1"):
-            Baseline.load(str(bad))

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.graph import (
-    ProjectGraph,
-    build_graph,
-    load_cached,
-    module_name_for,
-)
-from repro.analysis.visitor import iter_python_files
+from repro.analysis.graph import module_name_for
+from repro.analysis.rules import select_rules
+from repro.analysis.visitor import Analyzer, iter_python_files
 from tests.analysis.conftest import write_tree
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -22,9 +18,16 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 UNRESOLVED_EDGE_THRESHOLD = 3
 
 
+def graph_of(paths, root):
+    """The call graph a REP010 lint run builds from its parsed files."""
+    analyzer = Analyzer(select_rules(["REP010"]))
+    analyzer.run(iter_python_files(paths), root=root)
+    return analyzer.graph
+
+
 def build(tmp_path, files):
     write_tree(tmp_path, files)
-    return build_graph(iter_python_files([str(tmp_path)]), root=str(tmp_path))
+    return graph_of([str(tmp_path)], str(tmp_path))
 
 
 def edge_pairs(graph):
@@ -224,59 +227,9 @@ class TestResolution:
         assert graph.dynamic_calls == 1
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        graph = build(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/a.py": """\
-                import time
-
-                def leaf():
-                    return time.time()
-                """,
-                "pkg/b.py": """\
-                from pkg.a import leaf
-
-                def run():
-                    return leaf()
-                """,
-            },
-        )
-        clone = ProjectGraph.from_dict(graph.to_dict())
-        assert set(clone.functions) == set(graph.functions)
-        assert edge_pairs(clone) == edge_pairs(graph)
-        assert clone.external_refs("pkg.a.leaf")[0].target == "time.time"
-
-    def test_cache_hit_and_invalidation(self, tmp_path):
-        files = {
-            "m.py": """\
-            def f():
-                return 1
-            """
-        }
-        write_tree(tmp_path, files)
-        file_list = iter_python_files([str(tmp_path)])
-        graph = build_graph(file_list, root=str(tmp_path))
-        cache = tmp_path / "graph.json"
-        graph.save(str(cache))
-        loaded = load_cached(str(cache), file_list, root=str(tmp_path))
-        assert loaded is not None
-        assert set(loaded.functions) == set(graph.functions)
-        # Touching the file's content invalidates the fingerprint.
-        (tmp_path / "m.py").write_text(
-            "def f():\n    return 2\n", encoding="utf-8"
-        )
-        assert load_cached(str(cache), file_list, root=str(tmp_path)) is None
-
-
 class TestRealTree:
     def test_real_graph_builds_within_unresolved_threshold(self):
-        graph = build_graph(
-            iter_python_files([str(REPO_ROOT / "src")]),
-            root=str(REPO_ROOT),
-        )
+        graph = graph_of([str(REPO_ROOT / "src")], str(REPO_ROOT))
         misses = [
             f"{u.owner} -> {u.target} ({u.path}:{u.line})"
             for u in graph.unresolved

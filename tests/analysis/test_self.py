@@ -1,32 +1,31 @@
 """Meta-test: the repository's own source tree passes its invariant checks.
 
-This is the CI gate in tier 1: every REP rule runs over ``src/`` and the
-committed baseline must cover anything that isn't fixed or suppressed.
-Today the baseline is empty — keep it that way; prefer a justified inline
-suppression over a baseline entry for intentional exceptions.
+This is the CI gate in tier 1: every REP rule runs over ``src/`` and must
+report nothing, and no suppression comment may be stale, exactly as
+``repro lint src`` exits 0.  Intentional exceptions carry a justified
+inline suppression (``# repro: ignore[REPnnn] — why``); there is no
+baseline.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import Baseline, analyze_paths, split_against_baseline
+from repro.analysis import Analyzer, iter_python_files
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_source_tree_has_no_unbaselined_findings():
-    findings = analyze_paths(
-        [str(REPO_ROOT / "src")], root=str(REPO_ROOT)
+    analyzer = Analyzer()
+    findings = analyzer.run(
+        iter_python_files([str(REPO_ROOT / "src")]), root=str(REPO_ROOT)
     )
-    baseline = Baseline.load(str(REPO_ROOT / "analysis-baseline.json"))
-    fresh, _known, stale = split_against_baseline(findings, baseline)
-    assert fresh == [], "new analysis findings:\n" + "\n".join(
-        f"  {f.location()}: {f.rule} {f.message}" for f in fresh
+    assert findings == [], "analysis findings:\n" + "\n".join(
+        f"  {f.location()}: {f.rule} {f.message}" for f in findings
     )
-    assert stale == [], f"stale baseline entries: {stale}"
-
-
-def test_committed_baseline_is_empty():
-    baseline = Baseline.load(str(REPO_ROOT / "analysis-baseline.json"))
-    assert baseline.ids == frozenset()
+    assert analyzer.unused_suppressions == [], "stale suppressions:\n" + (
+        "\n".join(
+            f"  {entry.describe()}" for entry in analyzer.unused_suppressions
+        )
+    )

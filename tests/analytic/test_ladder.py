@@ -9,7 +9,7 @@ from repro.analytic.tiers import POLICIES, TierPolicy
 from repro.errors import ExperimentError, PredictionError
 from repro.experiments import ExperimentPipeline, ExperimentSettings
 from repro.instrument import MeasurementConfig
-from repro.parallel.keys import SCHEMA_VERSION, cell_key, digest
+from repro.parallel.keys import SCHEMA_VERSION, cell_key
 from repro.service import PredictionService
 from repro.service.engine import PredictRequest
 from repro.simmachine.machine import ibm_sp_argonne
@@ -139,8 +139,3 @@ class TestMemoKeyMaterial:
         base = cell_key(machine, measurement, "BT", "S", 4, (2,), 7)
         assert base["schema"] == SCHEMA_VERSION
         assert base["tier"] == "simulation"
-        analytic = cell_key(
-            machine, measurement, "BT", "S", 4, (2,), 7, tier="analytic"
-        )
-        assert analytic["tier"] == "analytic"
-        assert digest(base) != digest(analytic)

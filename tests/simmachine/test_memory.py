@@ -169,25 +169,6 @@ class TestLRU:
         assert mh.resident_bytes(0, "r") == 0
         assert mh.touch(region).from_memory == 10 * KB
 
-    def test_disturb_evicts_lru(self):
-        mh = two_level(l1=10 * KB, l2=100 * KB)
-        region = DataRegion("victim", 10 * KB)
-        mh.touch(region)
-        mh.disturb(95 * KB)
-        assert mh.resident_bytes(1, "victim") <= 5 * KB
-        assert mh.resident_bytes(0, "victim") == 0
-
-    def test_disturb_zero_is_noop(self):
-        mh = two_level()
-        region = DataRegion("r", KB)
-        mh.touch(region)
-        mh.disturb(0)
-        assert mh.resident_bytes(0, "r") == KB
-
-    def test_disturb_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            two_level().disturb(-1)
-
 
 class TestCapacityTransitions:
     """Working set crossing a capacity changes the warm-touch cost regime."""

@@ -13,16 +13,13 @@ The peak, not the current sum, is what makes it exact: a partial
 re-touch of a region above ``R`` shrinks that region, but the bytes of
 ``R`` it evicted earlier stay evicted. Each level then serves its
 residency minus what the inner levels already covered, and the rest
-comes from memory. ``disturb(n)`` is one more region install and
-``flush()`` empties the stack.
+comes from memory. ``flush()`` empties the stack.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simmachine.memory import DataRegion, MemoryHierarchy
-
-DISTURBANCE = "__disturbance__"
 
 
 class LruStackOracle:
@@ -95,7 +92,6 @@ def streams(draw):
         touch,
         touch,
         touch,
-        st.tuples(st.just("disturb"), st.integers(0, 48)),
         st.tuples(st.just("flush")),
     )
     return capacities, draw(st.lists(operation, max_size=40))
@@ -131,10 +127,6 @@ def test_touches_match_the_lru_stack_oracle(stream):
             served, from_memory = oracle.touch(region, nbytes)
             assert result.served_by_level == served, op
             assert result.from_memory == from_memory, op
-        elif op[0] == "disturb":
-            hierarchy.disturb(op[1])
-            if op[1]:
-                oracle.install(DISTURBANCE, op[1])
         else:
             hierarchy.flush()
             oracle.flush()

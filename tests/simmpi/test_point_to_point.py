@@ -123,7 +123,7 @@ class TestNonBlocking:
             if comm.rank == 0:
                 req = comm.isend(1, 10, tag=1, payload="x")
                 assert not req.complete
-                yield from comm.wait(req)
+                yield from comm.waitall([req])
                 assert req.complete
             elif comm.rank == 1:
                 yield from comm.recv(0, tag=1)
@@ -154,7 +154,7 @@ class TestNonBlocking:
             elif comm.rank == 1:
                 req = comm.irecv(0, tag=1)
                 assert req.payload is None or req.payload == "v"
-                yield from comm.wait(req)
+                yield from comm.waitall([req])
                 assert req.payload == "v"
 
         run(machine4, program)
@@ -397,7 +397,7 @@ class TestArrivedReceive:
                 req = comm.irecv(0, tag=1)
                 seen["complete"] = req.complete
                 seen["post"] = ctx.sim.now
-                seen["value"] = yield from comm.wait(req)
+                seen["value"] = (yield from comm.waitall([req]))[0]
                 seen["done"] = ctx.sim.now
 
         machine.run(program)
@@ -437,7 +437,7 @@ class TestArrivedReceive:
                 else:
                     reqs = [comm.irecv(0, tag=5) for _ in range(count)]
                     for req in reqs:
-                        got.append((yield from comm.wait(req)))
+                        got.append((yield from comm.waitall([req]))[0])
             yield ctx.sim.timeout(0.0)
 
         machine.run(program)
