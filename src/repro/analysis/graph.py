@@ -7,6 +7,7 @@ looking at.  This module builds the cross-file picture the dataflow rules
 
 1. **Index.**  Every target module's tree is indexed: module-level
    functions, classes with their methods and bases, and an import table
+   derived from the per-file pass's :class:`~repro.analysis.rules.ImportMap`
    with relative imports resolved against the module's own dotted name.
 2. **Link.**  Names are resolved through the import tables — including
    re-export chains through ``__init__`` modules — to the *defining*
@@ -42,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from repro.analysis.rules import dotted_name
+from repro.analysis.rules import ImportMap, dotted_name
 from repro.analysis.suppressions import SuppressionIndex
 
 __all__ = [
@@ -134,6 +135,9 @@ class ParsedModule(NamedTuple):
     #: The analyzer's own index: a comment a graph rule consults counts
     #: as used in the analyzer's stale-suppression check.
     suppressions: SuppressionIndex
+    #: The per-file pass's import table; the graph resolves its relative
+    #: imports instead of walking the tree for imports again.
+    imports: ImportMap
 
 
 class _ClassIndex:
@@ -222,7 +226,8 @@ class ProjectGraph:
         self._modules[name] = module
         self._packages.add(name.split(".")[0])
         self._suppressions[parsed.path] = parsed.suppressions
-        _collect_imports(module)
+        package = name if module.is_package else name.rpartition(".")[0]
+        module.imports = parsed.imports.absolute(package)
         _collect_defs(module, self)
 
     def _resolve(self, dotted: str, depth: int = 0) -> tuple[str, str]:
@@ -332,37 +337,6 @@ class ProjectGraph:
         if head in module.data:
             return ("data", f"{module.name}.{dotted}")
         return None
-
-
-def _collect_imports(module: _ModuleIndex) -> None:
-    """Fill ``module.imports`` with local name -> absolute dotted path."""
-    package_parts = module.name.split(".")
-    if not module.is_package:
-        package_parts = package_parts[:-1]
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    module.imports[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".")[0]
-                    module.imports[top] = top
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base_parts = package_parts
-                if node.level > 1:
-                    base_parts = base_parts[: -(node.level - 1)]
-                base = ".".join(base_parts)
-                absolute = (
-                    f"{base}.{node.module}" if node.module else base
-                )
-            else:
-                absolute = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                module.imports[local] = f"{absolute}.{alias.name}"
 
 
 def _collect_defs(module: _ModuleIndex, graph: ProjectGraph) -> None:

@@ -44,11 +44,14 @@ class ImportMap:
     ``import numpy as np`` maps ``np`` -> ``numpy``; ``from time import
     perf_counter as pc`` maps ``pc`` -> ``time.perf_counter``.  Relative
     imports keep their leading dots — repo-specific rules only need the
-    absolute spellings.
+    absolute spellings; :meth:`absolute` resolves them for the project
+    graph, which shares this one table per file.
     """
 
     def __init__(self, tree: ast.AST):
         self._aliases: dict[str, str] = {}
+        #: ``level`` of each name last bound by a relative import.
+        self._levels: dict[str, int] = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -62,6 +65,8 @@ class ImportMap:
                         continue
                     local = alias.asname or alias.name
                     self._aliases[local] = f"{module}.{alias.name}"
+                    if node.level:
+                        self._levels[local] = node.level
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Canonical dotted path of a Name/Attribute expression, or None."""
@@ -73,6 +78,26 @@ class ImportMap:
         if target is None:
             return name
         return f"{target}.{rest}" if rest else target
+
+    def absolute(self, package: str) -> dict[str, str]:
+        """Local name -> absolute dotted path, relative imports resolved.
+
+        ``package`` is the dotted name of the package holding the module
+        (the module's own name for an ``__init__``); ``from .. import x``
+        climbs one package above it.
+        """
+        table = dict(self._aliases)
+        parts = package.split(".")
+        for local, level in self._levels.items():
+            target = table[local]
+            if not target.startswith("."):
+                continue  # rebound by a later absolute import
+            base = ".".join(parts[: -(level - 1)] if level > 1 else parts)
+            # ``target`` is ``level`` dots, then ``module.name`` or, for
+            # ``from . import name``, ``.name``.
+            rest = target[level:]
+            table[local] = base + rest if rest[0] == "." else f"{base}.{rest}"
+        return table
 
 
 class FileContext:

@@ -193,9 +193,9 @@ class Analyzer:
             lines, comment_lines=comment_lines(source)
         )
         self._suppressions[display] = suppressions
-        parsed = ParsedModule(display, tree, suppressions)
         collected: list[Finding] = []
         ctx = FileContext(display, tree, lines, collected.append)
+        parsed = ParsedModule(display, tree, suppressions, ctx.imports)
         active = [rule for rule in self.rules if rule.applies_to(display)]
         if not active:
             return parsed

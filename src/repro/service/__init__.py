@@ -9,8 +9,9 @@ time. This subsystem turns that into a long-lived service:
   :class:`~repro.core.predictor.PredictionReport` objects; identical
   requests in flight share one future (single-flight), and a request
   that must simulate dispatches its cell from its own thread;
-* :mod:`~repro.service.cache` — the in-process report LRU (with TTL)
-  over the one persistent store, the
+* :mod:`~repro.service.cache` — the in-process L1 LRU (with TTL), whose
+  entries keep each report with its rendered wire reply, over the one
+  persistent store, the
   :class:`~repro.parallel.memo.SimulationMemoStore` directory that
   campaigns share;
 * :mod:`~repro.service.workers` — a bounded pool of worker processes

@@ -30,6 +30,14 @@ Correlation: any request object may carry an ``"id"`` field. It is echoed
 verbatim in the response, bound as the obs correlation ID for the
 request's spans, and stamped on the structured log lines — so one grep
 ties a wire request to its dispatch, worker cell, and simulator runs.
+
+Rendered replies: a request line is answered from its L1 entry
+(:class:`~repro.service.cache.L1Entry`), which keeps the reply line
+rendered for the entry's first answer, without ``"degraded"`` and
+``"id"``. So an L1 hit is one parse, one lookup and one write:
+:func:`handle_line` splices the per-exchange keys into the kept line
+(the same bytes as encoding the whole reply dict) instead of rebuilding
+and encoding the reply. Array lines are rendered item by item.
 """
 
 from __future__ import annotations
@@ -332,36 +340,51 @@ def handle_line(service: PredictionService, line: str) -> Optional[str]:
         return json.dumps(
             error_dict(ReproError("request must be a JSON object or array"))
         )
-    if payload.get("cmd") == "stats":
+    command = payload.get("cmd")
+    if command == "stats":
         return json.dumps({"ok": True, "stats": service.stats()})
-    if payload.get("cmd") == "metrics":
+    if command == "metrics":
         return json.dumps(metrics_payload(service))
-    if payload.get("cmd") == "slo":
+    if command == "slo":
         return json.dumps(slo_payload(service))
-    if payload.get("cmd") == "counters":
+    if command == "counters":
         return json.dumps(counters_payload(service))
     has_id = "id" in payload
     request_id = payload.pop("id", None)
     try:
         with obs.correlation(request_id if has_id else None):
             request = PredictRequest.from_dict(payload)
-            report = service.predict(request)
+            entry = service.answer(request)
             if faults.check("api.disconnect") is not None:
                 # The client dropped mid-request: the work is done (and
                 # cached), but nobody is listening for the answer.
                 raise ClientDisconnectError(
                     "injected client disconnect (api.disconnect)"
                 )
-            response = report_to_dict(
-                request, report, degraded=service.degraded
-            )
+            body = entry.body
+            if body is None:
+                # First answer from this entry: render it once. Every
+                # request field is part of the L1 key, so the body fits
+                # every request that hits the entry later.
+                body = entry.body = json.dumps(
+                    report_to_dict(request, entry.report)
+                )
     except ClientDisconnectError:
         raise
     except ReproError as exc:
         response = error_dict(exc)
+        if has_id:
+            response["id"] = request_id
+        return json.dumps(response)
+    degraded = service.degraded
+    if not (has_id or degraded):
+        return body
+    # The per-exchange keys go last, in the order report_to_dict and the
+    # id echo add them: the same bytes as dumping the whole dict.
+    tail = ', "degraded": true' if degraded else ""
     if has_id:
-        response["id"] = request_id
-    return json.dumps(response)
+        tail += ', "id": ' + json.dumps(request_id)
+    return body[:-1] + tail + "}"
 
 
 def _handle_batch(

@@ -1,8 +1,13 @@
-"""The service's L1 tier: an in-process report LRU.
+"""The service's L1 tier: an in-process LRU of answered requests.
 
-:class:`LRUCache` (optional TTL) holds finished
-:class:`~repro.core.predictor.PredictionReport` objects keyed by the full
-request tuple (benchmark, class, nprocs, chain length, seed). Below it
+:class:`LRUCache` (optional TTL) holds one :class:`L1Entry` per full
+request tuple (benchmark, class, nprocs, chain length, seed): the
+finished :class:`~repro.core.predictor.PredictionReport` and, once the
+wire front-end has served it, its rendered reply line. Every request field
+is part of that key, so one rendered line answers every request that hits
+the entry, and an L1 hit on the wire is one parse, one lookup and one
+write. The line lives and dies with its entry: eviction, TTL expiry and
+the ``cache.l1.drop`` fault discard it with the report. Below it
 sits the one persistent result store, the
 :class:`~repro.parallel.memo.SimulationMemoStore` directory: it holds the
 seed-keyed measurement and cell records that campaigns and the serving
@@ -24,9 +29,26 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional
 
-__all__ = ["LRUCache"]
+from repro.core.predictor import PredictionReport
+
+__all__ = ["L1Entry", "LRUCache"]
 
 _MISSING = object()
+
+
+class L1Entry:
+    """One answered request: its report and, once served, its wire body.
+
+    ``body`` is the JSON reply line without the per-exchange
+    ``"degraded"`` and ``"id"`` keys; the wire front-end renders it on the
+    first answer and splices those keys in on every later one.
+    """
+
+    __slots__ = ("report", "body")
+
+    def __init__(self, report: PredictionReport):
+        self.report = report
+        self.body: Optional[str] = None
 
 
 class LRUCache:
@@ -91,9 +113,6 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return self.get(key, _MISSING) is not _MISSING
 
     def clear(self) -> None:
         with self._lock:

@@ -4,7 +4,9 @@
 (:func:`repro.quick_prediction` and friends) into a long-lived serving
 layer:
 
-1. an L1 LRU answers repeated requests in microseconds;
+1. an L1 LRU answers repeated requests in microseconds: each entry
+   (:class:`~repro.service.cache.L1Entry`) holds the report and, once
+   the wire front-end has served it, its rendered reply line;
 2. the store rung answers archived cells on the request thread from one
    archive record of the memo store
    (:class:`~repro.parallel.memo.SimulationMemoStore`, keyed by
@@ -68,7 +70,7 @@ from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
 from repro.parallel.keys import MemoKey, archive_key, cell_key
 from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import CellResult, CellSpec, run_cell
-from repro.service.cache import LRUCache
+from repro.service.cache import L1Entry, LRUCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
 from repro.service.workers import WorkerPool
@@ -306,8 +308,18 @@ class PredictionService:
         expires first; and :class:`~repro.errors.ServiceDegradedError` for
         requests no cache tier answers while the service is degraded.
         """
+        return self.answer(request, timeout).report
+
+    def answer(
+        self, request: PredictRequest, timeout: Optional[float] = None
+    ) -> L1Entry:
+        """Serve one request like :meth:`predict`, returning its L1 entry.
+
+        The entry carries the report and the slot that keeps its rendered
+        wire reply, so the wire front-end renders each answer once.
+        """
         outcome, t0, lead = self._submit(request)
-        if isinstance(outcome, PredictionReport):
+        if isinstance(outcome, L1Entry):
             # L1 hit: the microsecond path. Deliberately span-free — the
             # hit is already measured (l1_hits + latency histogram), and
             # a span here would cost more than the lookup it times.
@@ -348,41 +360,43 @@ class PredictionService:
                 if not return_exceptions:
                     raise
                 outcome = exc
-            results.append(outcome)
+            results.append(
+                outcome.report if isinstance(outcome, L1Entry) else outcome
+            )
         return results
 
     def _submit(self, request: PredictRequest):
         """Tier ladder: L1, analytic rung, store rung, gates, single-flight.
 
-        Returns ``(report_or_future, start_time, lead)``. ``lead`` is True
+        Returns ``(entry_or_future, start_time, lead)``. ``lead`` is True
         when this request opened a new flight: its caller must
         :meth:`_dispatch` it.
         """
         t0 = self._clock()
         self.metrics.requests.inc()
         key = request.key
-        report = self._cached_report(key)
-        if report is not None:
+        entry = self._cached_entry(key)
+        if entry is not None:
             self.metrics.l1_hits.inc()
             dt = self._clock() - t0
             self.metrics.latency.observe(dt)
-            self.metrics.record_tier(report.tier, dt)
-            return report, t0, False
+            self.metrics.record_tier(entry.report.tier, dt)
+            return entry, t0, False
         if self.tier_policy.use_analytic:
             # The analytic rung sits *above* the degraded/saturation gates:
             # closed forms need no workers, so a degraded pool still serves
             # every request the policy's error budget accepts.
-            report = self._serve_analytic(request, t0)
-            if report is not None:
-                return report, t0, False
+            entry = self._serve_analytic(request, t0)
+            if entry is not None:
+                return entry, t0, False
         in_flight = key in self._in_flight
         if not in_flight:
             # The store rung needs no workers either: an archived cell is
             # answered here, ahead of the gates. A request already in
             # flight joins it instead.
-            report = self._serve_archived(request, t0)
-            if report is not None:
-                return report, t0, False
+            entry = self._serve_archived(request, t0)
+            if entry is not None:
+                return entry, t0, False
         if not self._pool.healthy and not in_flight:
             # Degraded mode: cache-only, except for a periodic probe that
             # tests whether the pool has recovered.
@@ -414,12 +428,13 @@ class PredictionService:
             self.metrics.coalesced.inc()
         return future, t0, lead
 
-    def _cached_report(self, key: tuple) -> Optional[PredictionReport]:
-        """The L1 report for ``key``, or None.
+    def _cached_entry(self, key: tuple) -> Optional[L1Entry]:
+        """The L1 entry for ``key``, or None.
 
         The ``cache.l1.drop`` fault models L1 read corruption: in-process
-        report objects carry no checksum, so the safe failure mode is to
-        treat the entry as lost and recompute (a miss, never garbage).
+        entries carry no checksum, so the safe failure mode is to treat
+        the entry (report and rendered reply alike) as lost and recompute
+        (a miss, never garbage).
         """
         if faults.check("cache.l1.drop") is not None:
             self._reports.drop(key)
@@ -435,21 +450,22 @@ class PredictionService:
 
     def _serve_analytic(
         self, request: PredictRequest, t0: float
-    ) -> Optional[PredictionReport]:
+    ) -> Optional[L1Entry]:
         """Answer from the closed-form tier, or None to escalate."""
         analytic_key = request.key + (TIER_ANALYTIC,)
-        report = self._cached_report(analytic_key)
-        if report is not None:
+        entry = self._cached_entry(analytic_key)
+        if entry is not None:
             self.metrics.l1_hits.inc()
         else:
             report = self._analytic_report(request)
             if report is None:
                 return None
-            self._reports.put(analytic_key, report)
+            entry = L1Entry(report)
+            self._reports.put(analytic_key, entry)
         dt = self._clock() - t0
         self.metrics.latency.observe(dt)
         self.metrics.record_tier(TIER_ANALYTIC, dt)
-        return report
+        return entry
 
     def _analytic_report(
         self, request: PredictRequest
@@ -482,7 +498,7 @@ class PredictionService:
 
     def _serve_archived(
         self, request: PredictRequest, t0: float
-    ) -> Optional[PredictionReport]:
+    ) -> Optional[L1Entry]:
         """Answer an archived cell on the request thread, or None to simulate.
 
         One read of the request's archive record and no write: a miss (or
@@ -497,11 +513,11 @@ class PredictionService:
                 return None
             inputs = PredictionInputs.from_dict(archived["inputs"])
         self._record_analytic_error(request, archived["actual"])
-        report = self._report(request, inputs, archived["actual"], warm=True)
+        entry = self._report(request, inputs, archived["actual"], warm=True)
         dt = self._clock() - t0
         self.metrics.latency.observe(dt)
-        self.metrics.record_tier(report.tier, dt)
-        return report
+        self.metrics.record_tier(entry.report.tier, dt)
+        return entry
 
     def _archive_key(self, request: PredictRequest) -> MemoKey:
         """The seed-free archive key of the request's cell and length."""
@@ -517,11 +533,11 @@ class PredictionService:
 
     def _await(
         self, future: Future, t0: float, timeout: Optional[float]
-    ) -> PredictionReport:
+    ) -> L1Entry:
         if timeout is None:
             timeout = self.default_timeout
         try:
-            report = future.result(timeout)
+            entry = future.result(timeout)
         except FuturesTimeoutError:
             # The flight stays registered: late duplicates still coalesce
             # and the eventual result still warms the cache — only this
@@ -540,8 +556,8 @@ class PredictionService:
             raise
         dt = self._clock() - t0
         self.metrics.latency.observe(dt)
-        self.metrics.record_tier(report.tier, dt)
-        return report
+        self.metrics.record_tier(entry.report.tier, dt)
+        return entry
 
     # -- dispatch (calling thread) --------------------------------------------
 
@@ -647,14 +663,14 @@ class PredictionService:
         archived = self._memo.put_if_absent(
             self._archive_key(request), record
         )
-        report = self._report(
+        entry = self._report(
             request,
             PredictionInputs.from_dict(archived["inputs"]),
             archived["actual"],
             warm=simulations == 0,
         )
         if not future.done():
-            future.set_result(report)
+            future.set_result(entry)
 
     def _report(
         self,
@@ -662,8 +678,8 @@ class PredictionService:
         inputs: PredictionInputs,
         actual: float,
         warm: bool,
-    ) -> PredictionReport:
-        """One request's report, L1-cached and counted."""
+    ) -> L1Entry:
+        """One request's report in a new L1 entry, cached and counted."""
         report = PredictionReport(
             actual=actual,
             predictions={
@@ -674,9 +690,10 @@ class PredictionService:
             },
             tier=TIER_MEMO if warm else TIER_SIMULATION,
         )
-        self._reports.put(request.key, report)
+        entry = L1Entry(report)
+        self._reports.put(request.key, entry)
         (self.metrics.l2_hits if warm else self.metrics.misses).inc()
-        return report
+        return entry
 
     def _record_analytic_error(
         self, request: PredictRequest, actual: float

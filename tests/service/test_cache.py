@@ -8,6 +8,8 @@ import pytest
 from repro.service import PredictRequest, PredictionService
 from repro.service.cache import LRUCache
 
+ABSENT = object()
+
 
 class FakeClock:
     def __init__(self):
@@ -34,8 +36,9 @@ class TestLRUCache:
         cache.put("b", 2)
         cache.get("a")  # refresh a; b becomes the LRU tail
         cache.put("c", 3)
-        assert "a" in cache and "c" in cache
-        assert "b" not in cache
+        assert cache.get("a", ABSENT) == 1
+        assert cache.get("c", ABSENT) == 3
+        assert cache.get("b", ABSENT) is ABSENT
         assert cache.evictions == 1
 
     def test_put_refreshes_existing_key(self):
@@ -45,7 +48,7 @@ class TestLRUCache:
         cache.put("a", 10)  # refresh, not a second entry
         cache.put("c", 3)
         assert cache.get("a") == 10
-        assert "b" not in cache
+        assert cache.get("b", ABSENT) is ABSENT
 
     def test_ttl_expiry_uses_injected_clock(self):
         clock = FakeClock()
