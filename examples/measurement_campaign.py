@@ -43,11 +43,8 @@ def main() -> None:
     for result in results:
         # Per-measurement noise for the interval (mean + sem), read back
         # from the memo store the sweep just filled.
-        runner = ChainRunner(
-            make_benchmark("BT", result.problem_class, result.nprocs),
-            settings.machine,
-            settings.measurement,
-        )
+        bench = make_benchmark("BT", result.problem_class, result.nprocs)
+        runner = ChainRunner(bench, settings.machine, settings.measurement)
 
         def quantity(kernels):
             return MeasuredQuantity.from_measurement(
@@ -61,6 +58,8 @@ def main() -> None:
             {k: quantity((k,)) for k in flow.names},
             {w: quantity(w) for w in flow.windows(CHAIN)},
             CHAIN,
+            pre={k: quantity((k,)) for k in bench.pre_kernel_names},
+            post={k: quantity((k,)) for k in bench.post_kernel_names},
             draws=300,
         )
         print(

@@ -1,4 +1,4 @@
-"""Profile a campaign, render a flamegraph, and read the serving SLOs.
+"""Profile a campaign, render a flamegraph, and read the serving latencies.
 
 End-to-end tour of the observability stack added with the continuous
 profiling PR:
@@ -8,8 +8,8 @@ profiling PR:
 2. write the collapsed-stack file a flamegraph renders from
    (``flamegraph.pl profile.folded > profile.svg``, or paste into
    https://www.speedscope.app);
-3. drive a short served workload and print the SLO report — per-tier
-   latency quantiles, objective compliance, and error-budget burn.
+3. drive a short served workload and print each serving tier's request
+   count and latency quantiles from the service's own histograms.
 
 Run:  python examples/profiling_demo.py
 """
@@ -57,8 +57,8 @@ def profile_campaign() -> None:
     )
 
 
-def serve_and_report_slo() -> None:
-    print("\n=== 2. serving SLOs for a short workload ===\n")
+def serve_and_report_latency() -> None:
+    print("\n=== 2. serving latency per tier for a short workload ===\n")
     with PredictionService(
         measurement=MEASUREMENT, max_workers=2
     ) as service:
@@ -67,31 +67,21 @@ def serve_and_report_slo() -> None:
                 PredictRequest("BT", "S", nprocs, chain_length=2),
                 timeout=120,
             )
-        report = service.slo_report()
+        metrics = service.metrics
 
-    window = report["window"]
-    print(f"window: {window['requests']} requests")
-    for tier, doc in sorted(report["tiers"].items()):
-        if not doc["requests"]:
+    for tier, histogram in sorted(metrics.tier_latency.items()):
+        if not histogram.count:
             continue
         print(
-            f"  {tier:12s} {doc['requests']:4d} req  "
-            f"p50 {doc['p50'] * 1e3:8.2f}ms  p95 {doc['p95'] * 1e3:8.2f}ms"
+            f"  {tier:12s} {histogram.count:4d} req  "
+            f"p50 {histogram.quantile(0.5) * 1e3:8.2f}ms  "
+            f"p95 {histogram.quantile(0.95) * 1e3:8.2f}ms"
         )
-    print("\nobjectives:")
-    for verdict in report["objectives"]:
-        status = "met" if verdict["met"] else "BREACHED"
-        print(
-            f"  {verdict['name']:18s} target {verdict['target']:.0%}  "
-            f"compliance {verdict['compliance']:.1%}  "
-            f"burn {verdict['burn_rate']:.2f}  [{status}]"
-        )
-    print(f"breaches: {report['breaches']}")
 
 
 def main() -> None:
     profile_campaign()
-    serve_and_report_slo()
+    serve_and_report_latency()
 
 
 if __name__ == "__main__":

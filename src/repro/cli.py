@@ -287,21 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(flamegraph stacks of the span tree, self-time weighted)",
     )
 
-    slo = sub.add_parser(
-        "slo",
-        help="rolling SLO report from a running 'repro serve --port N' "
-        "server (per-tier p50/p95/p99, error-budget burn)",
-    )
-    slo.add_argument("--port", type=int, required=True, help="server TCP port")
-    slo.add_argument("--host", default="127.0.0.1")
-    slo.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="human-readable table (default) or the raw JSON judgement",
-    )
-    slo.add_argument(
-        "--timeout", type=float, default=10.0, help="socket timeout in seconds"
-    )
-
     return parser
 
 
@@ -704,69 +689,29 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _server_command(args, cmd: str) -> dict:
-    """Send ``{"cmd": cmd}`` to the server at ``--host``/``--port``.
+def _cmd_metrics(args) -> int:
+    """Print the ``metrics`` reply of the server at ``--host``/``--port``.
 
-    Returns its reply; an unreachable server, a closed connection and an
-    ``ok: false`` reply each raise :class:`ReproError`.
+    An unreachable server, a closed connection and an ``ok: false`` reply
+    each raise :class:`ReproError`.
     """
+    import json
+
     from repro.service import LineClient
 
     try:
         with LineClient(args.host, args.port, timeout=args.timeout) as client:
-            payload = client.request({"cmd": cmd})
+            payload = client.request({"cmd": "metrics"})
     except OSError as exc:
         raise ReproError(
             f"cannot reach {args.host}:{args.port}: {exc}"
         ) from exc
     if not payload.get("ok"):
         raise ReproError(f"server error: {payload.get('error', 'unknown')}")
-    return payload
-
-
-def _cmd_metrics(args) -> int:
-    import json
-
-    payload = _server_command(args, "metrics")
     if args.format == "json":
         print(json.dumps(payload["metrics"], indent=2, sort_keys=True))
     else:
         sys.stdout.write(payload["prometheus"])
-    return 0
-
-
-def _cmd_slo(args) -> int:
-    import json
-
-    payload = _server_command(args, "slo")
-    report = payload["slo"]
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    window = report["window"]
-    print(
-        f"window: {window.get('requests', 0)} requests over "
-        f"{window.get('snapshots', 1)} snapshots"
-    )
-    print(f"{'tier':<12} {'requests':>9} {'p50':>10} {'p95':>10} {'p99':>10}")
-    rows = {"overall": report["overall"], **report["tiers"]}
-    for tier, doc in rows.items():
-        print(
-            f"{tier:<12} {doc['requests']:>9} {doc['p50']:>10.4g} "
-            f"{doc['p95']:>10.4g} {doc['p99']:>10.4g}"
-        )
-    print(
-        f"{'objective':<18} {'kind':<11} {'target':>7} {'compliance':>11} "
-        f"{'burn':>7}  met"
-    )
-    for verdict in report["objectives"]:
-        print(
-            f"{verdict['name']:<18} {verdict['kind']:<11} "
-            f"{verdict['target']:>7.3g} {verdict['compliance']:>11.4g} "
-            f"{verdict['burn_rate']:>7.3g}  "
-            f"{'yes' if verdict['met'] else 'NO'}"
-        )
-    print(f"breaches: {report['breaches']}")
     return 0
 
 
@@ -866,8 +811,6 @@ def _dispatch(args) -> int:
         return run_lint(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "slo":
-        return _cmd_slo(args)
     if args.command == "trace":
         return _cmd_trace(args)
     return 2  # pragma: no cover — argparse enforces the command set

@@ -223,12 +223,12 @@ class Histogram:
         return self._max if self._max is not None else 0.0
 
     def state(self) -> dict:
-        """Raw cumulative state for window-delta consumers (SLO monitor).
+        """Raw cumulative state for delta consumers (:mod:`repro.obs.delta`).
 
         A consistent copy of ``(counts, count, sum, min, max)`` taken under
         the lock; subtracting two states of the same histogram yields the
-        observations that landed between them (see
-        :func:`quantile_from_counts`).
+        observations that landed between them, which is how a worker
+        process ships its histograms home.
         """
         with self._lock:
             return {
@@ -328,12 +328,9 @@ def quantile_from_counts(
     """The ``q``-th quantile of a bucketed sample, log-interpolated.
 
     ``counts`` has one slot per bound plus the overflow slot (the layout
-    :meth:`Histogram.state` exposes); it may be a *delta* between two
-    states of the same histogram, which is how the SLO monitor derives
-    rolling quantiles from cumulative instruments. ``observed_min`` /
-    ``observed_max`` (when known) clamp the estimate to the really-seen
-    range; for window deltas they are simply the lifetime extremes, which
-    keeps the clamp conservative.
+    :meth:`Histogram.state` exposes), and :meth:`Histogram.quantile`
+    passes its own. ``observed_min`` / ``observed_max`` (when known) clamp
+    the estimate to the really-seen range.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in 0..1, got {q}")

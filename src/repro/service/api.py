@@ -20,11 +20,11 @@ The line protocol: each input line is either a request object
 of request objects (answered as one response), or a command object
 (``{"cmd": "stats"}``, ``{"cmd": "metrics"}`` — the ``GET /metrics``
 analogue, answering a Prometheus text exposition plus a JSON snapshot of
-every registry — ``{"cmd": "slo"}``, answering a rolling SLO judgement
-with per-tier p50/p95/p99 and error-budget burn — or ``{"cmd":
-"counters"}``, the raw read of every cumulative counter). Every line
-gets exactly one JSON response line with an ``"ok"`` field; saturation
-rejections carry ``"retry_after"``.
+every registry, per-tier latency histograms included — or ``{"cmd":
+"counters"}``, the raw read of every cumulative counter; any other
+``cmd`` is a typed error naming it). Every line gets exactly one JSON
+response line with an ``"ok"`` field; saturation rejections carry
+``"retry_after"``.
 
 Correlation: any request object may carry an ``"id"`` field. It is echoed
 verbatim in the response, bound as the obs correlation ID for the
@@ -70,7 +70,6 @@ __all__ = [
     "report_to_dict",
     "error_dict",
     "metrics_payload",
-    "slo_payload",
     "counters_payload",
     "handle_line",
     "serve_jsonl",
@@ -291,11 +290,6 @@ def metrics_payload(service: PredictionService) -> dict[str, Any]:
     }
 
 
-def slo_payload(service: PredictionService) -> dict[str, Any]:
-    """The ``slo`` command's body: one rolling SLO judgement."""
-    return {"ok": True, "slo": service.slo_report()}
-
-
 def counters_payload(service: PredictionService) -> dict[str, Any]:
     """The ``counters`` command's body: raw cumulative counter values.
 
@@ -316,20 +310,39 @@ def counters_payload(service: PredictionService) -> dict[str, Any]:
     return {"ok": True, "counters": counters}
 
 
+#: The ``cmd`` values the line protocol answers, and their bodies.
+_COMMANDS: dict[str, Callable[[PredictionService], dict[str, Any]]] = {
+    "stats": lambda service: {"ok": True, "stats": service.stats()},
+    "metrics": metrics_payload,
+    "counters": counters_payload,
+}
+
+
+def _command(service: PredictionService, command: Any) -> dict[str, Any]:
+    """The body answering ``{"cmd": command}``; an unknown one is an error."""
+    answer = _COMMANDS.get(command) if isinstance(command, str) else None
+    if answer is None:
+        return error_dict(
+            ServiceError(
+                f"unknown command {command!r}; known commands: "
+                f"{sorted(_COMMANDS)}"
+            )
+        )
+    return answer(service)
+
+
 def handle_line(service: PredictionService, line: str) -> Optional[str]:
     """One protocol exchange: a request line in, a JSON response line out.
 
-    Returns ``None`` for blank lines (no response owed). The bare lines
-    ``metrics`` and ``slo`` (curl-style, no JSON) are accepted as
-    shorthand for the matching ``{"cmd": ...}`` objects.
+    Returns ``None`` for blank lines (no response owed). The bare line
+    ``metrics`` (curl-style, no JSON) is accepted as shorthand for
+    ``{"cmd": "metrics"}``.
     """
     line = line.strip()
     if not line:
         return None
     if line == "metrics":
         return json.dumps(metrics_payload(service))
-    if line == "slo":
-        return json.dumps(slo_payload(service))
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -340,15 +353,8 @@ def handle_line(service: PredictionService, line: str) -> Optional[str]:
         return json.dumps(
             error_dict(ReproError("request must be a JSON object or array"))
         )
-    command = payload.get("cmd")
-    if command == "stats":
-        return json.dumps({"ok": True, "stats": service.stats()})
-    if command == "metrics":
-        return json.dumps(metrics_payload(service))
-    if command == "slo":
-        return json.dumps(slo_payload(service))
-    if command == "counters":
-        return json.dumps(counters_payload(service))
+    if "cmd" in payload:
+        return json.dumps(_command(service, payload["cmd"]))
     has_id = "id" in payload
     request_id = payload.pop("id", None)
     try:

@@ -72,7 +72,6 @@ from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import CellResult, CellSpec, run_cell
 from repro.service.cache import L1Entry, LRUCache
 from repro.service.metrics import ServiceMetrics
-from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
 from repro.service.workers import WorkerPool
 from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 
@@ -220,11 +219,6 @@ class PredictionService:
     escalates to memo/simulation when its self-reported confidence misses
     the policy's error budget; the default ``exact`` bypasses the analytic
     tier entirely, preserving bit-identical simulation results.
-
-    ``slo_objectives``/``slo_window`` configure the rolling SLO monitor
-    behind :meth:`slo_report` (defaults:
-    :data:`repro.service.slo.DEFAULT_OBJECTIVES` over a 60-snapshot
-    window); the monitor only runs when polled, never per request.
     """
 
     def __init__(
@@ -245,8 +239,6 @@ class PredictionService:
         degraded_probe_every: int = 8,
         cache_dir: Optional[str] = None,
         tier_policy: "str | TierPolicy" = "exact",
-        slo_objectives: Optional[Sequence[SLOObjective]] = None,
-        slo_window: int = 60,
     ):
         self.machine = machine or ibm_sp_argonne()
         self.tier_policy = resolve_tier_policy(tier_policy)
@@ -275,15 +267,6 @@ class PredictionService:
             crash_threshold=crash_threshold,
         )
         self.metrics = ServiceMetrics(queue_depth_fn=lambda: self._pool.outstanding)
-        self.slo = SLOMonitor(
-            self.metrics,
-            objectives=(
-                slo_objectives
-                if slo_objectives is not None
-                else DEFAULT_OBJECTIVES
-            ),
-            window=slo_window,
-        )
         self._degraded_probe_every = degraded_probe_every
         self._degraded_misses = 0
         # Guards the single-flight registry, the degraded-probe counter and
@@ -755,15 +738,6 @@ class PredictionService:
         snapshot["worker_respawns"] = self._pool.respawns
         snapshot["worker_crashes"] = self._pool.crashes
         return snapshot
-
-    def slo_report(self) -> dict:
-        """One rolling SLO judgement (tier quantiles, budget burn).
-
-        Each call also advances the monitor's snapshot window and updates
-        the ``slo_*`` instruments in the service registry — polling *is*
-        the tick (nothing on the serving path pays for SLO accounting).
-        """
-        return self.slo.observe()
 
     def metrics_registries(self) -> tuple:
         """The registries a metrics exporter should render, gauges fresh.

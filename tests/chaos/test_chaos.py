@@ -172,49 +172,45 @@ def test_same_seed_same_schedule_across_runs():
 
 
 @pytest.mark.timeout(100)
-def test_slo_counters_move_under_faults():
-    """Injected faults burn the error budget and the SLO monitor sees it.
+def test_failure_counters_match_failed_replies():
+    """Every ``ok: false`` reply is counted exactly once, and nothing else is.
 
-    A tight availability objective (99 %) against a plan that errors every
-    third dispatch: the window's bad fraction is ~an order of magnitude
-    over budget, so ``slo_report`` must flag the breach and mirror it into
-    the registry counters the chaos dashboards read.
+    A plan that fails every third dispatch, against a sequential stream:
+    the service's ``errors`` plus ``timeouts`` counters must move by
+    exactly the number of failed replies. Failures are counted per waiter
+    (``PredictionService._await``), so a coalesced waiter would count
+    once for its own reply too.
     """
     from repro import faults
     from repro.service import PredictionService, handle_line
-    from repro.service.slo import SLOObjective
 
     chaos_plan = plan(
         FaultSpec(site="engine.dispatch.error", every_nth=3),
         seed=7,
     )
-    service = PredictionService(
-        executor="inline",
-        execute=synthetic_execute,
-        slo_objectives=(
-            SLOObjective(name="availability", kind="error_rate", target=0.99),
-        ),
-    )
+    service = PredictionService(executor="inline", execute=synthetic_execute)
+    metrics = service.metrics
     faults.install(chaos_plan)
     try:
-        assert service.slo_report()["breaches"] == 0  # calm before
-        for line in request_stream(seed=5, n_requests=60):
-            handle_line(service, line)
-        report = service.slo_report()
+        before = metrics.errors.value + metrics.timeouts.value
+        requests_before = metrics.requests.value
+        replies = [
+            json.loads(handle_line(service, line))
+            for line in request_stream(seed=5, n_requests=60)
+        ]
+        counted = metrics.errors.value + metrics.timeouts.value - before
+        served = metrics.requests.value - requests_before
     finally:
         service.close()
         faults.clear()
 
-    verdict = report["objectives"][0]
-    assert report["window"]["requests"] >= 60
-    assert verdict["bad"] > 0
-    assert verdict["burn_rate"] > 1.0
-    assert not verdict["met"]
-    assert report["breaches"] == 1
-
-    snapshot = service.metrics.registry.snapshot()
-    assert snapshot["slo_breaches{objective=availability}"] >= 1
-    assert snapshot["slo_burn_rate{objective=availability}"] > 1.0
+    failed = [reply for reply in replies if not reply["ok"]]
+    assert failed, "the plan never fired"
+    assert counted == len(failed)
+    assert served == len(replies) == 60
+    for reply in failed:
+        assert reply["error_type"] == "InjectedFaultError"
+        assert reply["id"].startswith("chaos-")
 
 
 #: The cell the SIGKILL victim holds in flight; the soak never asks it.

@@ -314,45 +314,3 @@ class TestTraceCollapsedFormat:
         for line in lines:
             path, weight = line.rsplit(" ", 1)
             assert path and weight.isdigit()
-
-
-class TestSloCommand:
-    def test_slo_against_a_live_server(self, capsys):
-        import threading
-
-        from repro.instrument import MeasurementConfig
-        from repro.service import PredictionService, serve_socket
-
-        service = PredictionService(
-            measurement=MeasurementConfig(repetitions=2, warmup=1),
-            executor="inline",
-        )
-        ready = threading.Event()
-        bound: list = []
-        control: list = []
-        thread = threading.Thread(
-            target=serve_socket,
-            args=(service,),
-            kwargs={"ready": ready, "bound": bound, "control": control},
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(timeout=10)
-        port = str(bound[0][1])
-        try:
-            assert main(["slo", "--port", port]) == 0
-            text = capsys.readouterr().out
-            assert "latency.overall" in text
-            assert "breaches:" in text
-            assert main(["slo", "--port", port, "--format", "json"]) == 0
-            report = json.loads(capsys.readouterr().out)
-            assert report["breaches"] == 0
-            assert "objectives" in report
-        finally:
-            control[0].shutdown()
-            thread.join(timeout=10)
-            service.close()
-
-    def test_slo_unreachable_server_fails_cleanly(self, capsys):
-        assert main(["slo", "--port", "1", "--timeout", "0.5"]) == 1
-        assert "error:" in capsys.readouterr().err

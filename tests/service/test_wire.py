@@ -145,3 +145,16 @@ def test_client_reconnects_once_after_a_dropped_connection(server):
         response = client.request(_request(id="resent"))
     assert response["ok"] and response["id"] == "resent"
     assert obs.get_registry().counter("client_disconnects").value == 1
+
+
+@pytest.mark.parametrize("command", ["slo", "STATS", 7, None])
+def test_unknown_command_is_a_typed_error_naming_it(server, command):
+    """A ``cmd`` the protocol does not know gets one ``ok: false`` line
+    naming it and the known commands; the connection keeps serving."""
+    _, client = server
+    response = client.request({"cmd": command})
+    assert response["ok"] is False
+    assert response["error_type"] == "ServiceError"
+    assert f"unknown command {command!r}" in response["error"]
+    assert "['counters', 'metrics', 'stats']" in response["error"]
+    assert client.stats()["ok"]
